@@ -1,20 +1,19 @@
 """Per-flow bit-exact fingerprint of a region fleet run.
 
-The fleet execution contract (DESIGN.md) promises that batched span
-execution, sequential span execution and the per-tick reference loop
-produce **bit-identical per-flow results**. This script runs one fleet
-scenario and prints a sha256 per flow (over every metric series at
-full repr precision, the cost-meter internals and the drop counters)
-plus a combined hash — run it once per mode and diff the output.
+The span execution contract (DESIGN.md) promises that span execution
+and the per-tick reference loop produce **bit-identical per-flow
+results**. This script runs one fleet scenario and prints a sha256 per
+flow (over every metric series at full repr precision, the cost-meter
+internals and the drop counters) plus a combined hash — run it once
+per mode and diff the output.
 
 Usage::
 
-    python benchmarks/_fleet_fingerprint.py [BLOB_OUT] [--no-batch] [--reference]
+    python benchmarks/_fleet_fingerprint.py [BLOB_OUT] [--reference]
 
-``--no-batch`` keeps span execution but disables the fleet-batched
-executor (N sequential pipeline components); ``--reference`` runs the
-per-tick loop. Matching hashes across all three invocations is the
-fleet equivalence check the CI benchmark-smoke job performs.
+``--reference`` runs the per-tick loop. Matching hashes across both
+invocations is the fleet equivalence check the CI benchmark-smoke job
+performs.
 """
 
 import hashlib
@@ -31,9 +30,8 @@ FLOWS = 4
 
 def main() -> None:
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    batch = "--no-batch" not in sys.argv[1:]
     span = "--reference" not in sys.argv[1:]
-    fleet = build_fleet(FLOWS, batch=batch, span=span)
+    fleet = build_fleet(FLOWS, span=span)
     started = time.perf_counter()
     fleet.run(DURATION)
     elapsed = time.perf_counter() - started
@@ -41,7 +39,6 @@ def main() -> None:
     blobs: dict[str, bytes] = {}
     for name, manager in sorted(fleet.managers.items()):
         store = manager.cloudwatch
-        store.flush_pending()
         lines = []
         for key in sorted(store._series):
             s = store._series[key]
@@ -72,7 +69,6 @@ def main() -> None:
                 "sha256": combined.hexdigest(),
                 "flows": flows,
                 "wall_seconds": round(elapsed, 3),
-                "batch_execution": fleet.batch_execution,
                 "span_execution": span,
             }
         )

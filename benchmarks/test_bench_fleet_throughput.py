@@ -1,38 +1,24 @@
-"""Fleet-batched execution throughput vs the sequential baselines.
+"""Fleet span execution throughput vs the per-tick reference.
 
-A :class:`~repro.core.fleet.RegionFleetManager` owning N flows has
-three execution paths, all bit-identical per flow
+A :class:`~repro.core.fleet.RegionFleetManager` owning N flows has two
+execution paths, bit-identical per flow
 (``tests/test_fleet_batched.py``, ``benchmarks/_fleet_fingerprint.py``):
 
-* **batched** (default) — one :class:`FleetSpanExecutor` runs every
+* **span** (default) — one :class:`FleetSpanExecutor` runs every
   flow's data path per shared span, splitting each flow at its *own*
   capacity events only;
-* **sequential spans** (``batch_execution=False``) — N independent
-  pipeline components, every flow's capacity event fragmenting the
-  shared span for all N flows;
 * **per-tick reference** (``span_execution=False``) — the plain tick
-  loop, N component dispatches per simulated second.
+  loop, one pass over every flow per simulated second.
 
-This benchmark runs the same region scenario through all three modes
-at 1, 4 and 16 flows (interleaved best-of-2, so machine noise hits
-every mode equally) and records both ratios in
-``results/BENCH_fleet.json``: batched vs the per-tick reference (the
-headline, same convention as ``BENCH_span.json``) and batched vs
-sequential spans (the incremental win of this PR's executor).
-
-Context for the second ratio: more than half of the batched wall time
-is work every mode shares bit-for-bit — the per-flow workload draws
-(the bit-exactness RNG floor, see ``BENCH_span.json``), the control
-and sensor path, and metric emission — so the span-vs-span ratio is
-bounded near ~2x at this scenario's scale even though the executor
-removes nearly all of the sequential span path's fragmentation
-overhead. The per-tick ratio shows the full distance the batched data
-path covers.
+This benchmark runs the same region scenario through both modes at 1,
+4 and 16 flows (interleaved best-of-2, so machine noise hits both
+modes equally) and records the span-vs-per-tick ratio in
+``results/BENCH_fleet.json`` (same convention as ``BENCH_span.json``).
 
 The measured 16-flow runs are also diffed per flow (series, costs,
-drops — repr-exact) between the batched and sequential modes, on both
-the fast and exact workload paths, so the recorded speedup is
-guaranteed to be a speedup of the *same* results.
+drops — repr-exact) between the two modes, on both the fast and exact
+workload paths, so the recorded speedup is guaranteed to be a speedup
+of the *same* results.
 
 The reduced-scale smoke variant runs in the CI benchmark-smoke job.
 """
@@ -53,7 +39,7 @@ CONTROL_PERIOD = 300
 SNAPSHOT_PERIOD = 600
 
 
-def build_fleet(n: int, *, batch: bool, span: bool = True, exact: bool = False):
+def build_fleet(n: int, *, span: bool = True, exact: bool = False):
     """N staggered sinusoidal flows in one generously sized region."""
     flows = [
         FleetFlowSpec(
@@ -87,14 +73,13 @@ def build_fleet(n: int, *, batch: bool, span: bool = True, exact: bool = False):
         limits=limits,
         seed=SEED,
         exact=exact,
-        batch_execution=batch,
         span_execution=span,
         snapshot_period=SNAPSHOT_PERIOD,
     )
 
 
-def run_once(n: int, *, batch: bool, span: bool = True, duration: int = DURATION):
-    fleet = build_fleet(n, batch=batch, span=span)
+def run_once(n: int, *, span: bool = True, duration: int = DURATION):
+    fleet = build_fleet(n, span=span)
     started = time.perf_counter()
     fleet.run(duration)
     return duration / (time.perf_counter() - started)
@@ -105,7 +90,6 @@ def flow_digests(fleet) -> dict:
     digests = {}
     for name, manager in fleet.managers.items():
         store = manager.cloudwatch
-        store.flush_pending()
         series = {
             repr(key): (s.times.tolist(), repr(s.values.tolist()))
             for key, s in sorted(store._series.items())
@@ -124,11 +108,11 @@ def flow_digests(fleet) -> dict:
 
 
 def assert_identical(n: int, *, exact: bool, duration: int) -> None:
-    batched = build_fleet(n, batch=True, exact=exact)
-    batched.run(duration)
-    sequential = build_fleet(n, batch=False, exact=exact)
-    sequential.run(duration)
-    da, db = flow_digests(batched), flow_digests(sequential)
+    spanned = build_fleet(n, exact=exact)
+    spanned.run(duration)
+    reference = build_fleet(n, span=False, exact=exact)
+    reference.run(duration)
+    da, db = flow_digests(spanned), flow_digests(reference)
     assert sorted(da) == sorted(db)
     for name in da:
         assert da[name] == db[name], f"{name} diverged (exact={exact})"
@@ -147,9 +131,8 @@ def measure(scales, modes, *, duration: int, repeats: int = 2) -> dict:
 
 
 MODES = [
-    ("batched", {"batch": True, "span": True}),
-    ("sequential_spans", {"batch": False, "span": True}),
-    ("per_tick", {"batch": False, "span": False}),
+    ("span", {"span": True}),
+    ("per_tick", {"span": False}),
 ]
 
 
@@ -157,8 +140,7 @@ def test_fleet_throughput(results_dir):
     scales = (1, 4, 16)
     best = measure(scales, MODES, duration=DURATION)
 
-    ratio_ref = best["batched"][16] / best["per_tick"][16]
-    ratio_seq = best["batched"][16] / best["sequential_spans"][16]
+    ratio_ref = best["span"][16] / best["per_tick"][16]
 
     # The recorded speedup must be a speedup of the *same* numbers:
     # per-flow repr-exact identity at full fleet width on both paths.
@@ -176,14 +158,6 @@ def test_fleet_throughput(results_dir):
             for mode, by_n in best.items()
         },
         "speedup_vs_per_tick_16_flows": round(ratio_ref, 2),
-        "speedup_vs_sequential_spans_16_flows": round(ratio_seq, 2),
-        "shared_work_note": (
-            "batched and sequential spans share the bit-exact per-flow "
-            "workload draws, control/sensor path and metric emission "
-            "(>50% of batched wall time), which bounds the span-vs-span "
-            "ratio near ~2x at this scale; the per-tick ratio is the "
-            "full data-path speedup, same convention as BENCH_span.json"
-        ),
         "per_flow_bit_identical": {"fast_16_flows": True, "exact_16_flows": True},
     }
     path = results_dir / "BENCH_fleet.json"
@@ -191,26 +165,21 @@ def test_fleet_throughput(results_dir):
     print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
 
     assert ratio_ref >= 5.0, (
-        f"batched fleet reached only {ratio_ref:.2f}x the per-tick "
-        f"reference at 16 flows ({best['batched'][16]:.0f} vs "
+        f"fleet span execution reached only {ratio_ref:.2f}x the per-tick "
+        f"reference at 16 flows ({best['span'][16]:.0f} vs "
         f"{best['per_tick'][16]:.0f} t/s)"
     )
-    assert ratio_seq >= 1.3, (
-        f"batched fleet reached only {ratio_seq:.2f}x sequential spans "
-        f"at 16 flows ({best['batched'][16]:.0f} vs "
-        f"{best['sequential_spans'][16]:.0f} t/s)"
-    )
-    # Batching must not lose per-flow throughput as the fleet grows:
-    # 16 flows do 16x the work per global tick, so compare flow-ticks.
-    assert 16 * best["batched"][16] >= 0.8 * best["batched"][1]
+    # Span execution must not lose per-flow throughput as the fleet
+    # grows: 16 flows do 16x the work per global tick, so compare
+    # flow-ticks.
+    assert 16 * best["span"][16] >= 0.8 * best["span"][1]
 
 
 def test_fleet_throughput_smoke(results_dir):
     """Reduced-scale CI variant: 4 flows, 1800 s, generous bounds."""
     duration = 1800
     best = measure((4,), MODES, duration=duration)
-    ratio_ref = best["batched"][4] / best["per_tick"][4]
-    ratio_seq = best["batched"][4] / best["sequential_spans"][4]
+    ratio_ref = best["span"][4] / best["per_tick"][4]
 
     assert_identical(4, exact=False, duration=duration)
 
@@ -219,17 +188,12 @@ def test_fleet_throughput_smoke(results_dir):
         "duration_seconds": duration,
         "ticks_per_sec": {mode: round(by_n[4], 1) for mode, by_n in best.items()},
         "speedup_vs_per_tick_4_flows": round(ratio_ref, 2),
-        "speedup_vs_sequential_spans_4_flows": round(ratio_seq, 2),
     }
     path = results_dir / "BENCH_fleet_smoke.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
 
     assert ratio_ref >= 2.0, (
-        f"batched fleet reached only {ratio_ref:.2f}x the per-tick "
+        f"fleet span execution reached only {ratio_ref:.2f}x the per-tick "
         "reference at smoke scale"
-    )
-    assert ratio_seq >= 1.05, (
-        f"batched fleet reached only {ratio_seq:.2f}x sequential spans "
-        "at smoke scale"
     )

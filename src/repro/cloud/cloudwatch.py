@@ -264,13 +264,6 @@ class SimCloudWatch:
         # so the memo holds at most one control period's worth of
         # distinct read shapes per series.
         self._read_memo: dict[tuple, list] = {}
-        #: Opt-in deferred batch writes (fleet span batching). When
-        #: set, :meth:`put_metric_data_batch` buffers the columns and
-        #: every read path flushes them first, so readers always see
-        #: exactly the series an eager store would hold. Off by
-        #: default: single-flow and per-tick runs are unaffected.
-        self.lazy_batches = False
-        self._pending: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
         # Monitoring-layer fault injection (chaos harness). A metric
         # delay makes sensors query a window ending ``delay`` seconds in
         # the past; a dropout makes sensor reads return no data at all.
@@ -292,8 +285,6 @@ class SimCloudWatch:
     ) -> None:
         """Record one datapoint. Timestamps must be non-decreasing per series."""
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self._pending:
-            self.flush_pending(key)
         self._series[key].append(timestamp, value)
 
     def put_metric_data_batch(
@@ -314,47 +305,14 @@ class SimCloudWatch:
         unchanged.
         """
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self.lazy_batches:
-            # Touching the defaultdict creates the (empty) series
-            # eagerly, so existence checks and list_metrics behave as
-            # if the batch had landed; the columns land on first read.
-            self._series[key]
-            self._pending.setdefault(key, []).append((
-                np.asarray(times, dtype=np.int64),
-                np.asarray(values, dtype=np.float64),
-            ))
-            return
         self._series[key].extend(times, values)
 
-    def flush_pending(self, key: tuple | None = None) -> None:
-        """Land deferred batch writes (no-op when nothing is pending).
+    def flush_pending(self) -> None:
+        """Do nothing: every write lands in its series when it is made.
 
-        With ``key``, only that series flushes — the read paths use
-        this so a sensor polling one metric does not force every other
-        buffered series to materialise mid-run; unread series keep
-        accumulating parts and land as one extend when the run drains.
-
-        Batches flush per series in put order, concatenated into one
-        :meth:`_Series.extend`, so the stored columns — and the version
-        counter the read memos key on — match an eager store that had
-        extended once per span.
+        Callers that read raw ``_series`` may call this first; the
+        benchmark's oracle and tracer do.
         """
-        if not self._pending:
-            return
-        if key is not None:
-            parts = self._pending.pop(key, None)
-            if parts is None:
-                return
-            pending = {key: parts}
-        else:
-            pending, self._pending = self._pending, {}
-        for key, parts in pending.items():
-            if len(parts) == 1:
-                times, values = parts[0]
-            else:
-                times = np.concatenate([p[0] for p in parts])
-                values = np.concatenate([p[1] for p in parts])
-            self._series[key].extend(times, values)
 
     # ------------------------------------------------------------------
     # Reading
@@ -436,8 +394,6 @@ class SimCloudWatch:
         """
         validate_statistic(statistic)
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self._pending:
-            self.flush_pending(key)
         if key not in self._series:
             if default is None:
                 self._raise_unknown(namespace, metric_name, dimensions)
@@ -484,8 +440,6 @@ class SimCloudWatch:
         allow_missing: bool = False,
     ) -> _Series | None:
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self._pending:
-            self.flush_pending(key)
         if key not in self._series:
             if allow_missing:
                 return None
@@ -499,8 +453,6 @@ class SimCloudWatch:
         metric_name: str,
         dimensions: dict[str, str] | None,
     ) -> _Series:
-        if self._pending:
-            self.flush_pending(key)
         if key not in self._series:
             self._raise_unknown(namespace, metric_name, dimensions)
         return self._series[key]

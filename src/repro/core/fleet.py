@@ -16,13 +16,15 @@ retargets each flow's per-layer caps at a slower cadence than the
 per-flow control loops, so flows keep reacting at control speed while
 the cross-flow contract moves slowly and predictably.
 
-Determinism: the whole fleet shares one engine, so span-batched and
-per-tick execution stay bit-identical per flow (every flow's capacity
-events bound the shared spans); per-flow seeds are derived from the
-fleet seed and the flow *name*, so adding or reordering flows does not
-reshuffle the others' randomness; and a fleet run is a plain function
-of its arguments, so ``analysis/runner.py`` parallelizes whole fleet
-scenarios across processes with byte-identical results.
+Determinism: the whole fleet shares one engine, and one
+:class:`~repro.core.fleet_exec.FleetSpanExecutor` runs every flow's
+data path, splitting each flow's share of a span at that flow's own
+capacity events, so span and per-tick execution stay bit-identical per
+flow; per-flow seeds are derived from the fleet seed and the flow
+*name*, so adding or reordering flows does not reshuffle the others'
+randomness; and a fleet run is a plain function of its arguments, so
+``analysis/runner.py`` parallelizes whole fleet scenarios across
+processes with byte-identical results.
 """
 
 from __future__ import annotations
@@ -46,12 +48,7 @@ from repro.core.config import LayerControlConfig
 from repro.core.errors import ConfigurationError
 from repro.core.fleet_exec import FleetSpanExecutor
 from repro.core.flow import LayerKind
-from repro.core.manager import (
-    FlowElasticityManager,
-    FlowRunResult,
-    ServiceCapacities,
-    _FlowPipeline,
-)
+from repro.core.manager import FlowElasticityManager, FlowRunResult, ServiceCapacities
 from repro.simulation.clock import SimClock
 from repro.simulation.engine import SimulationEngine
 from repro.workload.generators import RatePattern
@@ -60,10 +57,10 @@ from repro.workload.generators import RatePattern
 COORDINATED_LAYERS = (LayerKind.INGESTION, LayerKind.ANALYTICS, LayerKind.STORAGE)
 
 #: Component phases for the shared engine's grouped ordering: every
-#: flow's data pipeline must run before any flow's auditor, and every
-#: auditor before any fault injector, so a fault injected at tick T
-#: reaches all flows' data paths at T+1 in both execution modes.
-_COMPONENT_PHASE = {_FlowPipeline: 0, InvariantChecker: 1, ChaosInjector: 2}
+#: flow's data path (the executor) must run before any flow's auditor,
+#: and every auditor before any fault injector, so a fault injected at
+#: tick T reaches all flows' data paths at T+1 in both execution modes.
+_COMPONENT_PHASE = {FleetSpanExecutor: 0, InvariantChecker: 1, ChaosInjector: 2}
 
 
 @dataclass(frozen=True)
@@ -254,8 +251,8 @@ class FleetRunResult:
     #: Whether every flow ran on the bit-exact workload path.
     exact: bool = True
     #: Per-flow wall-clock attribution from the engine's
-    #: :class:`~repro.observability.profiler.TickProfiler` (batched
-    #: executor only; empty when profiling is off). Informational —
+    #: :class:`~repro.observability.profiler.TickProfiler` (span
+    #: execution only; empty when profiling is off). Informational —
     #: machine-dependent, never gated on.
     flow_wall_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -317,7 +314,6 @@ class RegionFleetManager:
         tick_seconds: int = 1,
         snapshot_period: int = 60,
         span_execution: bool = True,
-        batch_execution: bool = True,
         coordinate_period: int | None = 300,
         pressure_gain: float = 2.0,
         price_book: PriceBook | None = None,
@@ -392,18 +388,10 @@ class RegionFleetManager:
                 exact=self.exact,
                 **spec.manager_kwargs,
             )
-        # Group components by phase (pipelines, auditors, injectors) so
-        # cross-flow fault visibility is identical in span and per-tick
-        # execution; the stable sort keeps each flow's internal order.
-        self.engine.sort_components(
-            lambda component: _COMPONENT_PHASE.get(type(component), 3)
-        )
-        #: Whether the N flow pipelines were collapsed into one
-        #: :class:`FleetSpanExecutor` (span mode only — per-tick runs
-        #: keep the sequential pipelines as the reference path).
-        self.batch_execution = bool(batch_execution) and span_execution
-        if self.batch_execution:
-            executor = FleetSpanExecutor(
+        # One executor runs every flow's data path (the managers do not
+        # register their pipelines on a shared engine).
+        self.engine.add_component(
+            FleetSpanExecutor(
                 [(spec.name, self.managers[spec.name]._pipeline) for spec in flows],
                 engine=self.engine,
                 checkers={
@@ -413,14 +401,13 @@ class RegionFleetManager:
                     is not None
                 },
             )
-            self.engine.replace_components(
-                [executor]
-                + [
-                    component
-                    for component in self.engine._components
-                    if not isinstance(component, _FlowPipeline)
-                ]
-            )
+        )
+        # Group components by phase (data path, auditors, injectors) so
+        # cross-flow fault visibility is identical in span and per-tick
+        # execution; the stable sort keeps each flow's internal order.
+        self.engine.sort_components(
+            lambda component: _COMPONENT_PHASE.get(type(component), 3)
+        )
         self.coordinator: FleetCoordinator | None = None
         if coordinate_period is not None:
             self.coordinator = FleetCoordinator(
@@ -461,11 +448,6 @@ class RegionFleetManager:
         started = perf_counter()
         self.engine.run(duration_seconds)
         wall_seconds = perf_counter() - started
-        if self.batch_execution:
-            # Batched spans buffer metric columns in the store; results
-            # must read a fully-materialised series set.
-            for manager in self.managers.values():
-                manager.cloudwatch.flush_pending()
         return FleetRunResult(
             duration_seconds=self.engine.clock.now,
             flows={
@@ -506,7 +488,6 @@ class FleetScenarioSpec:
     tick_seconds: int = 1
     snapshot_period: int = 60
     span_execution: bool = True
-    batch_execution: bool = True
     coordinate_period: int | None = 300
     pressure_gain: float = 2.0
     exact: bool = True
@@ -543,7 +524,6 @@ def run_fleet_scenario(spec: FleetScenarioSpec, seed: int):
         tick_seconds=spec.tick_seconds,
         snapshot_period=spec.snapshot_period,
         span_execution=spec.span_execution,
-        batch_execution=spec.batch_execution,
         coordinate_period=spec.coordinate_period,
         pressure_gain=spec.pressure_gain,
         exact=spec.exact,

@@ -11,8 +11,11 @@ integrate spend per resource.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
+
+import numpy as np
 
 from repro.chaos.injector import ChaosEvent, ChaosInjector
 from repro.chaos.invariants import InvariantChecker, InvariantReport
@@ -90,12 +93,100 @@ class ServiceCapacities:
             raise ConfigurationError("all initial capacities must be >= 1")
 
 
+#: Products (payload x records) must stay below this for the stream's
+#: buffer byte split ``int(bytes * handed / records)`` to be float-exact.
+_EXACT_PRODUCT_LIMIT = 2**53
+
+
+class _Span:
+    """One span of ticks as :meth:`_FlowPipeline.run_span` executes it.
+
+    Built at the span's start, in the per-tick loop's order: the
+    workload columns are drawn first (the generator touches no service
+    state, so its batch can lead the span), then the dashboard reads,
+    then the capacity lookups are hoisted in the loop's call order, so
+    pending changes ripe at the first tick apply — and publish their
+    bus events — exactly where the per-tick loop applies them.
+    """
+
+    __slots__ = (
+        "now", "dt", "count", "records", "payload", "distinct", "reads",
+        "record_cap", "byte_cap", "shards", "stream_read_cap", "vms",
+        "analytics_cap", "poll_limit", "provisioned_vms", "billable_vms",
+        "write_units", "write_cap", "read_units", "read_cap",
+        "write_bucket_cap", "read_bucket_cap", "_violations",
+    )
+
+    def __init__(self, pipeline: "_FlowPipeline", now: int, dt: int, count: int) -> None:
+        first_tick = now + dt
+        self.now = now
+        self.dt = dt
+        self.count = count
+        self.records, self.payload, self.distinct = pipeline.generator.generate_span(
+            first_tick, count, dt
+        )
+        self.reads = pipeline._draw_reads(first_tick, count, dt)
+        stream = pipeline.stream
+        cluster = pipeline.cluster
+        table = pipeline.table
+        self.record_cap = stream.write_capacity_records(first_tick) * dt
+        self.byte_cap = stream.write_capacity_bytes(first_tick) * dt
+        self.shards = stream.shard_count(first_tick)
+        self.stream_read_cap = self.shards * stream.config.read_records_per_shard_per_second * dt
+        fleet = cluster.fleet
+        self.vms = fleet.running_count(first_tick)
+        self.analytics_cap = cluster._capacity_this_tick(self.vms, first_tick) * dt
+        self.poll_limit = int(self.analytics_cap * cluster.config.poll_factor)
+        self.provisioned_vms = fleet.provisioned_count(first_tick)
+        self.billable_vms = fleet.billable_count(first_tick)
+        # Provisioned units drive metrics, burst-bucket sizing and cost;
+        # the *effective* units (provisioned minus any injected throttle
+        # storm) drive what the table actually accepts per tick.
+        self.write_units = table.write_capacity(first_tick)
+        self.write_cap = table.effective_write_capacity(first_tick) * dt
+        self.read_units = table.read_capacity(first_tick)
+        self.read_cap = table.effective_read_capacity(first_tick) * dt
+        self.write_bucket_cap = table.config.burst_seconds * self.write_units
+        self.read_bucket_cap = table.config.burst_seconds * self.read_units
+        self._violations: list[int] | None = None
+
+    def viable_run(self, i: int) -> int:
+        """How many ticks from span index ``i`` a vector stretch can run.
+
+        A tick can run closed-form when its draws clear every hoisted
+        cap, so nothing throttles, buffers or queues anywhere in the
+        chain; when its payload's byte split is float-exact; and when
+        its dashboard reads stay within the read capacity. The ticks
+        that cannot are found once per span, on first use.
+        """
+        violations = self._violations
+        if violations is None:
+            records = np.asarray(self.records, dtype=np.int64)
+            payload = np.asarray(self.payload, dtype=np.int64)
+            limit = min(self.record_cap, self.stream_read_cap, self.poll_limit, self.analytics_cap)
+            mask = (
+                (records > limit)
+                | (payload > self.byte_cap)
+                | (payload * records >= _EXACT_PRODUCT_LIMIT)
+            )
+            if self.reads is not None:
+                mask |= np.asarray(self.reads, dtype=np.int64) > self.read_cap
+            violations = self._violations = np.flatnonzero(mask).tolist()
+        j = bisect_left(violations, i)
+        return (violations[j] if j < len(violations) else self.count) - i
+
+
 class _FlowPipeline:
     """The per-tick data path: generator → Kinesis → Storm → DynamoDB."""
 
     #: Bound on producer/write retry backlogs; beyond it data is dropped
     #: (a real producer's buffer is finite too) and counted.
     MAX_BACKLOG = 5_000_000
+
+    #: Fewest vector-viable ticks in a row that :meth:`run_span` hands to
+    #: a vector stretch: on shorter runs the closed-form path's fixed
+    #: numpy cost exceeds what it saves over the scalar loop.
+    _VECTOR_MIN_TICKS = 32
 
     def __init__(
         self,
@@ -236,83 +327,144 @@ class _FlowPipeline:
                 horizon = bound
         return horizon
 
-    def run_span(self, clock: SimClock, span_end: int, _precomputed=None) -> None:
+    def run_span(self, clock: SimClock, span_end: int) -> None:
         """Execute the ticks ``(clock.now, span_end]`` as one batch.
 
-        Bit-identical to calling :meth:`on_tick` once per tick: the
-        capacity coefficients are constant across the span (that is what
-        :meth:`span_horizon` guarantees), so every capacity lookup, dict
-        build and method dispatch is hoisted out of the loop, RNG draws
-        are batched per stream in bitstream order, the backlog/throttle
-        recurrence runs over plain locals, and the per-tick metric
-        values land as columnar batch appends at the end of the span.
-
-        ``_precomputed`` lets the fleet executor hand in workload
-        columns it already drew (its batched path draws before deciding
-        whether the sub-span needs this scalar reference); the columns
-        are exactly what ``generate_span`` would have returned, so the
-        generator's RNG stream is consumed identically either way.
+        Bit-identical to calling :meth:`on_tick` once per tick (the span
+        execution contract, DESIGN.md). A :class:`_Span` draws the
+        workload and dashboard-read columns once and hoists the capacity
+        coefficients once — :meth:`span_horizon` guarantees they are
+        constant across the span. Execution then alternates two
+        stretches over those columns: the closed-form
+        :meth:`_vector_stretch` wherever every backlog is empty and the
+        draws clear every cap for at least :data:`_VECTOR_MIN_TICKS`
+        ticks, and the bit-exact :meth:`_scalar_stretch` recurrence
+        everywhere else. The metric columns land as one batch append per
+        series, and the costs accrue once, at the end of the span.
         """
         dt = clock.tick_seconds
-        now = clock.now
-        count = (span_end - now) // dt
-        first_tick = now + dt
+        count = (span_end - clock.now) // dt
+        span = _Span(self, clock.now, dt, count)
+        stream = self.stream
+        accepted_before = stream.total_accepted_records
+        min_run = self._VECTOR_MIN_TICKS
+        parts = []
+        i = 0
+        while i < count:
+            run = span.viable_run(i) if count - i >= min_run and self._drained() else 0
+            if run >= min_run:
+                i, columns = self._vector_stretch(span, i, i + run)
+            else:
+                i, columns = self._scalar_stretch(span, i)
+            parts.append(columns)
+        if len(parts) == 1:
+            columns = parts[0]
+        else:
+            columns = [np.concatenate(column) for column in zip(*parts)]
+        (
+            times, k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
+            k_lag, s_cpu, s_processed, s_pending, s_writes, d_consumed, d_throttled,
+            d_util, d_burst, d_read_consumed, d_read_throttled, d_read_util,
+        ) = columns
+
+        # Columnar metric emission (same values, same append order).
+        cloudwatch = self.cloudwatch
+        stream.emit_metrics_span(
+            cloudwatch, times, k_accepted, k_accepted_bytes, k_throttled, k_read,
+            k_util, k_backlog, k_lag, span.shards,
+        )
+        self.cluster.emit_metrics_span(
+            cloudwatch, times, s_cpu, s_processed, s_pending, s_writes,
+            span.vms, span.provisioned_vms,
+        )
+        self.table.emit_metrics_span(
+            cloudwatch, times, d_consumed, d_throttled, d_util, d_burst,
+            d_read_consumed, d_read_throttled, d_read_util,
+            span.write_units, span.read_units,
+        )
+
+        # Costs: every accrued quantity is an integer and constant
+        # across the span, so one accrue over count*dt seconds sums
+        # exactly (integer-valued float adds below 2**53 are exact);
+        # usage volumes are ints and sum exactly too.
+        span_seconds = count * dt
+        meters = self.cost_meters
+        meters["ingestion"].accrue(span.shards, span_seconds)
+        meters["ingestion"].record_usage(stream.total_accepted_records - accepted_before)
+        meters["analytics"].accrue(span.billable_vms, span_seconds)
+        meters["storage"].accrue(span.write_units, span_seconds)
+        meters["storage_reads"].accrue(span.read_units, span_seconds)
+
+    def _draw_reads(self, first_tick: int, count: int, dt: int) -> list[int] | None:
+        """A span's dashboard read units, one Poisson draw per tick.
+
+        The reads have an RNG stream of their own, so one array draw
+        consumes it exactly as the per-tick loop's scalar draws do;
+        zero-rate ticks draw nothing there and nothing here.
+        """
+        if self.read_workload is None:
+            return None
+        grid = self._read_grid
+        if grid is None or grid.step != dt:
+            grid = self._read_grid = RateGrid(self.read_workload, dt)
+        expected = np.maximum(grid.rates_array(first_tick, count) * dt, 0.0)
+        return self._read_rng.poisson(expected).tolist()
+
+    def _drained(self) -> bool:
+        """Whether every backlog, buffer and queue on the path is empty."""
+        stream = self.stream
+        return not (
+            self._producer_backlog_records
+            or self._producer_backlog_bytes
+            or self._write_backlog
+            or stream._buffer_records
+            or stream._buffer_bytes
+            or self.cluster._pending_records
+        )
+
+    def _scalar_stretch(self, span: "_Span", start: int) -> tuple[int, tuple]:
+        """The bit-exact per-tick recurrence, from span index ``start``.
+
+        Runs to the end of the span, or stops at a window boundary where
+        every backlog is empty ahead of a vector-viable run of at least
+        :data:`_VECTOR_MIN_TICKS` ticks. It stops only where its
+        CPU-noise buffer is used up, so the vector stretch that follows
+        draws from the right bitstream position. Returns the stop index
+        and the stretch's metric columns.
+        """
+        dt = span.dt
+        count = span.count
+        records_col = span.records
+        payload_col = span.payload
+        distinct_col = span.distinct
+        reads = span.reads
+        has_reads = reads is not None
+        record_cap = span.record_cap
+        byte_cap = span.byte_cap
+        stream_read_cap = span.stream_read_cap
+        vms = span.vms
+        analytics_cap = span.analytics_cap
+        poll_limit = span.poll_limit
+        write_cap = span.write_cap
+        read_cap = span.read_cap
+        write_bucket_cap = span.write_bucket_cap
+        read_bucket_cap = span.read_bucket_cap
+        viable_run = span.viable_run
+        min_run = self._VECTOR_MIN_TICKS
         stream = self.stream
         cluster = self.cluster
         table = self.table
 
-        # Workload draws first, as in the per-tick loop (the generator
-        # touches no service state, so its batch can lead the span).
-        if _precomputed is None:
-            records_col, payload_col, distinct_col = self.generator.generate_span(
-                first_tick, count, dt
-            )
-        else:
-            records_col, payload_col, distinct_col = _precomputed
-
-        # Capacity hoist, in the per-tick loop's call order so pending
-        # changes ripe at the first tick apply — and publish their bus
-        # events — exactly where the reference path would apply them.
-        record_cap = stream.write_capacity_records(first_tick) * dt
-        byte_cap = stream.write_capacity_bytes(first_tick) * dt
-        shards = stream.shard_count(first_tick)
-        stream_read_cap = shards * stream.config.read_records_per_shard_per_second * dt
-        fleet = cluster.fleet
-        vms = fleet.running_count(first_tick)
-        analytics_cap = cluster._capacity_this_tick(vms, first_tick) * dt
-        poll_limit = int(analytics_cap * cluster.config.poll_factor)
-        provisioned_vms = fleet.provisioned_count(first_tick)
-        billable_vms = fleet.billable_count(first_tick)
-        # Provisioned units drive metrics, burst-bucket sizing and cost;
-        # the *effective* units (provisioned minus any injected throttle
-        # storm) drive what the table actually accepts per tick.
-        write_units = table.write_capacity(first_tick)
-        eff_write_units = table.effective_write_capacity(first_tick)
-        read_units_cap = table.read_capacity(first_tick)
-        eff_read_units = table.effective_read_capacity(first_tick)
-        write_cap = eff_write_units * dt
-        read_cap = eff_read_units * dt
-        write_bucket_cap = table.config.burst_seconds * write_units
-        read_bucket_cap = table.config.burst_seconds * read_units_cap
-
         # CPU-noise normals are drawn in flush-bounded segments: the
-        # scalar loop's draw order on the cluster's stream is one normal
-        # per tick with a flush Poisson interleaved at each window
-        # boundary, so each refill batches exactly the normals up to
-        # (and including) the next flush tick. Batched normals are
+        # per-tick loop's draw order on the cluster's stream is one
+        # normal per tick with a flush Poisson interleaved at each
+        # window boundary, so each refill batches exactly the normals up
+        # to (and including) the next flush tick. Batched normals are
         # bit-identical to the same number of scalar draws.
         noise_std = cluster.config.cpu_noise_std
         storm_normal = cluster._rng.normal
         noise_buf: list[float] = []
-        noise_idx = 0
-
-        has_reads = self.read_workload is not None
-        if has_reads:
-            read_grid = self._read_grid
-            if read_grid is None or read_grid.step != dt:
-                read_grid = self._read_grid = RateGrid(self.read_workload, dt)
-            read_rates = read_grid.rates_span(first_tick, count)
-            read_poisson = self._read_rng.poisson
+        noise_idx = noise_end = 0
 
         # Service state into locals for the recurrence.
         max_backlog = self.MAX_BACKLOG
@@ -382,8 +534,35 @@ class _FlowPipeline:
         cpu = cluster._tick_cpu
         processed = cluster._tick_processed
         writes = cluster._tick_writes_emitted
-        t = now
-        for i in range(count):
+        t = span.now + start * dt
+        stop = count
+        for i in range(start, count):
+            if noise_idx == noise_end:
+                # A window boundary: the one place a vector stretch may
+                # take over, since no drawn normal is left unused.
+                if (
+                    i > start
+                    and not (
+                        buffer_records or pending or backlog_records or write_backlog
+                        or backlog_bytes or buffer_bytes
+                    )
+                    and viable_run(i) >= min_run
+                ):
+                    stop = i
+                    break
+                # Refill up to (and including) the next flush tick;
+                # window_elapsed has not yet counted this tick.
+                seg = -(-(window_seconds - window_elapsed) // dt)
+                if seg < 1:
+                    seg = 1
+                if seg > count - i:
+                    seg = count - i
+                if noise_std:
+                    noise_buf = storm_normal(0.0, noise_std, size=seg).tolist()
+                else:
+                    noise_buf = [0.0] * seg
+                noise_idx = 0
+                noise_end = seg
             t += dt
             times_append(t)
             records = records_col[i]
@@ -439,23 +618,8 @@ class _FlowPipeline:
                     cpu = 100.0
             else:
                 cpu = 0.0
-            if noise_std:
-                if noise_idx == len(noise_buf):
-                    # Refill up to (and including) the next flush tick;
-                    # window_elapsed has not yet counted this tick.
-                    seg = -(-(window_seconds - window_elapsed) // dt)
-                    if seg < 1:
-                        seg = 1
-                    remaining = count - i
-                    if seg > remaining:
-                        seg = remaining
-                    noise_buf = storm_normal(0.0, noise_std, size=seg).tolist()
-                    noise_idx = 0
-                noise = noise_buf[noise_idx]
-                noise_idx += 1
-            else:
-                noise = 0.0
-            cpu = float(min(100.0, max(0.0, cpu + noise)))
+            cpu = float(min(100.0, max(0.0, cpu + noise_buf[noise_idx])))
+            noise_idx += 1
             window_keys += distinct_col[i]
             window_records += processed
             window_elapsed += dt
@@ -490,8 +654,7 @@ class _FlowPipeline:
 
             # 3b. Dashboard reads (on_tick step 3b).
             if has_reads:
-                read_expected = read_rates[i] * dt
-                read_units = int(read_poisson(read_expected)) if read_expected > 0 else 0
+                read_units = reads[i]
                 read_accepted = min(read_units, read_cap)
                 read_excess = read_units - read_accepted
                 if read_excess > 0 and read_burst > 0:
@@ -531,7 +694,6 @@ class _FlowPipeline:
             d_read_util_append(100.0 * read_accepted / read_cap if read_cap else 0.0)
 
         # Write service state back.
-        span_accepted = sum(k_accepted)
         self._producer_backlog_records = backlog_records
         self._producer_backlog_bytes = backlog_bytes
         self.dropped_records = dropped_records
@@ -540,7 +702,7 @@ class _FlowPipeline:
         stream._buffer_records = buffer_records
         stream._buffer_bytes = buffer_bytes
         stream._smoothed_rate = smoothed_rate
-        stream.total_accepted_records += span_accepted
+        stream.total_accepted_records += sum(k_accepted)
         stream.total_read_records += sum(k_read)
         cluster._pending_records = pending
         cluster.total_processed += sum(s_processed)
@@ -554,34 +716,184 @@ class _FlowPipeline:
         cluster._tick_writes_emitted = writes
         table._burst_bucket = burst
         table._read_burst_bucket = read_burst
-
-        # 4. Columnar metric emission (same values, same append order).
-        cloudwatch = self.cloudwatch
-        stream.emit_metrics_span(
-            cloudwatch, times, k_accepted, k_accepted_bytes, k_throttled, k_read,
-            k_util, k_backlog, k_lag, shards,
-        )
-        cluster.emit_metrics_span(
-            cloudwatch, times, s_cpu, s_processed, s_pending, s_writes,
-            vms, provisioned_vms,
-        )
-        table.emit_metrics_span(
-            cloudwatch, times, d_consumed, d_throttled, d_util, d_burst,
-            d_read_consumed, d_read_throttled, d_read_util,
-            write_units, read_units_cap,
+        return stop, (
+            times, k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
+            k_lag, s_cpu, s_processed, s_pending, s_writes, d_consumed, d_throttled,
+            d_util, d_burst, d_read_consumed, d_read_throttled, d_read_util,
         )
 
-        # 5. Costs: every accrued quantity is an integer and constant
-        #    across the span, so one accrue over count*dt seconds sums
-        #    exactly (integer-valued float adds below 2**53 are exact);
-        #    usage volumes are ints and sum exactly too.
-        span_seconds = count * dt
-        meters = self.cost_meters
-        meters["ingestion"].accrue(shards, span_seconds)
-        meters["ingestion"].record_usage(span_accepted)
-        meters["analytics"].accrue(billable_vms, span_seconds)
-        meters["storage"].accrue(write_units, span_seconds)
-        meters["storage_reads"].accrue(read_units_cap, span_seconds)
+    def _vector_stretch(self, span: "_Span", start: int, stop: int) -> tuple[int, tuple]:
+        """Closed-form columns for the span indices ``start`` .. ``stop - 1``.
+
+        The caller guarantees that every backlog, buffer and queue is
+        empty at ``start`` and that each tick's draws clear every
+        hoisted cap (:meth:`_Span.viable_run`). The recurrence then
+        degenerates: accepted = handed = processed = records, nothing
+        buffers or throttles, and reads never dip into the burst bucket.
+        Only storage can still go live, when a window flush's writes
+        overflow the write burst bucket: the stretch then ends on that
+        flush tick and a scalar stretch retries the write backlog.
+        Returns the stop index and the stretch's metric columns.
+        """
+        dt = span.dt
+        records_col = span.records
+        distinct_col = span.distinct
+        write_cap = span.write_cap
+        write_bucket_cap = span.write_bucket_cap
+        stream = self.stream
+        cluster = self.cluster
+        table = self.table
+
+        # Window walk. Flush boundaries cut the stretch into the
+        # segments the scalar loop draws its CPU-noise normals in, each
+        # flush's Poisson interleaved at the same bitstream position.
+        # A flush's writes land on the table at once: up to the
+        # effective rate, the excess from the burst bucket, which
+        # refills by write_cap per tick in between. min(cap, b + k *
+        # write_cap) is that per-tick refill exactly, because the
+        # bucket holds integer-valued floats below 2**53.
+        window_seconds = cluster.config.window_seconds
+        distinct_estimator = cluster._distinct_estimator
+        storm_poisson = cluster._rng.poisson
+        noise_std = cluster.config.cpu_noise_std
+        storm_normal = cluster._rng.normal
+        wk = cluster._window_keys
+        wr = cluster._window_records
+        we = cluster._window_elapsed
+        burst_before = burst = table._burst_bucket
+        noise_parts: list[np.ndarray] = []
+        flush_at: list[int] = []
+        flush_writes: list[int] = []
+        flush_accepted: list[int] = []
+        flush_burst: list[float] = []
+        excess = 0
+        last = start - 1
+        i = start
+        while i < stop:
+            seg = -(-(window_seconds - we) // dt)
+            if seg < 1:
+                seg = 1
+            trunc = seg if seg <= stop - i else stop - i
+            if noise_std:
+                noise_parts.append(storm_normal(0.0, noise_std, size=trunc))
+            wk += sum(distinct_col[i : i + trunc])
+            wr += sum(records_col[i : i + trunc])
+            we += trunc * dt
+            i += trunc
+            if trunc < seg:
+                break
+            if distinct_estimator is not None:
+                expected = distinct_estimator(wr)
+                writes = int(storm_poisson(expected)) if expected > 0 else 0
+            else:
+                writes = int(round(wk / max(1, we // dt)))
+            wk = 0.0
+            wr = 0
+            we = 0
+            if not writes:
+                continue
+            tick = i - 1
+            if tick - last > 1:
+                burst = min(write_bucket_cap, burst + (tick - last - 1) * write_cap)
+            accepted = min(writes, write_cap)
+            excess = writes - accepted
+            if excess > 0 and burst > 0:
+                from_burst = int(min(excess, burst))
+                accepted += from_burst
+                excess -= from_burst
+                burst -= from_burst
+            burst = min(write_bucket_cap, burst + max(0, write_cap - writes))
+            last = tick
+            flush_at.append(tick - start)
+            flush_writes.append(writes)
+            flush_accepted.append(accepted)
+            flush_burst.append(burst)
+            if excess:
+                stop = i
+                break
+
+        n = stop - start
+        records = np.asarray(records_col[start:stop], dtype=np.int64)
+        payload = np.asarray(span.payload[start:stop], dtype=np.int64)
+        zeros_i = np.zeros(n, dtype=np.int64)
+        zeros_f = np.zeros(n)
+        times = np.arange(
+            span.now + (start + 1) * dt, span.now + (stop + 1) * dt, dt, dtype=np.int64
+        )
+
+        idle = cluster.config.cpu_idle_percent
+        if span.vms <= 0:
+            s_cpu = zeros_f
+        elif span.analytics_cap > 0:
+            s_cpu = idle + (100.0 - idle) * (records / span.analytics_cap)
+        else:
+            s_cpu = np.full(n, float(idle))
+        if noise_std:
+            s_cpu = s_cpu + np.concatenate(noise_parts)
+        s_cpu = np.minimum(100.0, np.maximum(0.0, s_cpu))
+
+        # Storage columns: writes land only on flush ticks, and each
+        # tick's bucket is the last flush's balance (or the stretch's
+        # opening one) refilled once per tick since.
+        s_writes = zeros_i.copy()
+        d_consumed = zeros_i.copy()
+        d_throttled = zeros_i.copy()
+        at = np.asarray(flush_at, dtype=np.int64)
+        s_writes[at] = flush_writes
+        d_consumed[at] = flush_accepted
+        d_throttled[n - 1] = excess
+        ticks = np.arange(n)
+        since = np.searchsorted(at, ticks, side="right")
+        base = np.asarray([burst_before, *flush_burst], dtype=np.float64)[since]
+        origin = np.asarray([-1, *flush_at], dtype=np.int64)[since]
+        d_burst = np.minimum(write_bucket_cap, base + (ticks - origin) * write_cap)
+        d_util = (100.0 * d_consumed) / write_cap if write_cap else zeros_f
+
+        k_util = (100.0 * records) / span.record_cap if span.record_cap else zeros_f
+        smoothed_rate = stream._smoothed_rate
+        alpha = min(1.0, dt / 60.0)
+        for r in records_col[start:stop]:
+            smoothed_rate += alpha * (r / dt - smoothed_rate)
+
+        # Dashboard reads never exceed the read capacity here, so every
+        # tick refills the read bucket by read_cap - reads >= 0, and the
+        # capped per-tick refills add up to one capped sum.
+        read_burst = table._read_burst_bucket
+        d_read_consumed = zeros_i
+        d_read_util = zeros_f
+        if span.reads is not None:
+            read_cap = span.read_cap
+            d_read_consumed = np.asarray(span.reads[start:stop], dtype=np.int64)
+            read_burst = min(
+                span.read_bucket_cap,
+                read_burst + (n * read_cap - int(d_read_consumed.sum())),
+            )
+            if read_cap:
+                d_read_util = (100.0 * d_read_consumed) / read_cap
+
+        # Write service state back (the scalar stretch's, in closed form).
+        span_records = sum(records_col[start:stop])
+        self._write_backlog = min(excess, self.MAX_BACKLOG)
+        self.dropped_writes += excess - self._write_backlog
+        stream._smoothed_rate = smoothed_rate
+        stream.total_accepted_records += span_records
+        stream.total_read_records += span_records
+        cluster.total_processed += span_records
+        cluster.total_writes_emitted += sum(flush_writes)
+        table.total_write_accepted += sum(flush_accepted)
+        cluster._window_keys = wk
+        cluster._window_records = wr
+        cluster._window_elapsed = we
+        cluster._tick_cpu = float(s_cpu[n - 1])
+        cluster._tick_processed = records_col[stop - 1]
+        cluster._tick_writes_emitted = int(s_writes[n - 1])
+        table._burst_bucket = float(d_burst[n - 1])
+        table._read_burst_bucket = read_burst
+        return stop, (
+            times, records, payload, zeros_i, records, k_util, zeros_i, zeros_f,
+            s_cpu, records, zeros_i, s_writes, d_consumed, d_throttled, d_util, d_burst,
+            d_read_consumed, zeros_i, d_read_util,
+        )
 
 
 @dataclass
@@ -802,8 +1114,9 @@ class FlowElasticityManager:
 
         if engine is not None:
             # Shared engine (multi-flow region run): the caller owns the
-            # clock, span mode and run loop; this manager only registers
-            # its components and tasks on it.
+            # clock, span mode and run loop, and runs this flow's data
+            # path; this manager registers only its other components and
+            # its tasks on it.
             self.engine = engine
             self._owns_engine = False
         else:
@@ -823,7 +1136,8 @@ class FlowElasticityManager:
             read_workload=read_workload,
             read_rng=derive_rng(seed, "dashboard.reads"),
         )
-        self.engine.add_component(self._pipeline)
+        if self._owns_engine:
+            self.engine.add_component(self._pipeline)
 
         self.read_loop: ControlLoop | None = None
         if read_control is not None:

@@ -44,8 +44,8 @@ class TickProfiler:
         self.task_seconds: dict[str, float] = {}
         self.task_calls: dict[str, int] = {}
         #: Per-flow attribution in fleet runs: which flow's spans
-        #: consume the batched executor's time. Empty outside fleet
-        #: batching (the single-flow pipeline is already one component).
+        #: consume the fleet executor's time. Empty outside fleet span
+        #: runs (the single-flow pipeline is already one component).
         self.flow_seconds: dict[str, float] = {}
         self.flow_calls: dict[str, int] = {}
         self.tick_count = 0

@@ -47,9 +47,9 @@ class SpanComponent(Protocol):
       tick before any internal state event (pending reshard/rebalance/
       warm-up completion) would change the recurrence's coefficients —
       except events landing on the very next tick, which the component
-      resolves itself at span start — and exactly the tick of an
-      aggregation-window flush, so a flush is always a span's last
-      tick. The returned time must lie on the tick grid.
+      resolves itself at span start. Internal events that leave the
+      coefficients alone, such as aggregation-window flushes, do not
+      bound a span. The returned time must lie on the tick grid.
     * ``run_span(clock, span_end)`` executes ticks ``clock.now + dt ..
       span_end`` (inclusive) without advancing the clock; the engine
       advances it afterwards. Results must be bit-identical to calling
@@ -144,16 +144,6 @@ class SimulationEngine:
         self._components.append(component)
         self._labels_cache = None
 
-    def replace_components(self, components: list[TickComponent]) -> None:
-        """Swap the registered component list wholesale.
-
-        Used by fleet batching to substitute one executor for the
-        per-flow pipeline components it absorbs; ordering guarantees
-        are the caller's responsibility (see :meth:`sort_components`).
-        """
-        self._components = list(components)
-        self._labels_cache = None
-
     def _component_labels(self) -> dict[int, str]:
         """Profiler display labels, cached across :meth:`run` calls."""
         if self._labels_cache is None:
@@ -163,8 +153,8 @@ class SimulationEngine:
     def sort_components(self, key: Callable[[TickComponent], int]) -> None:
         """Stable-reorder the registered components by ``key``.
 
-        Multi-flow runs group components by *phase* (all data pipelines,
-        then all auditors, then all fault injectors) instead of by flow:
+        Multi-flow runs group components by *phase* (the data path, then
+        all auditors, then all fault injectors) instead of by flow:
         a fault one flow injects at tick T must become visible to every
         flow's data path only from T+1 — in both per-tick and span
         execution — which requires no injector to run before another
@@ -257,8 +247,8 @@ class SimulationEngine:
 
         Each iteration computes the next boundary — the earliest of the
         run end, any task's next firing, and any component's span
-        horizon (pending capacity events, aggregation-window flushes) —
-        then hands every component the whole span ``(now, boundary]`` in
+        horizon (pending capacity events, chaos transitions) — then
+        hands every component the whole span ``(now, boundary]`` in
         one ``run_span`` call, advances the clock, and fires the tasks
         due at the boundary. Because every task firing time is itself a
         boundary, tasks fire at exactly the times the per-tick loop

@@ -1,14 +1,14 @@
-"""Batched-vs-sequential fleet execution bit-equivalence.
+"""Fleet span execution vs the per-tick reference, bit for bit.
 
-The fleet execution contract (DESIGN.md): with ``batch_execution=True``
-a :class:`RegionFleetManager` runs every flow through one
-:class:`~repro.core.fleet_exec.FleetSpanExecutor` component, and every
-flow's metrics, costs and events must be **bit-identical** to the
-sequential per-pipeline execution — under chaos faults, region
-denials, coordination, on both the exact and fast workload paths, and
-against the per-tick reference loop. Equality is asserted on reprs
-(metric values), exact cost-meter internals, and per-flow event lists,
-so a single ULP drift anywhere fails loudly.
+The span execution contract (DESIGN.md): a :class:`RegionFleetManager`
+runs every flow through one
+:class:`~repro.core.fleet_exec.FleetSpanExecutor` component, and with
+span execution every flow's metrics, costs and events must be
+**bit-identical** to the per-tick reference loop
+(``span_execution=False``) — under chaos faults, region denials,
+coordination, and on both the exact and fast workload paths. Equality
+is asserted on reprs (metric values), exact cost-meter internals, and
+per-flow event lists, so a single ULP drift anywhere fails loudly.
 
 Also here: the :class:`RegionContext` capacity-sum memoization
 regression tests (satellite of the same PR) — the memo must invalidate
@@ -42,7 +42,6 @@ def _build(
     n,
     *,
     exact,
-    batch,
     span=True,
     coordinate=300,
     chaos=None,
@@ -99,7 +98,6 @@ def _build(
         limits=limits,
         seed=seed,
         exact=exact,
-        batch_execution=batch,
         span_execution=span,
         coordinate_period=coordinate,
     )
@@ -110,7 +108,6 @@ def _flow_digests(fleet, result):
     digests = {}
     for name, flow_result in result.flows.items():
         store = fleet.managers[name].cloudwatch
-        store.flush_pending()
         series = {}
         for key in sorted(store._series):
             s = store._series[key]
@@ -130,8 +127,8 @@ def _flow_digests(fleet, result):
             ]
         violations = None
         if flow_result.invariants is not None:
-            # Violation *totals*, not check counts: span mode checks at
-            # boundaries, the per-tick loop checks every tick, so the
+            # Violation *totals*, not check counts: span execution checks
+            # at boundaries, the per-tick loop checks every tick, so the
             # number of checks legitimately differs between modes.
             violations = flow_result.invariants.total_violations
         digests[name] = {
@@ -146,16 +143,16 @@ def _flow_digests(fleet, result):
 
 
 def _assert_equivalent(n, *, exact, coordinate=300, chaos=None, tight=False):
-    batched = _build(
-        n, exact=exact, batch=True, coordinate=coordinate, chaos=chaos, tight=tight
+    spanned = _build(n, exact=exact, coordinate=coordinate, chaos=chaos, tight=tight)
+    result_s = spanned.run(DURATION)
+    reference = _build(
+        n, exact=exact, span=False, coordinate=coordinate, chaos=chaos, tight=tight
     )
-    result_b = batched.run(DURATION)
-    sequential = _build(
-        n, exact=exact, batch=False, coordinate=coordinate, chaos=chaos, tight=tight
-    )
-    result_s = sequential.run(DURATION)
+    result_r = reference.run(DURATION)
+    assert spanned.engine.last_run_used_spans
+    assert not reference.engine.last_run_used_spans
 
-    da, db = _flow_digests(batched, result_b), _flow_digests(sequential, result_s)
+    da, db = _flow_digests(spanned, result_s), _flow_digests(reference, result_r)
     assert sorted(da) == sorted(db)
     for name in da:
         a, b = da[name], db[name]
@@ -167,8 +164,8 @@ def _assert_equivalent(n, *, exact, coordinate=300, chaos=None, tight=False):
         assert a["violations"] == b["violations"], name
         assert a["dropped_records"] == b["dropped_records"], name
         assert a["dropped_writes"] == b["dropped_writes"], name
-    assert dict(batched.region.denial_counts) == dict(sequential.region.denial_counts)
-    return batched, sequential
+    assert dict(spanned.region.denial_counts) == dict(reference.region.denial_counts)
+    return spanned, reference
 
 
 class TestBatchedEquivalence:
@@ -185,10 +182,10 @@ class TestBatchedEquivalence:
         _assert_equivalent(2, exact=False, coordinate=None)
 
     def test_mid_run_region_denials(self):
-        batched, _ = _assert_equivalent(3, exact=False, tight=True)
+        spanned, _ = _assert_equivalent(3, exact=False, tight=True)
         # The tight account must actually deny something, or this case
         # degenerates into the healthy-fleet test.
-        assert batched.region.total_denials() > 0
+        assert spanned.region.total_denials() > 0
 
     @pytest.mark.parametrize("kind", list(FaultKind))
     def test_each_chaos_fault_kind(self, kind):
@@ -207,25 +204,6 @@ class TestBatchedEquivalence:
         )
         chaos = ChaosSchedule(faults=(spec,), seed=11)
         _assert_equivalent(2, exact=False, chaos=chaos)
-
-    def test_span_sequential_matches_per_tick(self):
-        """Closes the chain: batched == seq-span == per-tick reference."""
-        span = _build(2, exact=False, batch=False, span=True)
-        result_span = span.run(DURATION)
-        tick = _build(2, exact=False, batch=False, span=False)
-        result_tick = tick.run(DURATION)
-        ds, dt = _flow_digests(span, result_span), _flow_digests(tick, result_tick)
-        for name in ds:
-            assert ds[name]["series"] == dt[name]["series"], name
-            assert ds[name]["costs"] == dt[name]["costs"], name
-            assert ds[name]["events"] == dt[name]["events"], name
-
-    def test_batched_is_the_default(self):
-        fleet = _build(2, exact=False, batch=True)
-        assert fleet.batch_execution is True
-        # Per-tick mode cannot batch: the flag degrades, it never lies.
-        tick = _build(2, exact=False, batch=True, span=False)
-        assert tick.batch_execution is False
 
 
 class _StubFleet:
@@ -264,7 +242,7 @@ class TestRegionSumMemo:
     def test_real_scale_up_is_visible_immediately(self):
         """End to end: an admitted scale-up must not be served stale —
         a second flow asking right after must see the new commitment."""
-        fleet = _build(2, exact=False, batch=True)
+        fleet = _build(2, exact=False)
         region = fleet.region
         manager = next(iter(fleet.managers.values()))
         ec2 = manager.cluster.fleet

@@ -22,11 +22,17 @@ import random
 import pytest
 
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
+from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.storm import BoltSpec, TopologyConfig
 from repro.core.builder import FlowBuilder
 from repro.core.flow import LayerKind
-from repro.core.manager import _FlowPipeline
-from repro.workload.generators import ConstantRate, SinusoidalRate, StepRate
+from repro.core.manager import FlowElasticityManager, ServiceCapacities, _FlowPipeline
+from repro.workload.generators import (
+    ConstantRate,
+    FlashCrowdRate,
+    SinusoidalRate,
+    StepRate,
+)
 
 
 def _raw_metrics(result):
@@ -217,6 +223,125 @@ class TestControlledFlowEquivalence:
 
         reference, spanned = run_pair(build, 1500)
         assert_equivalent(reference, spanned)
+
+
+def _log_stretches(monkeypatch):
+    """Record every stretch ``run_span`` runs: (span start, kind, stop
+    asked for, stop reached). A span's kinds, in order, show which
+    stretches executed it."""
+    calls = []
+    vector = _FlowPipeline._vector_stretch
+    scalar = _FlowPipeline._scalar_stretch
+
+    def logged_vector(self, span, start, stop):
+        reached, columns = vector(self, span, start, stop)
+        calls.append((span.now, "vector", stop, reached))
+        return reached, columns
+
+    def logged_scalar(self, span, start):
+        reached, columns = scalar(self, span, start)
+        calls.append((span.now, "scalar", span.count, reached))
+        return reached, columns
+
+    monkeypatch.setattr(_FlowPipeline, "_vector_stretch", logged_vector)
+    monkeypatch.setattr(_FlowPipeline, "_scalar_stretch", logged_scalar)
+    return calls
+
+
+def _kinds_by_span(calls):
+    spans: dict[int, list[str]] = {}
+    for now, kind, _stop, _reached in calls:
+        spans.setdefault(now, []).append(kind)
+    return spans
+
+
+class TestSpanStretches:
+    """Single flows run both stretches of ``run_span``, bit-exactly.
+
+    Uncontrolled flows with a 600 s snapshot period give spans long
+    enough to hold several stretches; every case checks span ≡ tick
+    and that the stretches it targets actually ran.
+    """
+
+    @staticmethod
+    def _pair(make_manager, horizon):
+        results = []
+        for spans in (False, True):
+            manager = make_manager(spans)
+            results.append(manager.run(horizon))
+        return results
+
+    def test_kinesis_burst_goes_vector_scalar_vector(self, monkeypatch):
+        """A flash crowd throttles one shard mid-span; the producer
+        backlog drains and the same span returns to the vector path."""
+        calls = _log_stretches(monkeypatch)
+
+        def build(spans):
+            return FlowElasticityManager(
+                workload=ConstantRate(600)
+                + FlashCrowdRate(peak=2500, at=200, rise_seconds=5, decay_seconds=15),
+                capacities=ServiceCapacities(shards=1, vms=2, write_units=300),
+                seed=13,
+                snapshot_period=600,
+                span_execution=spans,
+            )
+
+        reference, spanned = self._pair(build, 1200)
+        assert_equivalent(reference, spanned)
+        assert spanned.throttle_trace(LayerKind.INGESTION).values, "never throttled"
+        assert max(spanned.throttle_trace(LayerKind.INGESTION).values) > 0
+        assert ["vector", "scalar", "vector"] in _kinds_by_span(calls).values()
+
+    def test_flush_overflows_into_write_backlog_in_vector_stretch(self, monkeypatch):
+        """With no burst credit, a window flush's writes exceed the
+        table's per-tick capacity: the vector stretch ends on that flush
+        tick and a scalar stretch retries the write backlog."""
+        calls = _log_stretches(monkeypatch)
+
+        def build(spans):
+            return FlowElasticityManager(
+                workload=ConstantRate(800),
+                capacities=ServiceCapacities(shards=2, vms=2, write_units=300),
+                dynamodb=DynamoDBConfig(burst_seconds=0),
+                seed=17,
+                snapshot_period=600,
+                span_execution=spans,
+            )
+
+        reference, spanned = self._pair(build, 1200)
+        assert_equivalent(reference, spanned)
+        assert max(spanned.throttle_trace(LayerKind.STORAGE).values) > 0
+        cut_short = [c for c in calls if c[1] == "vector" and c[3] < c[2]]
+        assert cut_short, "no flush overflowed inside a vector stretch"
+        kinds = _kinds_by_span(calls)
+        assert any(k[:2] == ["vector", "scalar"] for k in kinds.values())
+
+    def test_dashboard_reads_above_read_capacity(self, monkeypatch):
+        """A read surge drains the read burst bucket the vector stretch
+        banked (below its cap, so the banked amount matters) and then
+        throttles; reads leave the write path drained, so the span goes
+        back to the vector path once the surge has passed."""
+        calls = _log_stretches(monkeypatch)
+
+        def build(spans):
+            return FlowElasticityManager(
+                workload=ConstantRate(700),
+                capacities=ServiceCapacities(shards=2, vms=2, write_units=300, read_units=100),
+                read_workload=ConstantRate(30)
+                + FlashCrowdRate(peak=1500, at=250, rise_seconds=5, decay_seconds=20),
+                seed=19,
+                snapshot_period=600,
+                span_execution=spans,
+            )
+
+        reference, spanned = self._pair(build, 1200)
+        assert_equivalent(reference, spanned)
+        read_throttles = spanned.trace(
+            "AWS/DynamoDB", "ReadThrottleEvents", statistic="Sum",
+            dimensions=spanned.layer_dimensions[LayerKind.STORAGE],
+        )
+        assert max(read_throttles.values) > 0, "reads never exceeded the bucket"
+        assert ["vector", "scalar", "vector"] in _kinds_by_span(calls).values()
 
 
 #: One scenario per fault kind, sized so the fault actually bites.
