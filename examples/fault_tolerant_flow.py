@@ -15,11 +15,10 @@ Combines three production concerns on top of the basic managed flow:
 Run with:  python examples/fault_tolerant_flow.py
 """
 
-from repro import FlowBuilder, LayerKind
+from repro import ChaosSchedule, FaultKind, FaultSpec, FlowBuilder, LayerKind
 from repro.cloud.storm import StormConfig
 from repro.core.flow import clickstream_flow_spec
 from repro.optimization import BudgetWindow, ResourceShareAnalyzer, analyze_windows
-from repro.simulation.faults import ScheduledVMFaults
 from repro.workload import RampRate, StepRate
 
 DURATION = 4 * 3600
@@ -42,7 +41,9 @@ def main() -> None:
     print("per-window resource shares (NSGA-II):")
     print(schedule.table())
 
-    # 2. The managed flow: ramping click volume, stepped dashboard reads.
+    # 2. The managed flow: ramping click volume, stepped dashboard reads,
+    #    and two analytics VMs crashing one hour in.
+    crash = FaultSpec(FaultKind.WORKER_CRASH, start=3600, intensity=2)
     manager = (
         FlowBuilder("fault-tolerant", seed=23)
         .ingestion(shards=2)
@@ -53,19 +54,15 @@ def main() -> None:
                style="adaptive", reference=60.0)
         .control_all(style="adaptive", reference=60.0, period=60)
         .share_schedule(schedule)
+        .chaos(ChaosSchedule(faults=(crash,), seed=23))
         .build()
     )
-
-    # 3. Kill two analytics VMs one hour in.
-    faults = ScheduledVMFaults(manager.fleet, kill_times=[3600, 3605])
-    manager.engine.add_component(faults)
-
     result = manager.run(DURATION)
 
     print()
     print(result.dashboard())
     print()
-    print(f"injected failures: {[(e.time, e.instance_id) for e in faults.events]}")
+    print(f"injected failures: {[(e.time, e.detail) for e in result.chaos_events]}")
     vms = result.trace("Custom/Storm", "RunningVMs",
                        dimensions=result.layer_dimensions[LayerKind.ANALYTICS])
     print(f"VM count range: {vms.minimum():.0f}..{vms.maximum():.0f} "

@@ -313,10 +313,11 @@ class RunScorecard:
             f"  dropped         records={self.dropped_records} writes={self.dropped_writes}"
             f"  invariants={'ok' if self.invariants_ok else 'VIOLATED'}"
         )
-        lines.append(
-            f"  throughput      {self.ticks_per_second:.0f} ticks/s "
-            f"({self.wall_seconds:.2f}s wall; informational)"
-        )
+        if self.wall_seconds:  # zeroed on machine-independent cards
+            lines.append(
+                f"  throughput      {self.ticks_per_second:.0f} ticks/s "
+                f"({self.wall_seconds:.2f}s wall; informational)"
+            )
         return "\n".join(lines)
 
 
@@ -528,36 +529,61 @@ class FleetScorecard:
 SMOKE_DURATION = 2 * 3600
 SMOKE_SEED = 7
 
-#: Scenario names -> builder; see :func:`run_smoke_scenario`.
+#: The gated smoke scenarios; see :func:`smoke_spec`.
 SMOKE_SCENARIOS = ("steady", "chaos", "fleet")
 
 
-def _smoke_chaos(duration: int, seed: int) -> ChaosSchedule:
-    """One fault per elastic layer, scheduled into the workload's
-    high-load phase so every fault produces an observable symptom (a
-    throttle episode or a forced rebalance) and hence a closeable
-    causal chain — the chain-closure count in the scorecard is a real
-    gate, not vacuously open. Worker-crash closure needs a
-    fixed-parallelism topology (only topology runs publish crash
-    rebalances) and is exercised by the tracing test suite instead.
+def smoke_spec(name: str, *, seed: int = SMOKE_SEED, duration: int = SMOKE_DURATION):
+    """One named smoke scenario as a spec.
+
+    ``steady`` is a sinusoidal day on the fully-controlled flow and
+    ``chaos`` the same flow under one fault per elastic layer, both a
+    :class:`~repro.scenarios.spec.Scenario`; ``fleet`` is three flows
+    squeezed into one region, a
+    :class:`~repro.core.fleet.FleetScenarioSpec`. The seed of a fleet
+    run is passed at run time, not carried by its spec.
     """
-    return ChaosSchedule(
-        faults=(
-            FaultSpec(FaultKind.SHARD_BROWNOUT, start=3 * duration // 8,
-                      duration=duration // 12, intensity=0.7),
-            FaultSpec(FaultKind.REBALANCE_FAIL, start=duration // 2,
-                      duration=duration // 24),
-            FaultSpec(FaultKind.THROTTLE_STORM, start=2 * duration // 3,
-                      duration=duration // 12, intensity=0.9),
-        ),
-        seed=seed,
-        name="scorecard-smoke",
-    )
+    # Imported here, not at module top: repro.scenarios imports this
+    # module — a cycle at import time but not at call time.
+    from repro.scenarios.spec import PatternSpec, Scenario
+
+    if name not in SMOKE_SCENARIOS:
+        raise ConfigurationError(
+            f"unknown scorecard scenario {name!r}; one of: {', '.join(SMOKE_SCENARIOS)}"
+        )
+    if name == "fleet":
+        return _fleet_smoke_spec(duration)
+    # ``phase=duration // 4`` puts the sinusoid's trough at t=0 and its
+    # peak mid-run (t=duration/2), so the flow ramps up gently and the
+    # chaos faults land on the loaded system, not an idle one.
+    workload = PatternSpec("sinusoid", {
+        "mean": 1500.0, "amplitude": 1200.0, "period": duration, "phase": duration // 4,
+    })
+    chaos = None
+    if name == "chaos":
+        # One fault per elastic layer, scheduled into the high-load
+        # phase so every fault produces an observable symptom (a
+        # throttle episode or a forced rebalance) and hence a closeable
+        # causal chain — the chain-closure count in the scorecard is a
+        # real gate, not vacuously open. Worker-crash closure needs a
+        # fixed-parallelism topology (only topology runs publish crash
+        # rebalances) and is exercised by the tracing test suite instead.
+        chaos = ChaosSchedule(
+            faults=(
+                FaultSpec(FaultKind.SHARD_BROWNOUT, start=3 * duration // 8,
+                          duration=duration // 12, intensity=0.7),
+                FaultSpec(FaultKind.REBALANCE_FAIL, start=duration // 2,
+                          duration=duration // 24),
+                FaultSpec(FaultKind.THROTTLE_STORM, start=2 * duration // 3,
+                          duration=duration // 12, intensity=0.9),
+            ),
+            seed=seed,
+            name="scorecard-smoke",
+        )
+    return Scenario(name=name, workload=workload, duration=duration, seed=seed, chaos=chaos)
 
 
-def run_fleet_smoke(
-    *, seed: int = SMOKE_SEED, duration: int = SMOKE_DURATION
-) -> FleetScorecard:
+def _fleet_smoke_spec(duration: int):
     """The fleet smoke scenario: 3 flows squeezed into one region.
 
     Three sinusoidal flows (staggered means) share an account sized so
@@ -570,17 +596,8 @@ def run_fleet_smoke(
     from repro.cloud.region import RegionLimits
     from repro.cloud.storm import StormConfig
     from repro.core.config import LayerControlConfig, default_adaptive_controller
-    from repro.core.fleet import FleetFlowSpec, RegionFleetManager
-    from repro.core.flow import LayerKind
+    from repro.core.fleet import FleetFlowSpec, FleetScenarioSpec
     from repro.workload.generators import SinusoidalRate
-
-    def controls() -> dict[LayerKind, LayerControlConfig]:
-        return {
-            kind: LayerControlConfig(
-                controller=default_adaptive_controller(kind), period=60
-            )
-            for kind in LayerKind
-        }
 
     flows = [
         FleetFlowSpec(
@@ -591,10 +608,12 @@ def run_fleet_smoke(
                 period=duration,
                 phase=duration // 4,
             ),
-            controls=controls(),
-            # Overcommitted intent: each flow starts believing it may
-            # take most of the account; admission denials surface until
-            # the coordinator's first pass reins the bounds in.
+            controls={
+                kind: LayerControlConfig(
+                    controller=default_adaptive_controller(kind), period=60
+                )
+                for kind in LayerKind
+            },
             share_bounds={
                 LayerKind.INGESTION: 8,
                 LayerKind.ANALYTICS: 8,
@@ -611,60 +630,21 @@ def run_fleet_smoke(
         contention_threshold=0.7,
         contention_slope=0.3,
     )
-    fleet = RegionFleetManager(flows, limits=limits, seed=seed, coordinate_period=300)
-    result = fleet.run(duration)
-    return FleetScorecard.from_fleet_result("fleet", result, seed=seed)
+    return FleetScenarioSpec(name="fleet", flows=flows, limits=limits, duration=duration)
 
 
 def run_smoke_scenario(
     name: str, *, seed: int = SMOKE_SEED, duration: int = SMOKE_DURATION
 ) -> "RunScorecard | FleetScorecard":
-    """Run one named smoke scenario and score it.
+    """Run one named smoke scenario (see :func:`smoke_spec`) and score
+    it: ``steady`` and ``chaos`` through
+    :func:`~repro.scenarios.runner.run_scenario` (wall-clock fields
+    zeroed), ``fleet`` through
+    :func:`~repro.core.fleet.run_fleet_scenario`."""
+    from repro.core.fleet import run_fleet_scenario
+    from repro.scenarios.runner import run_scenario
 
-    ``steady`` is a sinusoidal day on the fully-controlled flow;
-    ``chaos`` is the same flow under one fault per layer (both run with
-    the flight recorder attached so chain closure is part of the gate);
-    ``fleet`` is a 3-flow region run under shared account limits, and
-    returns a :class:`FleetScorecard`.
-    """
-    # Imported here, not at module top: repro.core.builder imports the
-    # manager, which imports analysis consumers — a cycle at import
-    # time but not at call time.
-    from repro.cloud.dynamodb import DynamoDBConfig
-    from repro.cloud.storm import StormConfig
-    from repro.core.builder import FlowBuilder
-    from repro.workload.generators import SinusoidalRate
-
-    if name not in SMOKE_SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scorecard scenario {name!r}; one of: {', '.join(SMOKE_SCENARIOS)}"
-        )
+    spec = smoke_spec(name, seed=seed, duration=duration)
     if name == "fleet":
-        return run_fleet_smoke(seed=seed, duration=duration)
-    # ``phase=duration // 4`` puts the sinusoid's trough at t=0 and its
-    # peak mid-run (t=duration/2), so the flow ramps up gently and the
-    # chaos faults land on the loaded system, not an idle one.
-    workload = SinusoidalRate(
-        mean=1500.0, amplitude=1200.0, period=duration, phase=duration // 4
-    )
-    # 1000 records/s per VM makes the analytics fleet genuinely
-    # load-bound (2-5 VMs over the day) instead of idling at the floor;
-    # a 10-second burst bucket (vs the 5-minute default) keeps the
-    # table honest under the throttle storm — the default bucket
-    # absorbs the whole deficit until the controller reacts, so the
-    # fault would never surface a ``throttle`` alarm for its chain.
-    analytics_config = StormConfig(records_per_vm_per_second=1000)
-    storage_config = DynamoDBConfig(burst_seconds=10)
-    builder = (
-        FlowBuilder(f"scorecard-{name}", seed=seed)
-        .ingestion(shards=2)
-        .analytics(vms=2, storm=analytics_config)
-        .storage(write_units=300, config=storage_config)
-        .workload(workload)
-        .control_all(style="adaptive", reference=60.0, period=60)
-        .observe()
-    )
-    if name == "chaos":
-        builder.chaos(_smoke_chaos(duration, seed))
-    result = builder.build().run(duration)
-    return RunScorecard.from_result(name, result, seed=seed)
+        return run_fleet_scenario(spec, seed)
+    return run_scenario(spec)

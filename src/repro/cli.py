@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro import (
     ChaosSchedule,
@@ -40,7 +41,12 @@ from repro.analysis import (
     settling_time,
     slo_violation_rate,
 )
-from repro.analysis.scorecard import SMOKE_SCENARIOS as _SMOKE_SCENARIOS
+from repro.analysis.scorecard import (
+    SMOKE_SCENARIOS,
+    FleetScorecard,
+    RunScorecard,
+    run_smoke_scenario,
+)
 from repro.chaos import recovery_times
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.dependency import fit_linear, pearson_r
@@ -313,6 +319,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     else:
         schedule = _default_chaos(args.duration, args.seed)
+    for spec in schedule.faults:
+        if spec.start >= args.duration:
+            raise SystemExit(
+                f"fault {spec.kind.value}@{spec.start} starts at or after "
+                f"--duration={args.duration} and would never fire"
+            )
 
     manager = (
         FlowBuilder("cli-chaos", seed=args.seed)
@@ -447,73 +459,88 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scorecard(args: argparse.Namespace) -> int:
-    from repro.analysis.scorecard import SMOKE_SCENARIOS, run_smoke_scenario
+def _gate(
+    gate: str,
+    runs: Sequence[tuple[Path, Path | None, Callable[[], Any], Callable[[Path], Any]]],
+    *,
+    check: bool,
+    regenerate: str,
+) -> int:
+    """Produce, print and (with ``check``) gate each fresh card or
+    matrix against its committed baseline; exit status 0 when green.
 
-    if (
-        args.check
-        and args.out
-        and Path(args.out).resolve() == Path(args.baseline_dir).resolve()
-    ):
-        raise SystemExit(
-            f"--out and --baseline-dir both resolve to {Path(args.out).resolve()}; "
-            "the gate would overwrite the committed baselines with the very "
-            "cards it is checking and compare each card against itself. "
-            "Write artifacts elsewhere (e.g. --out artifacts), or regenerate "
-            "baselines deliberately with --out and no --check."
-        )
-
-    names = args.scenario or list(SMOKE_SCENARIOS)
+    Each run is ``(baseline, out, produce, load)``: the committed
+    baseline path, the ``--out`` path or None, the producer of the
+    fresh card or matrix, and the baseline's loader. The baseline is
+    read before ``--out`` is written, and an ``--out`` that is the
+    baseline itself is refused before anything runs: the gate would
+    overwrite the committed baseline and then compare the fresh result
+    against itself.
+    """
+    if check:
+        for baseline, out, _, _ in runs:
+            if out is not None and out.resolve() == baseline.resolve():
+                raise SystemExit(
+                    f"--out {out} resolves to the baseline {baseline.resolve()}; "
+                    "the gate would overwrite the committed baseline with the very "
+                    "result it is checking and compare it against itself. Write "
+                    "artifacts elsewhere (e.g. under artifacts/), or regenerate the "
+                    "baseline deliberately with --out and no --check."
+                )
     failures: list[str] = []
-    for name in names:
-        card = run_smoke_scenario(name, seed=args.seed, duration=args.duration)
-        print(card.summary())
-        # Gate before writing: the baseline is read before --out touches
-        # the filesystem, so a card can never be compared against itself.
-        if args.check:
-            baseline_path = Path(args.baseline_dir) / f"SCORECARD_{name}_smoke.json"
-            if not baseline_path.exists():
-                failures.append(f"{name}: no committed baseline at {baseline_path}")
-                print(f"  gate            MISSING BASELINE ({baseline_path})")
+    for baseline, out, produce, load in runs:
+        fresh = produce()
+        print(fresh.summary())
+        if check:
+            if not baseline.exists():
+                failures.append(f"{fresh.name}: no committed baseline at {baseline}")
+                print(f"gate: MISSING BASELINE ({baseline})")
             else:
-                # Class dispatch: a fleet scenario's card must be
-                # compared against a fleet baseline, not coerced into a
-                # single-run one.
-                drifts = card.compare(card.__class__.from_json_file(baseline_path))
+                try:
+                    drifts = fresh.compare(load(baseline))
+                except FlowerError as exc:
+                    raise SystemExit(f"{gate} gate: {exc}")
                 if drifts:
-                    failures.append(f"{name}: {len(drifts)} drifted fields")
-                    print(f"  gate            DRIFT vs {baseline_path}:")
+                    failures.append(f"{fresh.name}: {len(drifts)} drifted fields")
+                    print(f"gate: DRIFT vs {baseline}:")
                     for drift in drifts:
-                        print(f"    {drift}")
+                        print(f"  {drift}")
                 else:
-                    print(f"  gate            ok (matches {baseline_path})")
-        if args.out:
-            out_path = Path(args.out) / f"SCORECARD_{name}_smoke.json"
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(card.to_json())
-            print(f"  written         {out_path}")
+                    print(f"gate: ok (matches {baseline})")
+        if out is not None:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(fresh.to_json())
+            print(f"written: {out}")
         print()
     if failures:
-        print("scorecard gate FAILED: " + "; ".join(failures))
-        print(
-            "if the change is intentional, regenerate baselines with: "
-            f"python -m repro.cli scorecard --out {args.baseline_dir}"
-        )
+        print(f"{gate} gate FAILED: " + "; ".join(failures))
+        print(f"if the change is intentional, regenerate {regenerate}")
         return 1
     return 0
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        CATALOG_NAMES,
-        CatalogMatrix,
-        catalog,
-        catalog_scenario,
-        run_catalog,
+def cmd_scorecard(args: argparse.Namespace) -> int:
+    runs = []
+    for name in args.scenario or SMOKE_SCENARIOS:
+        filename = f"SCORECARD_{name}_smoke.json"
+        runs.append((
+            Path(args.baseline_dir) / filename,
+            Path(args.out) / filename if args.out else None,
+            partial(run_smoke_scenario, name, seed=args.seed, duration=args.duration),
+            FleetScorecard.from_json_file if name == "fleet" else RunScorecard.from_json_file,
+        ))
+    return _gate(
+        "scorecard", runs, check=args.check,
+        regenerate="baselines with: python -m repro.cli scorecard "
+                   f"--out {args.baseline_dir}",
     )
 
+
+def cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.scenarios import CATALOG_NAMES, CatalogMatrix, catalog, run_catalog
+
+    scenarios = catalog(args.variant)
     if args.action == "list":
-        scenarios = catalog(args.variant)
         print(f"scenario catalog [{args.variant}] — {len(scenarios)} scenarios")
         for name, scenario in scenarios.items():
             faults = len(scenario.chaos.faults) if scenario.chaos else 0
@@ -526,73 +553,37 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             print(f"    {scenario.description}")
         return 0
 
+    if args.action == "show" and args.name is None:
+        raise SystemExit("scenario show: a scenario NAME is required")
+    names = [args.name] if args.action == "show" else args.name
+    for name in names:
+        if name not in scenarios:
+            raise SystemExit(
+                f"unknown catalog scenario {name!r}; one of: " + ", ".join(CATALOG_NAMES)
+            )
     if args.action == "show":
-        if not args.name:
-            raise SystemExit("scenario show: a scenario NAME is required")
-        print(catalog_scenario(args.name[0], args.variant).to_json(), end="")
+        print(scenarios[args.name].to_json(), end="")
         return 0
 
     # run
-    out_path = Path(args.out) if args.out else None
-    baseline_path = Path(args.baseline)
-    if args.check and out_path and out_path.resolve() == baseline_path.resolve():
-        raise SystemExit(
-            f"--out and --baseline both resolve to {baseline_path.resolve()}; "
-            "the gate would overwrite the committed baseline with the very "
-            "matrix it is checking and compare it against itself. Write "
-            "artifacts elsewhere (e.g. --out artifacts/SCORECARD_catalog.json), "
-            "or regenerate the baseline deliberately with --out and no --check."
-        )
-    scenarios = catalog(args.variant)
-    if args.name:
-        unknown = sorted(set(args.name) - set(scenarios))
-        if unknown:
-            raise SystemExit(
-                f"unknown catalog scenario {unknown[0]!r}; one of: "
-                + ", ".join(CATALOG_NAMES)
-            )
-        scenarios = {name: scenarios[name] for name in args.name}
+    if names:
+        scenarios = {name: scenarios[name] for name in names}
+
+    def load(path: Path) -> CatalogMatrix:
+        baseline = CatalogMatrix.from_json_file(path)
+        # A partial run gates against the baseline restricted to the
+        # same names, so unrun scenarios are not drift.
+        return baseline.restrict(names) if names else baseline
+
     _fast_banner(not args.fast)
-    matrix = run_catalog(
-        scenarios, variant=args.variant, jobs=args.jobs, fast=args.fast
+    run = partial(run_catalog, scenarios, variant=args.variant, jobs=args.jobs, fast=args.fast)
+    return _gate(
+        "catalog",
+        [(Path(args.baseline), Path(args.out) if args.out else None, run, load)],
+        check=args.check,
+        regenerate="the baseline with: python -m repro.cli scenario run "
+                   f"--out {args.baseline}",
     )
-    print(matrix.summary())
-    failures: list[str] = []
-    # Gate before writing, mirroring the scorecard command: the
-    # baseline is read before --out touches the filesystem.
-    if args.check:
-        if not baseline_path.exists():
-            failures.append(f"no committed baseline at {baseline_path}")
-            print(f"\ngate: MISSING BASELINE ({baseline_path})")
-        else:
-            baseline = CatalogMatrix.from_json_file(baseline_path)
-            if args.name:
-                # A partial run gates against the baseline restricted
-                # to the same names, so unrun scenarios are not drift.
-                baseline = baseline.restrict(args.name)
-            try:
-                drifts = matrix.compare(baseline)
-            except FlowerError as exc:
-                raise SystemExit(f"catalog gate: {exc}")
-            if drifts:
-                failures.append(f"{len(drifts)} drifted fields")
-                print(f"\ngate: DRIFT vs {baseline_path}:")
-                for drift in drifts:
-                    print(f"  {drift}")
-            else:
-                print(f"\ngate: ok (matches {baseline_path})")
-    if out_path:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(matrix.to_json())
-        print(f"written: {out_path}")
-    if failures:
-        print("catalog gate FAILED: " + "; ".join(failures))
-        print(
-            "if the change is intentional, regenerate the baseline with: "
-            f"python -m repro.cli scenario run --out {args.baseline}"
-        )
-        return 1
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -715,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
              "optionally gate against committed baselines",
     )
     scorecard.add_argument("--scenario", action="append",
-                           choices=list(_SMOKE_SCENARIOS),
+                           choices=list(SMOKE_SCENARIOS),
                            help="run only this scenario (repeatable; default: all)")
     scorecard.add_argument("--seed", type=int, default=7)
     scorecard.add_argument("--duration", type=int, default=2 * 3600,
@@ -734,30 +725,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="list, inspect, or run the declarative scenario catalog "
              "and gate its scorecard matrix",
     )
-    scenario.add_argument("action", choices=("list", "show", "run"),
-                          help="list the catalog, show one spec as JSON, "
-                               "or run scenarios and score them")
-    scenario.add_argument("name", nargs="*", metavar="NAME",
-                          help="catalog scenario name(s); default for run: all")
-    scenario.add_argument("--variant", choices=("smoke", "full"), default="smoke",
-                          help="horizon variant (smoke: 2 h, the CI gate; "
-                               "full: a day or more)")
-    scenario.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the run "
-                               "(matrix is byte-identical at any value)")
-    scenario.add_argument("--fast", action="store_true",
-                          help="approximate (exact=False) workload path for every "
-                               "scenario; the matrix then refuses to gate against "
-                               "the exact committed baseline")
-    scenario.add_argument("--out", default=None, metavar="PATH",
-                          help="write the scorecard matrix JSON here")
-    scenario.add_argument("--check", action="store_true",
-                          help="fail (exit 1) if any scenario's card drifts from "
-                               "the committed baseline matrix")
-    scenario.add_argument("--baseline", default="results/SCORECARD_catalog.json",
-                          metavar="PATH",
-                          help="committed baseline matrix "
-                               "(default: results/SCORECARD_catalog.json)")
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--variant", choices=("smoke", "full"), default="smoke",
+                         help="horizon variant (smoke: 2 h, the CI gate; "
+                              "full: a day or more)")
+    actions = scenario.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", parents=[variant], help="list the catalog")
+    show = actions.add_parser("show", parents=[variant], help="print one spec as JSON")
+    show.add_argument("name", nargs="?", metavar="NAME", help="catalog scenario name")
+    run = actions.add_parser("run", parents=[variant], help="run scenarios and score them")
+    run.add_argument("name", nargs="*", metavar="NAME",
+                     help="catalog scenario name(s); default: all")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for the run "
+                          "(matrix is byte-identical at any value)")
+    run.add_argument("--fast", action="store_true",
+                     help="approximate (exact=False) workload path for every "
+                          "scenario; the matrix then refuses to gate against "
+                          "the exact committed baseline")
+    run.add_argument("--out", default=None, metavar="PATH",
+                     help="write the scorecard matrix JSON here")
+    run.add_argument("--check", action="store_true",
+                     help="fail (exit 1) if any scenario's card drifts from "
+                          "the committed baseline matrix")
+    run.add_argument("--baseline", default="results/SCORECARD_catalog.json",
+                     metavar="PATH",
+                     help="committed baseline matrix "
+                          "(default: results/SCORECARD_catalog.json)")
     scenario.set_defaults(func=cmd_scenario)
 
     return parser

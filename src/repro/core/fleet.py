@@ -485,11 +485,7 @@ class FleetScenarioSpec:
     flows: tuple[FleetFlowSpec, ...]
     limits: RegionLimits | None = None
     duration: int = 7200
-    tick_seconds: int = 1
-    snapshot_period: int = 60
-    span_execution: bool = True
     coordinate_period: int | None = 300
-    pressure_gain: float = 2.0
     exact: bool = True
 
     def __post_init__(self) -> None:
@@ -521,11 +517,7 @@ def run_fleet_scenario(spec: FleetScenarioSpec, seed: int):
         list(spec.flows),
         limits=spec.limits,
         seed=seed,
-        tick_seconds=spec.tick_seconds,
-        snapshot_period=spec.snapshot_period,
-        span_execution=spec.span_execution,
         coordinate_period=spec.coordinate_period,
-        pressure_gain=spec.pressure_gain,
         exact=spec.exact,
     )
     result = fleet.run(spec.duration)

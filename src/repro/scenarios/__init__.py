@@ -7,7 +7,7 @@ chaos DSL declares faults. :mod:`repro.scenarios.catalog` curates nine
 named scenarios; :func:`run_catalog` runs any set of them on the
 deterministic parallel runner and folds the per-scenario scorecards
 into a :class:`CatalogMatrix`, whose committed serialisation
-(``results/SCORECARD_catalog.json``) the CI ``catalog-gate`` job diffs
+(``results/SCORECARD_catalog.json``) the CI ``gates`` job diffs
 on every change. External traces enter through the ``trace`` pattern
 kind, replayed bit-exactly by
 :class:`~repro.workload.generators.TracePattern`.

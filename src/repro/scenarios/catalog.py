@@ -3,7 +3,7 @@
 Nine named scenarios crossing workload shape × fault schedule × SLO ×
 budget × controller style, each defined relative to its horizon so the
 same scenario exists in two variants: ``smoke`` (2 simulated hours —
-the CI ``catalog-gate`` workload) and ``full`` (a day or more — the
+the CI ``gates`` workload) and ``full`` (a day or more — the
 offline evaluation). Fault windows and workload landmarks are fractions
 of the horizon, so both variants exercise the same story at different
 scales.

@@ -8,7 +8,7 @@ function of the spec). :func:`run_catalog` fans a set of scenarios over
 the deterministic process-parallel runner — results are byte-identical
 at any ``jobs`` because every card is already machine-independent — and
 folds them into a :class:`CatalogMatrix`: the committed
-``results/SCORECARD_catalog.json`` artifact the CI ``catalog-gate`` job
+``results/SCORECARD_catalog.json`` artifact the CI ``gates`` job
 diffs, per scenario and per field, against a fresh run.
 """
 

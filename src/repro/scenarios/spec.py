@@ -624,9 +624,10 @@ class Scenario:
         from repro.workload.clickstream import ClickStreamConfig
 
         pattern = self.workload.build(self.seed, self.duration)
-        # Same service calibration as the smoke scorecard scenarios
-        # (scorecard.py): load-bound analytics VMs and a short burst
-        # bucket so injected faults surface observable symptoms.
+        # Load-bound analytics VMs and a 10-second burst bucket, so
+        # injected faults surface observable symptoms: the 5-minute
+        # default bucket absorbs a throttle storm's whole deficit until
+        # the controller reacts.
         builder = (
             FlowBuilder(f"scenario-{self.name}", seed=self.seed)
             .ingestion(shards=self.shards)

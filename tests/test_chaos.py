@@ -5,7 +5,7 @@ mutation the checker must catch."""
 
 import pytest
 
-from repro import ChaosSchedule, FaultKind, FaultSpec, FlowBuilder, LayerKind
+from repro import ChaosSchedule, FaultKind, FaultSpec, FlowBuilder
 from repro.chaos import FAULT_LAYER, recovery_times
 from repro.cloud import SimCloudWatch, SimDynamoDBTable, SimEC2Fleet, SimKinesisStream
 from repro.cloud.storm import SimStormCluster
@@ -15,7 +15,6 @@ from repro.control.sensors import CloudWatchSensor
 from repro.core.errors import ConfigurationError, SimulationError, TransientAPIError
 from repro.observability.events import EventBus
 from repro.simulation import SimClock
-from repro.simulation.faults import ScheduledVMFaults
 from repro.workload import ConstantRate, SinusoidalRate
 
 
@@ -419,22 +418,6 @@ class TestChaosRuns:
     def test_chaos_keeps_span_execution_enabled(self):
         manager = _sine_chaos_builder(FULL_SCHEDULE).build()
         manager.run(1800)
-        assert manager.engine.last_run_used_spans is True
-
-    def test_scheduled_vm_faults_keep_span_execution_enabled(self):
-        """Regression: registering a fault injector used to silently
-        knock the engine back to the per-tick loop."""
-        manager = (
-            FlowBuilder("legacy-faults", seed=5)
-            .ingestion(shards=2)
-            .analytics(vms=3)
-            .storage(write_units=300)
-            .workload(ConstantRate(900))
-            .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0)
-            .build()
-        )
-        manager.engine.add_component(ScheduledVMFaults(manager.fleet, kill_times=[600]))
-        manager.run(1200)
         assert manager.engine.last_run_used_spans is True
 
     def test_recovery_times_cover_layer_faults(self):

@@ -24,6 +24,11 @@ class TestParser:
         assert args.out is None
         assert args.profile is False
 
+    def test_scenario_run_takes_options_before_names(self):
+        args = build_parser().parse_args(["scenario", "run", "--jobs", "1", "seasonal-drift"])
+        assert args.name == ["seasonal-drift"]
+        assert args.jobs == 1
+
 
 class TestCommands:
     def test_demo_prints_dashboard_and_cost(self, capsys):
@@ -159,6 +164,15 @@ class TestCommands:
         with pytest.raises(SystemExit, match="NAME is required"):
             main(["scenario", "show"])
 
+    def test_scenario_show_unknown_name_exits(self):
+        with pytest.raises(SystemExit, match="unknown catalog scenario 'nope'; one of:"):
+            main(["scenario", "show", "nope"])
+
+    def test_scenario_show_rejects_extra_names(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scenario", "show", "seasonal-drift", "weekend-retail"])
+        assert "unrecognized arguments: weekend-retail" in capsys.readouterr().err
+
     def test_scenario_run_unknown_name_exits(self):
         with pytest.raises(SystemExit, match="unknown catalog scenario"):
             main(["scenario", "run", "no-such-scenario"])
@@ -229,6 +243,28 @@ class TestCommands:
         with pytest.raises(SystemExit, match="catalog gate"):
             main(["scenario", "run", "step-surge-worker-crash", "--fast",
                   "--check", "--baseline", str(baseline)])
+
+    def test_chaos_prints_fault_timeline(self, capsys):
+        assert main(["chaos", "--duration", "1200"]) == 0
+        out = capsys.readouterr().out
+        assert "fault timeline (cli-default, seed 7):" in out
+        for fault in ("shard-brownout", "worker-crash", "throttle-storm"):
+            assert fault in out
+
+    def test_chaos_rejects_fault_past_the_horizon(self):
+        with pytest.raises(SystemExit, match=r"worker-crash@99999 .*--duration=300"):
+            main(["chaos", "--fault", "worker-crash:99999:0:1", "--duration", "300"])
+
+    def test_fleet_runs_flows_in_one_region(self, capsys):
+        assert main(["fleet", "--flows", "2", "--duration", "900"]) == 0
+        out = capsys.readouterr().out
+        assert "flow0" in out and "flow1" in out
+
+    def test_fleet_sweep_prints_one_card_per_case(self, capsys):
+        assert main(["fleet", "--flows", "2", "--duration", "900", "--sweep", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("fleet scorecard fleet-case") == 2
+        assert "2 fleet cases swept with jobs=1" in out
 
     def test_fig2_prints_panels_and_model(self, capsys):
         assert main(["fig2", "--duration", "3600", "--seed", "3"]) == 0

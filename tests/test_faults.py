@@ -1,12 +1,7 @@
 """Failure-injection tests: controllers must survive infrastructure loss."""
 
-import pytest
-
-from repro import FlowBuilder, LayerKind
-from repro.cloud import EC2Config, SimEC2Fleet
-from repro.core.errors import SimulationError
-from repro.simulation import SimClock, derive_rng
-from repro.simulation.faults import RandomVMFaults, ScheduledVMFaults
+from repro import ChaosSchedule, FaultKind, FaultSpec, FlowBuilder, LayerKind
+from repro.cloud import SimEC2Fleet
 from repro.workload import ConstantRate
 
 
@@ -26,78 +21,13 @@ class TestFailInstance:
         assert not fleet.fail_instance(victim, now=20)
 
 
-class TestScheduledVMFaults:
-    def test_kills_at_scheduled_times(self):
-        fleet = SimEC2Fleet(initial_instances=3)
-        faults = ScheduledVMFaults(fleet, kill_times=[5, 10])
-        clock = SimClock()
-        for _ in range(12):
-            clock.advance()
-            faults.on_tick(clock)
-        assert fleet.running_count(12) == 1
-        assert [e.time for e in faults.events] == [5, 10]
-
-    def test_kills_oldest_running_instance(self):
-        fleet = SimEC2Fleet(config=EC2Config(boot_seconds=0), initial_instances=1)
-        fleet.set_desired(2, now=3)  # the newer instance launches at t=3
-        faults = ScheduledVMFaults(fleet, kill_times=[5])
-        clock = SimClock()
-        for _ in range(6):
-            clock.advance()
-            faults.on_tick(clock)
-        survivors = fleet.instances(6)
-        assert len(survivors) == 1
-        assert survivors[0].launched_at == 3
-
-    def test_no_victims_left(self):
-        fleet = SimEC2Fleet(initial_instances=1)
-        faults = ScheduledVMFaults(fleet, kill_times=[1, 2])
-        clock = SimClock()
-        for _ in range(3):
-            clock.advance()
-            faults.on_tick(clock)
-        # Only one kill possible; the second finds no running instance.
-        assert len(faults.events) == 1
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            ScheduledVMFaults(SimEC2Fleet(), kill_times=[-1])
-
-
-class TestRandomVMFaults:
-    def test_seeded_and_roughly_exponential(self):
-        fleet = SimEC2Fleet(config=EC2Config(max_instances=512), initial_instances=200)
-        faults = RandomVMFaults(fleet, derive_rng(5, "faults"), mtbf_seconds=1000.0)
-        clock = SimClock()
-        for _ in range(100):
-            clock.advance()
-            faults.on_tick(clock)
-        # ~200 instances * 100 ticks / 1000 s MTBF ~= 20 expected kills.
-        assert 5 <= len(faults.events) <= 40
-
-    def test_determinism(self):
-        def run():
-            fleet = SimEC2Fleet(initial_instances=50)
-            faults = RandomVMFaults(fleet, derive_rng(5, "faults"), mtbf_seconds=500.0)
-            clock = SimClock()
-            for _ in range(50):
-                clock.advance()
-                faults.on_tick(clock)
-            return [(e.time, e.instance_id) for e in faults.events]
-
-        assert run() == run()
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            RandomVMFaults(SimEC2Fleet(), derive_rng(0, "x"), mtbf_seconds=0)
-
-
 class TestControllerRecovery:
     def test_adaptive_controller_replaces_failed_vms(self):
         """Kill two analytics VMs mid-run; the CPU controller must
         scale the fleet back and the flow must end healthy."""
         from repro.cloud.storm import StormConfig
 
+        crash = FaultSpec(FaultKind.WORKER_CRASH, start=1800, intensity=2)
         manager = (
             FlowBuilder("faulty", seed=17)
             .ingestion(shards=4)
@@ -105,13 +35,14 @@ class TestControllerRecovery:
             .storage(write_units=300)
             .workload(ConstantRate(2800))  # wants ~4-5 VMs at 60% CPU
             .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0)
+            .chaos(ChaosSchedule(faults=(crash,), seed=17))
             .build()
         )
-        faults = ScheduledVMFaults(manager.fleet, kill_times=[1800, 1801])
-        manager.engine.add_component(faults)
         result = manager.run(5400)
 
-        assert len(faults.events) == 2
+        (event,) = result.chaos_events
+        assert event.detail.startswith("instances=")
+        assert len(event.detail.removeprefix("instances=").split(",")) == 2
         vms = result.trace(
             "Custom/Storm", "RunningVMs",
             dimensions=result.layer_dimensions[LayerKind.ANALYTICS],
@@ -130,84 +61,3 @@ class TestControllerRecovery:
         assert pending.values[-1] == 0.0
         cpu_tail = result.utilization_trace(LayerKind.ANALYTICS).slice(4200, 5400)
         assert cpu_tail.mean() < 85.0
-
-
-class TestScheduledFaultCursor:
-    def test_duplicate_and_same_tick_kill_times(self):
-        """Duplicate entries each claim a victim at the same tick."""
-        fleet = SimEC2Fleet(initial_instances=3)
-        faults = ScheduledVMFaults(fleet, kill_times=[5, 5, 6])
-        clock = SimClock()
-        for _ in range(8):
-            clock.advance()
-            faults.on_tick(clock)
-        assert [e.time for e in faults.events] == [5, 5, 6]
-        assert fleet.running_count(8) == 0
-
-    def test_unsorted_schedule_fires_in_time_order(self):
-        fleet = SimEC2Fleet(initial_instances=3)
-        faults = ScheduledVMFaults(fleet, kill_times=[9, 2, 6])
-        clock = SimClock()
-        for _ in range(10):
-            clock.advance()
-            faults.on_tick(clock)
-        assert [e.time for e in faults.events] == [2, 6, 9]
-
-    def test_cursor_never_rescans_consumed_entries(self):
-        """The due-time walk is an index cursor, not repeated pop(0)."""
-        fleet = SimEC2Fleet(config=EC2Config(max_instances=512), initial_instances=300)
-        faults = ScheduledVMFaults(fleet, kill_times=list(range(1, 251)))
-        clock = SimClock()
-        for _ in range(260):
-            clock.advance()
-            faults.on_tick(clock)
-        assert len(faults.events) == 250
-        assert faults._cursor == 250
-        assert faults._schedule == sorted(range(1, 251))  # untouched
-
-
-class TestFaultSpanEquivalence:
-    """Registering VM fault injectors must not disable span execution,
-    and span runs must stay bit-identical to per-tick runs."""
-
-    @staticmethod
-    def _managed(spans, make_faults):
-        manager = (
-            FlowBuilder("faults-span", seed=17)
-            .ingestion(shards=3)
-            .analytics(vms=4)
-            .storage(write_units=300)
-            .workload(ConstantRate(2200))
-            .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0, period=30)
-            .spans(spans)
-            .build()
-        )
-        manager.engine.add_component(make_faults(manager.fleet))
-        result = manager.run(1800)
-        return manager, result
-
-    def test_scheduled_faults_span_equivalence(self):
-        from tests.test_span_equivalence import _costs, _raw_metrics, _snapshots
-
-        def make(fleet):
-            return ScheduledVMFaults(fleet, kill_times=[400, 401, 900])
-
-        m_tick, r_tick = self._managed(False, make)
-        m_span, r_span = self._managed(True, make)
-        assert m_tick.engine.last_run_used_spans is False
-        assert m_span.engine.last_run_used_spans is True
-        assert _raw_metrics(r_span) == _raw_metrics(r_tick)
-        assert _costs(r_span) == _costs(r_tick)
-        assert _snapshots(r_span) == _snapshots(r_tick)
-
-    def test_random_faults_span_equivalence(self):
-        from tests.test_span_equivalence import _costs, _raw_metrics
-
-        def make(fleet):
-            return RandomVMFaults(fleet, derive_rng(23, "faults"), mtbf_seconds=30_000.0)
-
-        m_tick, r_tick = self._managed(False, make)
-        m_span, r_span = self._managed(True, make)
-        assert m_span.engine.last_run_used_spans is True
-        assert _raw_metrics(r_span) == _raw_metrics(r_tick)
-        assert _costs(r_span) == _costs(r_tick)

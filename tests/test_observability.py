@@ -369,23 +369,23 @@ class TestManagerIntegration:
         assert manager.recorder.profiler is None
 
     def test_fault_injection_is_published(self):
-        from repro.simulation.faults import ScheduledVMFaults
+        from repro import ChaosSchedule, FaultKind, FaultSpec
 
         recorder = FlightRecorder()
+        crash = FaultSpec(FaultKind.WORKER_CRASH, start=120, intensity=1)
         manager = (
             FlowBuilder("faulty", seed=3)
             .analytics(vms=3)
             .workload(ConstantRate(500))
+            .chaos(ChaosSchedule(faults=(crash,), seed=3))
             .observe(recorder=recorder)
             .build()
         )
-        faults = ScheduledVMFaults(fleet=manager.fleet, kill_times=[120],
-                                   bus=recorder.bus)
-        manager.engine.add_component(faults)
-        manager.run(300)
+        result = manager.run(300)
         injected = recorder.bus.of_kind("fault.inject")
         assert len(injected) == 1
-        assert injected[0].payload["instance"] == faults.events[0].instance_id
+        assert injected[0].payload["detail"] == result.chaos_events[0].detail
+        assert manager.fleet.running_count(300) == 2
 
     def test_summary_is_renderable(self):
         _, recorder = self._run(profile=True)

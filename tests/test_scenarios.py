@@ -3,7 +3,7 @@
 Validation must name the offending field; serialisation must be
 lossless; the catalog must stay runnable in both variants; and the
 matrix runner must be byte-identical at any parallelism — the property
-the CI ``catalog-gate`` job's determinism rests on.
+the CI ``gates`` job's determinism rests on.
 """
 
 import dataclasses
