@@ -34,7 +34,7 @@ def save_run(result: FlowRunResult, directory: str | Path, slo_utilization: floa
 
     The CSV traces and the summary read the same series on the same
     period grid, so each series is aggregated once (the metric store
-    memoizes reads per series version; nothing writes after a run).
+    memoizes reads per frame version; nothing writes after a run).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -7,15 +7,18 @@ read them back aggregated over a monitoring window — the same indirect
 path a real deployment uses, so monitoring delay and aggregation
 effects are part of the control loop.
 
-Complexity contract (see DESIGN.md "Metric-store complexity contract"):
-appends are O(1) amortized, window reads are O(log n + window) via
-bisect over the strictly time-ordered series, and period aggregation is
-a single left-to-right pass over the located slice. Aggregation order
-is pinned left-to-right (append order), so the switch from per-period
-re-scans to the single pass does not move ``Average``/``Sum`` results
-by a ULP. Reads are additionally memoized per series version: co-located
-alarms, sensors and collectors asking for the same (window, statistic)
-within one control period aggregate once.
+Storage is columnar by emitter: each service writes its metrics as one
+frame (one time column, one value row per metric), so a tick or a span
+lands with one time conversion and one order check however many metrics
+the service reports. Complexity contract (see DESIGN.md "Metric-store
+complexity contract"): appends are O(1) amortized per frame, window
+reads are O(log n + window) via bisect over the time-ordered column,
+and period aggregation is a single left-to-right pass over the located
+slice. Aggregation order is pinned left-to-right (append order), so it
+does not move ``Average``/``Sum`` results by a ULP. Reads are memoized
+per frame version: co-located alarms, sensors and collectors asking for
+the same (window, statistic) within one control period aggregate once,
+and reads of one frame's rows over one window locate it once.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.core.errors import MonitoringError
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 #: Named statistics supported by :meth:`SimCloudWatch.get_metric_statistics`.
 #: Percentile statistics (``p0`` .. ``p100``, e.g. ``p50``, ``p99``,
@@ -127,45 +132,49 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[low] + weight * (ordered[high] - ordered[low])
 
 
-class _Series:
-    """A single metric stream: time-ordered (t, value) pairs, columnar.
+class _Frame:
+    """Co-emitted metric series: one time column, one value row per metric.
 
-    Storage is a pair of growable numpy arrays (``int64`` times,
-    ``float64`` values) so whole spans of datapoints land in one
-    :meth:`extend` — the columnar write path the span scheduler uses —
-    while :meth:`append` keeps the scalar per-tick path. The
-    time-ordered invariant (enforced on both paths) is what makes
-    O(log n) window location sound: both ends of a right-closed window
-    ``(start, end]`` are found by binary search, and the located slice
-    is already in append order, so aggregating it left-to-right matches
-    the old full-scan filter bit for bit. Everything handed back out
-    (windows, raw series, aggregation inputs) is converted to builtin
-    ``int``/``float`` so numpy scalar types never leak into results.
+    An emitter (a service's per-tick or per-span emission) writes all of
+    its metrics at the same timestamps, so the frame stores that column
+    once: an ``int64`` time column and a ``k × capacity`` ``float64``
+    block, grown together by doubling. One append converts and
+    order-checks the times once for every row, and one version counter
+    covers them all. A series written alone (``put_metric_data``) is a
+    one-row frame, so this is the store's one storage class.
+
+    The time-ordered invariant (non-decreasing, enforced on every
+    append) is what makes O(log n) window location sound: both ends of a
+    right-closed window ``(start, end]`` are found by binary search, and
+    the located slice is already in append order, so aggregating it
+    left-to-right matches a full-scan filter bit for bit. A window is
+    located once per frame version and shared by every row's reads.
     """
 
-    __slots__ = ("_times", "_values", "_len", "version")
+    __slots__ = (
+        "names", "owned", "_times", "_block", "_len", "version",
+        "_memo_version", "_located", "_results",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, names: tuple[str, ...], owned: bool) -> None:
+        self.names = names
+        #: Whether an emitter owns the frame (``put_metric_frame*``);
+        #: ``put_metric_data*`` may write only frames it created itself.
+        self.owned = owned
         self._times = np.empty(16, dtype=np.int64)
-        self._values = np.empty(16, dtype=np.float64)
+        self._block = np.empty((len(names), 16), dtype=np.float64)
         self._len = 0
-        #: Bumped on every append/extend; read memos key on it, so a
-        #: stale cached aggregate can never be served after new data
-        #: lands.
+        #: Bumped on every append; read memos key on it, so a stale
+        #: cached aggregate can never be served after new data lands.
         self.version = 0
-
-    def __len__(self) -> int:
-        return self._len
+        self._memo_version = 0
+        self._located: dict[tuple[int, int], tuple[int, int]] = {}
+        self._results: dict[tuple, object] = {}
 
     @property
     def times(self) -> np.ndarray:
-        """View of the recorded timestamps (do not mutate)."""
+        """View of the shared time column (do not mutate)."""
         return self._times[: self._len]
-
-    @property
-    def values(self) -> np.ndarray:
-        """View of the recorded values (do not mutate)."""
-        return self._values[: self._len]
 
     def _reserve(self, extra: int) -> None:
         need = self._len + extra
@@ -174,14 +183,21 @@ class _Series:
             return
         while capacity < need:
             capacity *= 2
+        n = self._len
         times = np.empty(capacity, dtype=np.int64)
-        values = np.empty(capacity, dtype=np.float64)
-        times[: self._len] = self._times[: self._len]
-        values[: self._len] = self._values[: self._len]
+        block = np.empty((len(self.names), capacity), dtype=np.float64)
+        times[:n] = self._times[:n]
+        block[:, :n] = self._block[:, :n]
         self._times = times
-        self._values = values
+        self._block = block
 
-    def append(self, t: int, value: float) -> None:
+    def append(self, t: int, values: Sequence[float]) -> None:
+        """One timestamp and one value per row (a tick's emission)."""
+        if len(values) != len(self.names):
+            raise MonitoringError(
+                f"frame {self.names} takes {len(self.names)} values per "
+                f"timestamp, got {len(values)}"
+            )
         n = self._len
         if n and t < self._times[n - 1]:
             raise MonitoringError(
@@ -189,81 +205,141 @@ class _Series:
                 f"got t={t} after t={int(self._times[n - 1])}"
             )
         self._reserve(1)
-        self._times[n] = t
-        self._values[n] = value
+        try:
+            self._times[n] = t
+            self._block[:, n] = values
+        except (ValueError, TypeError) as exc:
+            raise MonitoringError(f"datapoints must be numeric: {exc}") from None
         self._len = n + 1
         self.version += 1
 
-    def extend(self, times: Sequence[int], values: Sequence[float]) -> None:
-        """Append a whole time-ordered batch; one version bump.
+    def extend(self, times: ArrayLike, columns: Sequence[ArrayLike | float]) -> None:
+        """Append a time-ordered batch; one conversion and check of the
+        times for every row, one version bump.
 
-        The columns are written straight into the reserved tail (one C
-        conversion, no intermediate arrays) and validated in place; a
-        rejected batch leaves ``_len`` untouched, so the garbage past
-        the end is invisible and overwritten by the next append.
+        ``columns`` holds one entry per row: a column as long as
+        ``times``, or a number that holds for every timestamp. The
+        columns are written straight into the reserved tail and
+        validated there; a rejected batch leaves ``_len`` and the
+        version untouched, so the garbage past the end stays invisible
+        and is overwritten by the next append.
         """
         count = len(times)
-        if count != len(values):
+        if len(columns) != len(self.names):
             raise MonitoringError(
-                f"batch times/values must be equal length, "
-                f"got {count} and {len(values)} datapoints"
+                f"frame {self.names} takes {len(self.names)} columns, got {len(columns)}"
             )
+        for name, column in zip(self.names, columns):
+            if hasattr(column, "__len__") and len(column) != count:
+                raise MonitoringError(
+                    f"metric {name!r}: times and values must be equal length, "
+                    f"got {count} and {len(column)} datapoints"
+                )
         if count == 0:
             return
         n = self._len
+        end = n + count
         self._reserve(count)
         ta = self._times
         try:
-            ta[n : n + count] = times
-            self._values[n : n + count] = values
+            ta[n:end] = times
         except (ValueError, TypeError) as exc:
             raise MonitoringError(
                 f"batch times/values must be flat numeric columns: {exc}"
             ) from None
-        seg = ta[n : n + count]
-        if count > 1:
-            disordered = seg[1:] < seg[:-1]
-            if disordered.any():
-                i = int(np.nonzero(disordered)[0][0])
-                raise MonitoringError(
-                    f"metric datapoints must be time-ordered: "
-                    f"got t={int(seg[i + 1])} after t={int(seg[i])}"
-                )
-        if n and seg[0] < ta[n - 1]:
+        # One check covers the batch and its join to the frame's tail.
+        seg = ta[n - 1 if n else 0 : end]
+        disordered = seg[1:] < seg[:-1]
+        if disordered.any():
+            i = int(disordered.argmax())
             raise MonitoringError(
                 f"metric datapoints must be time-ordered: "
-                f"got t={int(seg[0])} after t={int(ta[n - 1])}"
+                f"got t={int(seg[i + 1])} after t={int(seg[i])}"
             )
-        self._len = n + count
+        block = self._block
+        try:
+            for row, column in enumerate(columns):
+                block[row, n:end] = column
+        except (ValueError, TypeError) as exc:
+            raise MonitoringError(
+                f"batch times/values must be flat numeric columns: {exc}"
+            ) from None
+        self._len = end
         self.version += 1
+
+    def memo(self) -> dict:
+        """Aggregates read since the last append (reset by any append)."""
+        if self._memo_version != self.version:
+            self._memo_version = self.version
+            self._located = {}
+            self._results = {}
+        return self._results
 
     def locate(self, start: int, end: int) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of datapoints with start < t <= end."""
-        t = self._times[: self._len]
-        return (
-            int(np.searchsorted(t, start, side="right")),
-            int(np.searchsorted(t, end, side="right")),
-        )
+        self.memo()
+        found = self._located.get((start, end))
+        if found is None:
+            lo, hi = np.searchsorted(self._times[: self._len], (start, end), side="right").tolist()
+            found = self._located[(start, end)] = (lo, hi)
+        return found
+
+
+class _Row:
+    """One metric of a frame: the read surface of a single series.
+
+    ``SimCloudWatch._series`` maps every series key to one of these.
+    ``times``, ``values``, ``version``, ``locate`` and ``window`` read
+    through to the frame, so all rows of a frame share its time column,
+    version and located windows. Everything :meth:`window` hands back is
+    builtin ``float``, so numpy scalar types never leak into results.
+    """
+
+    __slots__ = ("frame", "row")
+
+    def __init__(self, frame: _Frame, row: int) -> None:
+        self.frame = frame
+        self.row = row
+
+    def __len__(self) -> int:
+        return self.frame._len
+
+    @property
+    def times(self) -> np.ndarray:
+        """View of the frame's time column (do not mutate)."""
+        return self.frame.times
+
+    @property
+    def values(self) -> np.ndarray:
+        """View of this metric's recorded values (do not mutate)."""
+        frame = self.frame
+        return frame._block[self.row, : frame._len]
+
+    @property
+    def version(self) -> int:
+        return self.frame.version
+
+    def locate(self, start: int, end: int) -> tuple[int, int]:
+        """Index range ``[lo, hi)`` of datapoints with start < t <= end."""
+        return self.frame.locate(start, end)
 
     def window(self, start: int, end: int) -> list[float]:
         """Values with start < t <= end (CloudWatch-style right-closed)."""
-        lo, hi = self.locate(start, end)
-        return self._values[lo:hi].tolist()
+        frame = self.frame
+        lo, hi = frame.locate(start, end)
+        return frame._block[self.row, lo:hi].tolist()
 
 
 class SimCloudWatch:
     """Namespaced metric store with period aggregation and alarms."""
 
     def __init__(self) -> None:
-        self._series: dict[tuple[str, str, tuple[tuple[str, str], ...]], _Series] = defaultdict(
-            _Series
-        )
+        # Series key -> its row; the row's frame holds the data.
+        self._series: dict[tuple[str, str, tuple[tuple[str, str], ...]], _Row] = {}
+        # Emitter frames, keyed by (namespace, dimensions, metric names).
+        # A frame is created at its emitter's first write.
+        self._frames: dict[tuple, _Frame] = {}
         self._alarms: list[MetricAlarm] = []
-        # Per-series read memo: series key -> [version, {request: result}].
-        # Entries are discarded wholesale when the series version moves,
-        # so the memo holds at most one control period's worth of
-        # distinct read shapes per series.
-        self._read_memo: dict[tuple, list] = {}
         # Monitoring-layer fault injection (chaos harness). A metric
         # delay makes sensors query a window ending ``delay`` seconds in
         # the past; a dropout makes sensor reads return no data at all.
@@ -284,31 +360,103 @@ class SimCloudWatch:
         dimensions: dict[str, str] | None = None,
     ) -> None:
         """Record one datapoint. Timestamps must be non-decreasing per series."""
-        key = (namespace, metric_name, _dimension_key(dimensions))
-        self._series[key].append(timestamp, value)
+        self._lone_frame(namespace, metric_name, dimensions).append(timestamp, (value,))
 
     def put_metric_data_batch(
         self,
         namespace: str,
         metric_name: str,
-        times: Sequence[int],
-        values: Sequence[float],
+        times: ArrayLike,
+        values: ArrayLike,
         dimensions: dict[str, str] | None = None,
     ) -> None:
         """Record a whole time-ordered batch of datapoints in one call.
 
-        This is the columnar write path for span execution: a span's
-        worth of per-tick measurements lands as one array append, with
-        one series-version bump, instead of one ``put_metric_data`` per
-        tick. Batch order is append order — identical to issuing the
-        scalar puts one at a time — so reads and memo semantics are
-        unchanged.
+        Batch order is append order — identical to issuing the scalar
+        puts one at a time — so reads and memo semantics are unchanged.
         """
+        self._lone_frame(namespace, metric_name, dimensions).extend(times, (values,))
+
+    def put_metric_frame(
+        self,
+        namespace: str,
+        metric_names: tuple[str, ...],
+        timestamp: int,
+        values: Sequence[float],
+        dimensions: dict[str, str] | None = None,
+    ) -> None:
+        """Record one datapoint for each of an emitter's metrics.
+
+        ``values[i]`` belongs to ``metric_names[i]``; all of them share
+        ``timestamp``. The metrics form one frame — one time column, one
+        version — that only this call and :meth:`put_metric_frame_batch`
+        may write.
+        """
+        self._frame(namespace, metric_names, dimensions).append(timestamp, values)
+
+    def put_metric_frame_batch(
+        self,
+        namespace: str,
+        metric_names: tuple[str, ...],
+        times: ArrayLike,
+        columns: Sequence[ArrayLike | float],
+        dimensions: dict[str, str] | None = None,
+    ) -> None:
+        """Record a time-ordered batch for each of an emitter's metrics.
+
+        The columnar write path for span execution: ``columns[i]`` is
+        ``metric_names[i]``'s column, as long as ``times``, or a number
+        that holds for every timestamp (a capacity constant across the
+        span). The times are converted and order-checked once for the
+        whole frame, and the batch lands with one version bump.
+        """
+        self._frame(namespace, metric_names, dimensions).extend(times, columns)
+
+    def _lone_frame(
+        self, namespace: str, metric_name: str, dimensions: dict[str, str] | None
+    ) -> _Frame:
+        """The one-row frame of a series written on its own."""
         key = (namespace, metric_name, _dimension_key(dimensions))
-        self._series[key].extend(times, values)
+        row = self._series.get(key)
+        if row is None:
+            frame = _Frame((metric_name,), owned=False)
+            self._series[key] = _Row(frame, 0)
+            return frame
+        if row.frame.owned:
+            raise MonitoringError(
+                f"series {namespace}/{metric_name} (dimensions={dict(key[2])}) "
+                f"belongs to the frame {row.frame.names}; write it with put_metric_frame"
+            )
+        return row.frame
+
+    def _frame(
+        self,
+        namespace: str,
+        metric_names: tuple[str, ...],
+        dimensions: dict[str, str] | None,
+    ) -> _Frame:
+        """An emitter's frame, created (and its rows registered) on first use."""
+        dims = _dimension_key(dimensions)
+        frame_key = (namespace, dims, metric_names)
+        frame = self._frames.get(frame_key)
+        if frame is not None:
+            return frame
+        if len(set(metric_names)) != len(metric_names):
+            raise MonitoringError(f"frame {metric_names} names a metric twice")
+        keys = [(namespace, name, dims) for name in metric_names]
+        for key in keys:
+            if key in self._series:
+                raise MonitoringError(
+                    f"series {namespace}/{key[1]} (dimensions={dict(dims)}) is "
+                    f"already stored outside the frame {metric_names}"
+                )
+        frame = self._frames[frame_key] = _Frame(metric_names, owned=True)
+        for row, key in enumerate(keys):
+            self._series[key] = _Row(frame, row)
+        return frame
 
     def flush_pending(self) -> None:
-        """Do nothing: every write lands in its series when it is made.
+        """Do nothing: every write lands in its frame when it is made.
 
         Callers that read raw ``_series`` may call this first; the
         benchmark's oracle and tracer do.
@@ -352,19 +500,19 @@ class SimCloudWatch:
         if end <= start:
             raise MonitoringError(f"end ({end}) must be after start ({start})")
         validate_statistic(statistic)
-        key = (namespace, metric_name, _dimension_key(dimensions))
-        series = self._get_series_by_key(key, namespace, metric_name, dimensions)
-        memo = self._memo_for(key, series)
-        request = (start, end, period, statistic)
+        row = self._row(namespace, metric_name, dimensions)
+        frame = row.frame
+        memo = frame.memo()
+        request = (row.row, start, end, period, statistic)
         cached = memo.get(request)
         if cached is not None:
             return list(cached)
         results: list[tuple[int, float]] = []
-        lo, hi = series.locate(start, end)
+        lo, hi = frame.locate(start, end)
         # Materialize the located slice as builtin ints/floats once:
         # aggregation then never sees numpy scalars.
-        times = series.times[lo:hi].tolist()
-        values = series.values[lo:hi].tolist()
+        times = frame._times[lo:hi].tolist()
+        values = frame._block[row.row, lo:hi].tolist()
         i, n = 0, hi - lo
         while i < n:
             # Right-aligned period containing times[i]: boundaries sit
@@ -393,17 +541,18 @@ class SimCloudWatch:
         empty and no ``default`` is given.
         """
         validate_statistic(statistic)
-        key = (namespace, metric_name, _dimension_key(dimensions))
-        if key not in self._series:
+        if window <= 0:
+            raise MonitoringError(f"window must be positive, got {window}")
+        row = self._series.get((namespace, metric_name, _dimension_key(dimensions)))
+        if row is None:
             if default is None:
                 self._raise_unknown(namespace, metric_name, dimensions)
             return default
-        series = self._series[key]
-        memo = self._memo_for(key, series)
-        request = (now - window, now, None, statistic)
+        memo = row.frame.memo()
+        request = (row.row, now - window, now, None, statistic)
         cached = memo.get(request)
         if cached is None:
-            values = series.window(now - window, now)
+            values = row.window(now - window, now)
             cached = _aggregate(values, statistic) if values else _EMPTY_WINDOW
             memo[request] = cached
         if cached is _EMPTY_WINDOW:
@@ -421,41 +570,16 @@ class SimCloudWatch:
         dimensions: dict[str, str] | None = None,
     ) -> tuple[list[int], list[float]]:
         """Raw (times, values) of a metric series (copies)."""
-        series = self._get_series(namespace, metric_name, dimensions)
-        return series.times.tolist(), series.values.tolist()
+        row = self._row(namespace, metric_name, dimensions)
+        return row.times.tolist(), row.values.tolist()
 
-    def _memo_for(self, key: tuple, series: _Series) -> dict:
-        """The read memo for ``key``, reset whenever the series grows."""
-        entry = self._read_memo.get(key)
-        if entry is None or entry[0] != series.version:
-            entry = [series.version, {}]
-            self._read_memo[key] = entry
-        return entry[1]
-
-    def _get_series(
-        self,
-        namespace: str,
-        metric_name: str,
-        dimensions: dict[str, str] | None,
-        allow_missing: bool = False,
-    ) -> _Series | None:
-        key = (namespace, metric_name, _dimension_key(dimensions))
-        if key not in self._series:
-            if allow_missing:
-                return None
+    def _row(
+        self, namespace: str, metric_name: str, dimensions: dict[str, str] | None
+    ) -> _Row:
+        row = self._series.get((namespace, metric_name, _dimension_key(dimensions)))
+        if row is None:
             self._raise_unknown(namespace, metric_name, dimensions)
-        return self._series[key]
-
-    def _get_series_by_key(
-        self,
-        key: tuple,
-        namespace: str,
-        metric_name: str,
-        dimensions: dict[str, str] | None,
-    ) -> _Series:
-        if key not in self._series:
-            self._raise_unknown(namespace, metric_name, dimensions)
-        return self._series[key]
+        return row
 
     def _raise_unknown(
         self, namespace: str, metric_name: str, dimensions: dict[str, str] | None
@@ -501,7 +625,7 @@ class MetricAlarm:
 
     Co-located alarms — several alarms (or an alarm plus a sensor) over
     the same series, window and statistic — aggregate once per control
-    period: the store memoizes reads per series version, so evaluation
+    period: the store memoizes reads per frame version, so evaluation
     cost does not multiply with the number of watchers.
     """
 
@@ -525,17 +649,22 @@ class MetricAlarm:
             )
         if self.evaluation_periods <= 0:
             raise MonitoringError(f"alarm {self.name!r}: evaluation_periods must be positive")
+        if self.period <= 0:
+            raise MonitoringError(
+                f"alarm {self.name!r}: period must be positive, got {self.period}"
+            )
         validate_statistic(self.statistic)
 
     def evaluate(self, cloudwatch: SimCloudWatch, now: int) -> str:
         """Re-evaluate state at ``now`` and fire transition callbacks."""
         window = self.period * self.evaluation_periods
-        try:
+        key = (self.namespace, self.metric_name, _dimension_key(self.dimensions))
+        if key in cloudwatch._series:
             datapoints = cloudwatch.get_metric_statistics(
                 self.namespace, self.metric_name, now - window, now,
                 self.period, self.statistic, self.dimensions,
             )
-        except MonitoringError:
+        else:
             # The metric has never been written: insufficient data, not
             # an error — services may emit their first datapoint after
             # the alarm is created, as in real CloudWatch.

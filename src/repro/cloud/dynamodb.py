@@ -11,12 +11,29 @@ updates take effect, and an optional cooldown between capacity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.errors import CapacityError, ConfigurationError, TransientAPIError
 from repro.simulation.clock import SimClock
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 #: CloudWatch namespace used by the table's metrics.
 NAMESPACE = "AWS/DynamoDB"
+
+#: The table's metrics, in emission order: one frame in the store.
+METRICS = (
+    "ConsumedWriteCapacityUnits",
+    "WriteThrottleEvents",
+    "ProvisionedWriteCapacityUnits",
+    "WriteUtilization",
+    "BurstBalance",
+    "ConsumedReadCapacityUnits",
+    "ReadThrottleEvents",
+    "ProvisionedReadCapacityUnits",
+    "ReadUtilization",
+)
 
 
 @dataclass(frozen=True)
@@ -422,35 +439,21 @@ class SimDynamoDBTable:
     # ------------------------------------------------------------------
     def emit_metrics(self, cloudwatch, clock: SimClock) -> None:
         now = clock.now
-        dims = self._dims_key
         # Utilization runs off the effective rate so the sensed signal
         # saturates when a throttling storm shrinks usable capacity —
         # exactly what pushes an adaptive controller to scale up.
         provisioned = self.effective_write_capacity(now) * clock.tick_seconds
         utilization = 100.0 * self._tick_consumed / provisioned if provisioned else 0.0
-        cloudwatch.put_metric_data(
-            NAMESPACE, "ConsumedWriteCapacityUnits", self._tick_consumed, now, dims
-        )
-        cloudwatch.put_metric_data(NAMESPACE, "WriteThrottleEvents", self._tick_throttled, now, dims)
-        cloudwatch.put_metric_data(
-            NAMESPACE, "ProvisionedWriteCapacityUnits", self.write_capacity(now), now, dims
-        )
-        cloudwatch.put_metric_data(NAMESPACE, "WriteUtilization", utilization, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "BurstBalance", self._burst_bucket, now, dims)
+        write_capacity = self.write_capacity(now)
         read_provisioned = self.effective_read_capacity(now) * clock.tick_seconds
         read_utilization = (
             100.0 * self._tick_read_consumed / read_provisioned if read_provisioned else 0.0
         )
-        cloudwatch.put_metric_data(
-            NAMESPACE, "ConsumedReadCapacityUnits", self._tick_read_consumed, now, dims
-        )
-        cloudwatch.put_metric_data(
-            NAMESPACE, "ReadThrottleEvents", self._tick_read_throttled, now, dims
-        )
-        cloudwatch.put_metric_data(
-            NAMESPACE, "ProvisionedReadCapacityUnits", self.read_capacity(now), now, dims
-        )
-        cloudwatch.put_metric_data(NAMESPACE, "ReadUtilization", read_utilization, now, dims)
+        cloudwatch.put_metric_frame(NAMESPACE, METRICS, now, (
+            self._tick_consumed, self._tick_throttled, write_capacity, utilization,
+            self._burst_bucket, self._tick_read_consumed, self._tick_read_throttled,
+            self.read_capacity(now), read_utilization,
+        ), self._dims_key)
         if self._bus is not None:
             self._track_throttle_episode(now, "write", self._tick_throttled)
             self._track_throttle_episode(now, "read", self._tick_read_throttled)
@@ -462,18 +465,20 @@ class SimDynamoDBTable:
     def emit_metrics_span(
         self,
         cloudwatch,
-        times: list[int],
-        consumed: list[int],
-        throttled: list[int],
-        utilization: list[float],
-        burst: list[float],
-        read_consumed: list[int],
-        read_throttled: list[int],
-        read_utilization: list[float],
+        times: ArrayLike,
+        consumed: ArrayLike,
+        throttled: ArrayLike,
+        utilization: ArrayLike,
+        burst: ArrayLike,
+        read_consumed: ArrayLike,
+        read_throttled: ArrayLike,
+        read_utilization: ArrayLike,
         write_capacity: int,
         read_capacity: int,
     ) -> None:
-        """Columnar :meth:`emit_metrics` for a whole span of ticks.
+        """Columnar :meth:`emit_metrics` for a whole span of ticks: one
+        frame append (lists from the scalar recurrence, arrays from the
+        vector stretch).
 
         Provisioned capacities are constant inside a span (a pending
         update completing is a span boundary), so they arrive as scalars
@@ -481,18 +486,10 @@ class SimDynamoDBTable:
         by tick — write then read per tick, matching the per-tick loop —
         when a bus is attached.
         """
-        dims = self._dims_key
-        batch = cloudwatch.put_metric_data_batch
-        count = len(times)
-        batch(NAMESPACE, "ConsumedWriteCapacityUnits", times, consumed, dims)
-        batch(NAMESPACE, "WriteThrottleEvents", times, throttled, dims)
-        batch(NAMESPACE, "ProvisionedWriteCapacityUnits", times, [write_capacity] * count, dims)
-        batch(NAMESPACE, "WriteUtilization", times, utilization, dims)
-        batch(NAMESPACE, "BurstBalance", times, burst, dims)
-        batch(NAMESPACE, "ConsumedReadCapacityUnits", times, read_consumed, dims)
-        batch(NAMESPACE, "ReadThrottleEvents", times, read_throttled, dims)
-        batch(NAMESPACE, "ProvisionedReadCapacityUnits", times, [read_capacity] * count, dims)
-        batch(NAMESPACE, "ReadUtilization", times, read_utilization, dims)
+        cloudwatch.put_metric_frame_batch(NAMESPACE, METRICS, times, (
+            consumed, throttled, write_capacity, utilization, burst, read_consumed,
+            read_throttled, read_capacity, read_utilization,
+        ), self._dims_key)
         if self._bus is not None:
             # A fully quiet span with no episode open in either
             # dimension replays to nothing — skip the per-tick loop.

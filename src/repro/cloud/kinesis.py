@@ -11,12 +11,28 @@ shards touched — the actuation latency a controller must ride out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.errors import CapacityError, ConfigurationError
 from repro.simulation.clock import SimClock
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 #: CloudWatch namespace used by the stream's metrics.
 NAMESPACE = "AWS/Kinesis"
+
+#: The stream's metrics, in emission order: one frame in the store.
+METRICS = (
+    "IncomingRecords",
+    "IncomingBytes",
+    "WriteProvisionedThroughputExceeded",
+    "GetRecords.Records",
+    "ShardCount",
+    "WriteUtilization",
+    "BacklogRecords",
+    "MillisBehindLatest",
+)
 
 
 @dataclass(frozen=True)
@@ -390,28 +406,20 @@ class SimKinesisStream:
     def emit_metrics(self, cloudwatch, clock: SimClock) -> None:
         """Flush this tick's counters to CloudWatch and reset them."""
         now = clock.now
-        dims = self._dims_key
         capacity = self.write_capacity_records(now) * clock.tick_seconds
         # Utilization is accepted/capacity — the saturating signal real
         # dashboards show; overload beyond 100% is visible through the
         # throttle metric instead.
         utilization = 100.0 * self._tick_accepted / capacity if capacity else 0.0
-        cloudwatch.put_metric_data(NAMESPACE, "IncomingRecords", self._tick_accepted, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "IncomingBytes", self._tick_accepted_bytes, now, dims)
-        cloudwatch.put_metric_data(
-            NAMESPACE, "WriteProvisionedThroughputExceeded", self._tick_throttled, now, dims
-        )
-        cloudwatch.put_metric_data(NAMESPACE, "GetRecords.Records", self._tick_read, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "ShardCount", self.shard_count(now), now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "WriteUtilization", utilization, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "BacklogRecords", self._buffer_records, now, dims)
         # EWMA over ~60 s of ticks, then the lag estimate.
         alpha = min(1.0, clock.tick_seconds / 60.0)
         tick_rate = self._tick_accepted / clock.tick_seconds
         self._smoothed_rate += alpha * (tick_rate - self._smoothed_rate)
-        cloudwatch.put_metric_data(
-            NAMESPACE, "MillisBehindLatest", self.iterator_age_millis(), now, dims
-        )
+        cloudwatch.put_metric_frame(NAMESPACE, METRICS, now, (
+            self._tick_accepted, self._tick_accepted_bytes, self._tick_throttled,
+            self._tick_read, self.shard_count(now), utilization, self._buffer_records,
+            self.iterator_age_millis(),
+        ), self._dims_key)
         if self._bus is not None:
             self._track_throttle_episode(now, self._tick_throttled)
         self._tick_accepted = 0
@@ -422,36 +430,33 @@ class SimKinesisStream:
     def emit_metrics_span(
         self,
         cloudwatch,
-        times: list[int],
-        accepted: list[int],
-        accepted_bytes: list[int],
-        throttled: list[int],
-        read: list[int],
-        utilization: list[float],
-        backlog: list[int],
-        lag_ms: list[float],
+        times: ArrayLike,
+        accepted: ArrayLike,
+        accepted_bytes: ArrayLike,
+        throttled: ArrayLike,
+        read: ArrayLike,
+        utilization: ArrayLike,
+        backlog: ArrayLike,
+        lag_ms: ArrayLike,
         shard_count: int,
     ) -> None:
         """Columnar :meth:`emit_metrics` for a whole span of ticks.
 
         The caller (the pipeline's span executor) computed the per-tick
-        columns with the exact per-tick arithmetic; this method lands
-        them as batch appends — same values, same append order, one
-        series-version bump per metric per span — and replays the
-        throttle-episode tracking tick by tick when a bus is attached.
-        Tick counters are assumed already folded into the columns, so
-        unlike :meth:`emit_metrics` there is nothing to reset here.
+        columns — lists from the scalar recurrence, arrays from the
+        vector stretch — with the exact per-tick arithmetic; this method
+        lands them as one frame append — same values, same append order,
+        one version bump per span — and replays the throttle-episode
+        tracking tick by tick when a bus is attached. The shard count is
+        constant inside a span (a reshard is a span boundary), so it
+        arrives as a scalar. Tick counters are assumed already folded
+        into the columns, so unlike :meth:`emit_metrics` there is
+        nothing to reset here.
         """
-        dims = self._dims_key
-        batch = cloudwatch.put_metric_data_batch
-        batch(NAMESPACE, "IncomingRecords", times, accepted, dims)
-        batch(NAMESPACE, "IncomingBytes", times, accepted_bytes, dims)
-        batch(NAMESPACE, "WriteProvisionedThroughputExceeded", times, throttled, dims)
-        batch(NAMESPACE, "GetRecords.Records", times, read, dims)
-        batch(NAMESPACE, "ShardCount", times, [shard_count] * len(times), dims)
-        batch(NAMESPACE, "WriteUtilization", times, utilization, dims)
-        batch(NAMESPACE, "BacklogRecords", times, backlog, dims)
-        batch(NAMESPACE, "MillisBehindLatest", times, lag_ms, dims)
+        cloudwatch.put_metric_frame_batch(NAMESPACE, METRICS, times, (
+            accepted, accepted_bytes, throttled, read, shard_count, utilization, backlog,
+            lag_ms,
+        ), self._dims_key)
         if self._bus is not None:
             # A fully quiet span with no episode open replays to
             # nothing: every track() call would be a no-op, so skip

@@ -18,7 +18,7 @@ Kinesis and DynamoDB write capacities were uncorrelated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -27,8 +27,21 @@ from repro.cloud.kinesis import SimKinesisStream  # noqa: F401 - part of the dat
 from repro.core.errors import ConfigurationError
 from repro.simulation.clock import SimClock
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 #: CloudWatch namespace used by the cluster's metrics.
 NAMESPACE = "Custom/Storm"
+
+#: The cluster's metrics, in emission order: one frame in the store.
+METRICS = (
+    "CPUUtilization",
+    "ProcessedRecords",
+    "PendingTuples",
+    "RunningVMs",
+    "ProvisionedVMs",
+    "EmittedWrites",
+)
 
 
 @dataclass(frozen=True)
@@ -386,36 +399,30 @@ class SimStormCluster:
     # ------------------------------------------------------------------
     def emit_metrics(self, cloudwatch, clock: SimClock) -> None:
         now = clock.now
-        dims = self._dims_key
-        cloudwatch.put_metric_data(NAMESPACE, "CPUUtilization", self._tick_cpu, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "ProcessedRecords", self._tick_processed, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "PendingTuples", self._pending_records, now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "RunningVMs", self.fleet.running_count(now), now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "ProvisionedVMs", self.fleet.provisioned_count(now), now, dims)
-        cloudwatch.put_metric_data(NAMESPACE, "EmittedWrites", self._tick_writes_emitted, now, dims)
+        cloudwatch.put_metric_frame(NAMESPACE, METRICS, now, (
+            self._tick_cpu, self._tick_processed, self._pending_records,
+            self.fleet.running_count(now), self.fleet.provisioned_count(now),
+            self._tick_writes_emitted,
+        ), self._dims_key)
 
     def emit_metrics_span(
         self,
         cloudwatch,
-        times: list[int],
-        cpu: list[float],
-        processed: list[int],
-        pending: list[int],
-        writes: list[int],
+        times: ArrayLike,
+        cpu: ArrayLike,
+        processed: ArrayLike,
+        pending: ArrayLike,
+        writes: ArrayLike,
         running_vms: int,
         provisioned_vms: int,
     ) -> None:
-        """Columnar :meth:`emit_metrics` for a whole span of ticks.
+        """Columnar :meth:`emit_metrics` for a whole span of ticks: one
+        frame append (lists from the scalar recurrence, arrays from the
+        vector stretch).
 
         VM counts are constant inside a span (any change is a span
         boundary), so they arrive as scalars and broadcast per tick.
         """
-        dims = self._dims_key
-        batch = cloudwatch.put_metric_data_batch
-        count = len(times)
-        batch(NAMESPACE, "CPUUtilization", times, cpu, dims)
-        batch(NAMESPACE, "ProcessedRecords", times, processed, dims)
-        batch(NAMESPACE, "PendingTuples", times, pending, dims)
-        batch(NAMESPACE, "RunningVMs", times, [running_vms] * count, dims)
-        batch(NAMESPACE, "ProvisionedVMs", times, [provisioned_vms] * count, dims)
-        batch(NAMESPACE, "EmittedWrites", times, writes, dims)
+        cloudwatch.put_metric_frame_batch(NAMESPACE, METRICS, times, (
+            cpu, processed, pending, running_vms, provisioned_vms, writes,
+        ), self._dims_key)

@@ -339,8 +339,8 @@ class _FlowPipeline:
         :meth:`_vector_stretch` wherever every backlog is empty and the
         draws clear every cap for at least :data:`_VECTOR_MIN_TICKS`
         ticks, and the bit-exact :meth:`_scalar_stretch` recurrence
-        everywhere else. The metric columns land as one batch append per
-        series, and the costs accrue once, at the end of the span.
+        everywhere else. The metric columns land as one frame append per
+        service, and the costs accrue once, at the end of the span.
         """
         dt = clock.tick_seconds
         count = (span_end - clock.now) // dt

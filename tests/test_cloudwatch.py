@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud import SUPPORTED_STATISTICS, MetricAlarm, SimCloudWatch, validate_statistic
 from repro.cloud.cloudwatch import _aggregate
@@ -95,6 +96,14 @@ class TestStatistics:
     def test_get_metric_value_without_default_raises(self, cw):
         with pytest.raises(MonitoringError):
             cw.get_metric_value("NS", "Missing", now=10, window=10)
+
+    def test_get_metric_value_rejects_non_positive_window(self, cw):
+        """Regression: a zero or negative window used to read as an empty
+        window and return the default instead of failing."""
+        _fill(cw, [1.0, 2.0])
+        for window in (0, -5):
+            with pytest.raises(MonitoringError, match=r"window must be positive"):
+                cw.get_metric_value("NS", "M", now=2, window=window, default=0.0)
 
     def test_get_metric_value_window(self, cw):
         _fill(cw, [1.0, 2.0, 3.0, 4.0])  # t=1..4
@@ -191,6 +200,183 @@ class TestBisectAgainstBruteForce:
             got = cw.get_metric_statistics("NS", "M", a, b, period, statistic)
             want = _brute_statistics(times, values, a, b, period, statistic)
             assert got == want  # bit-exact, not approx
+
+
+_FRAME = ("A", "B", "C")
+_STATISTICS = (*SUPPORTED_STATISTICS, "p0", "p50", "p99.9", "p100")
+_values = st.one_of(
+    st.integers(min_value=-1000, max_value=10**6),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+_spans = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just("span"),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        # A scalar broadcasts over the span, as capacity constants do.
+        st.tuples(*(st.one_of(_values, st.lists(_values, min_size=n, max_size=n))
+                    for _ in _FRAME)),
+    )
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("tick"), st.integers(0, 2), st.tuples(*(_values for _ in _FRAME))),
+        _spans,
+        st.tuples(st.just("lone"), st.integers(0, 2), _values),
+        # A read at an absolute `now`: windows recur across appends (a
+        # memo must not serve them stale) and their edges land on
+        # (duplicate) timestamps as often as between them.
+        st.tuples(st.just("read"), st.integers(0, 24), st.integers(1, 6)),
+    ),
+    max_size=14,
+)
+
+
+class TestFramesAgainstBruteForce:
+    """Frame storage must equal a per-series list model bit for bit,
+    under any interleaving of tick appends, span appends, broadcast
+    columns and one-row (lone) series, with reads in between."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops)
+    def test_reads_match_per_series_model(self, ops):
+        cw = SimCloudWatch()
+        model = {name: ([], []) for name in (*_FRAME, "L")}
+        clock = 0
+        for op in ops:
+            kind = op[0]
+            if kind == "tick":
+                clock += op[1]
+                cw.put_metric_frame("NS", _FRAME, clock, op[2], {"d": "x"})
+                for name, value in zip(_FRAME, op[2]):
+                    model[name][0].append(clock)
+                    model[name][1].append(float(value))
+            elif kind == "span":
+                times = []
+                for step in op[1]:
+                    clock += step
+                    times.append(clock)
+                cw.put_metric_frame_batch("NS", _FRAME, times, op[2], {"d": "x"})
+                for name, column in zip(_FRAME, op[2]):
+                    if not isinstance(column, list):
+                        column = [column] * len(times)
+                    model[name][0].extend(times)
+                    model[name][1].extend(float(v) for v in column)
+            elif kind == "lone":
+                clock += op[1]
+                cw.put_metric_data("NS", "L", op[2], clock, {"d": "x"})
+                model["L"][0].append(clock)
+                model["L"][1].append(float(op[2]))
+            else:
+                self._check_reads(cw, model, op[1], op[2])
+        self._check_reads(cw, model, clock, 3)
+
+    @staticmethod
+    def _check_reads(cw, model, now, window):
+        for name, (times, values) in model.items():
+            if not times:
+                continue
+            assert cw.get_series("NS", name, {"d": "x"}) == (times, values)
+            expected = _brute_window(times, values, now - window, now)
+            for statistic in _STATISTICS:
+                got = cw.get_metric_value(
+                    "NS", name, now=now, window=window, statistic=statistic,
+                    dimensions={"d": "x"}, default=float("inf"),
+                )
+                assert got == (_aggregate(expected, statistic) if expected else float("inf"))
+                for period in (1, 2, window):
+                    assert cw.get_metric_statistics(
+                        "NS", name, now - window, now, period, statistic, {"d": "x"}
+                    ) == _brute_statistics(times, values, now - window, now, period, statistic)
+
+    def test_sibling_rows_see_an_append_after_a_memoized_read(self, cw):
+        cw.put_metric_frame("NS", ("A", "B"), 1, (1.0, 10.0))
+        assert cw.get_metric_value("NS", "A", now=2, window=2) == 1.0
+        cw.put_metric_frame("NS", ("A", "B"), 2, (3.0, 30.0))
+        assert cw.get_metric_value("NS", "A", now=2, window=2) == 2.0
+        assert cw.get_metric_value("NS", "B", now=2, window=2) == 20.0
+        cw.put_metric_frame_batch("NS", ("A", "B"), [2, 2], ([5.0, 7.0], 0))
+        assert cw.get_metric_value("NS", "A", now=2, window=1, statistic="Sum") == 15.0
+        assert cw.get_metric_statistics("NS", "B", 0, 2, 1, "Maximum") == [(1, 10.0), (2, 30.0)]
+
+
+class TestFrameValidation:
+    """Every rejected frame append names what was wrong and leaves every
+    row of the frame exactly as it was."""
+
+    @pytest.fixture
+    def framed(self, cw):
+        cw.put_metric_frame_batch("NS", ("A", "B"), [1, 2], ([1.0, 2.0], 5))
+        return cw
+
+    @staticmethod
+    def _state(cw):
+        return {key: (len(row), row.version, row.times.tolist(), row.values.tolist())
+                for key, row in cw._series.items()}
+
+    def _rejects(self, cw, call, match):
+        before = self._state(cw)
+        with pytest.raises(MonitoringError, match=match):
+            call()
+        assert self._state(cw) == before
+
+    def test_disorder_inside_a_batch(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), [3, 5, 4], ([0.0] * 3, [0.0] * 3)
+        ), r"time-ordered: got t=4 after t=5")
+
+    def test_batch_before_the_frame_tail(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), [1, 3], ([0.0, 0.0], 0.0)
+        ), r"time-ordered: got t=1 after t=2")
+
+    def test_tick_before_the_frame_tail(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame("NS", ("A", "B"), 1, (0.0, 0.0)),
+                      r"time-ordered: got t=1 after t=2")
+
+    def test_column_length_differs_from_times(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), [3, 4], ([0.0, 0.0], [1.0, 2.0, 3.0])
+        ), r"metric 'B': times and values must be equal length, got 2 and 3")
+
+    def test_one_element_column_does_not_broadcast(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), [3, 4], ([7.0], [0.0, 0.0])
+        ), r"metric 'A': .*got 2 and 1")
+
+    def test_wrong_number_of_columns(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame("NS", ("A", "B"), 3, (1.0,)),
+                      r"takes 2 values per timestamp, got 1")
+
+    def test_non_numeric_column(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), [3, 4], ([0.0, 0.0], [[1.0], [2.0, 3.0]])
+        ), r"flat numeric columns")
+
+    def test_put_metric_data_into_a_frame_row(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_data("NS", "B", 1.0, 9),
+                      r"series NS/B \(dimensions=\{\}\) belongs to the frame")
+
+    def test_put_metric_data_batch_into_a_frame_row(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_data_batch("NS", "A", [9], [1.0]),
+                      r"series NS/A \(dimensions=\{\}\) belongs to the frame")
+
+    def test_frame_over_an_existing_series(self, framed):
+        framed.put_metric_data("NS", "C", 1.0, 1)
+        self._rejects(framed, lambda: framed.put_metric_frame("NS", ("C", "D"), 2, (1.0, 2.0)),
+                      r"series NS/C \(dimensions=\{\}\) is already stored outside the frame")
+        assert framed.list_metrics() == [("NS", "A"), ("NS", "B"), ("NS", "C")]
+
+    def test_frame_naming_a_metric_twice(self, cw):
+        with pytest.raises(MonitoringError, match=r"names a metric twice"):
+            cw.put_metric_frame("NS", ("A", "B", "A"), 1, (1.0, 2.0, 3.0))
+        assert cw.list_metrics() == []
+
+    def test_accepts_data_after_a_rejection(self, framed):
+        with pytest.raises(MonitoringError):
+            framed.put_metric_frame_batch("NS", ("A", "B"), [4, 3], ([0.0, 0.0], 0.0))
+        framed.put_metric_frame_batch("NS", ("A", "B"), [3], ([9.0], 6))
+        assert framed.get_series("NS", "A") == ([1, 2, 3], [1.0, 2.0, 9.0])
+        assert framed.get_series("NS", "B") == ([1, 2, 3], [5.0, 5.0, 6.0])
 
 
 class TestReadMemo:
@@ -307,3 +493,26 @@ class TestAlarms:
     def test_rejects_bad_evaluation_periods(self):
         with pytest.raises(MonitoringError):
             MetricAlarm("a", "NS", "M", threshold=1.0, evaluation_periods=0)
+
+    @pytest.mark.parametrize("period", [0, -60])
+    def test_rejects_non_positive_period(self, period):
+        """Regression: such an alarm used to construct, then sit in
+        INSUFFICIENT_DATA forever while its metric breached."""
+        with pytest.raises(MonitoringError, match=r"alarm 'hot': period must be positive"):
+            MetricAlarm("hot", "NS", "M", threshold=50.0, period=period)
+
+    def test_query_errors_are_not_swallowed(self, cw):
+        """Only a never-written metric reads as INSUFFICIENT_DATA; any
+        other query error propagates instead of freezing the state."""
+        _fill(cw, [99.0] * 5)
+        alarm = MetricAlarm("hot", "NS", "M", threshold=50.0, period=1)
+        assert alarm.evaluate(cw, 5) == "ALARM"
+        alarm.period = 0
+        with pytest.raises(MonitoringError, match="period must be positive"):
+            alarm.evaluate(cw, 5)
+
+    def test_unwritten_metric_is_insufficient_data(self, cw):
+        alarm = MetricAlarm("later", "NS", "Missing", threshold=1.0, period=1)
+        assert alarm.evaluate(cw, 10) == "INSUFFICIENT_DATA"
+        cw.put_metric_data("NS", "Missing", 5.0, 10)
+        assert alarm.evaluate(cw, 10) == "ALARM"

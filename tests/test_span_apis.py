@@ -161,6 +161,59 @@ class TestColumnarMetricWrites:
         assert all(type(v) is float for v in values)
 
 
+#: A single flow's metrics in ``list_metrics()`` order. Callers may rely
+#: on it, so frames keep the per-series store's order, in span and
+#: per-tick runs alike.
+_FLOW_METRICS = [
+    ("AWS/Kinesis", "IncomingRecords"),
+    ("AWS/Kinesis", "IncomingBytes"),
+    ("AWS/Kinesis", "WriteProvisionedThroughputExceeded"),
+    ("AWS/Kinesis", "GetRecords.Records"),
+    ("AWS/Kinesis", "ShardCount"),
+    ("AWS/Kinesis", "WriteUtilization"),
+    ("AWS/Kinesis", "BacklogRecords"),
+    ("AWS/Kinesis", "MillisBehindLatest"),
+    ("Custom/Storm", "CPUUtilization"),
+    ("Custom/Storm", "ProcessedRecords"),
+    ("Custom/Storm", "PendingTuples"),
+    ("Custom/Storm", "RunningVMs"),
+    ("Custom/Storm", "ProvisionedVMs"),
+    ("Custom/Storm", "EmittedWrites"),
+    ("AWS/DynamoDB", "ConsumedWriteCapacityUnits"),
+    ("AWS/DynamoDB", "WriteThrottleEvents"),
+    ("AWS/DynamoDB", "ProvisionedWriteCapacityUnits"),
+    ("AWS/DynamoDB", "WriteUtilization"),
+    ("AWS/DynamoDB", "BurstBalance"),
+    ("AWS/DynamoDB", "ConsumedReadCapacityUnits"),
+    ("AWS/DynamoDB", "ReadThrottleEvents"),
+    ("AWS/DynamoDB", "ProvisionedReadCapacityUnits"),
+    ("AWS/DynamoDB", "ReadUtilization"),
+]
+
+
+class TestMetricStoreShape:
+    """A flow's store holds one time column per service, shared by that
+    service's series, in span and per-tick runs alike."""
+
+    @pytest.mark.parametrize("spans", [True, False], ids=["span", "per-tick"])
+    def test_one_time_column_per_service(self, spans):
+        ticks = 300
+        result = (
+            FlowBuilder("canary", seed=3).workload(ConstantRate(800.0)).spans(spans).build()
+            .run(ticks)
+        )
+        cw = result.cloudwatch
+        frames = list(cw._frames.values())
+        assert [len(frame.names) for frame in frames] == [8, 6, 9]
+        assert [len(frame.times) for frame in frames] == [ticks] * 3
+        assert frames[0].times.tolist() == list(range(1, ticks + 1))
+        assert len(cw._series) == 23
+        for row in cw._series.values():
+            assert any(row.times.base is frame._times for frame in frames)
+            assert len(row.values) == ticks
+        assert cw.list_metrics() == _FLOW_METRICS
+
+
 class TestNextCapacityEvent:
     def test_kinesis_reshard_horizon(self):
         stream = SimKinesisStream(shards=2)
