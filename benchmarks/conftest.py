@@ -2,11 +2,13 @@
 
 Every benchmark regenerates one of the paper's figures/tables (see
 DESIGN.md's experiment index) and writes its report to ``results/`` so
-EXPERIMENTS.md can quote the measured rows.
+EXPERIMENTS.md can quote the measured rows; the CI smoke variants write
+theirs through :func:`smoke_report` instead.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,24 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture
+def smoke_report(tmp_path):
+    """Write a smoke benchmark's JSON report and echo it to stdout.
+
+    Smoke variants run on every CI push and measure the runner they land
+    on, so their reports go under pytest's temp dir, never ``results/``:
+    running CI's commands locally must leave the committed tree clean.
+    """
+
+    def write(name: str, report: dict) -> Path:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+        return path
+
+    return write
 
 
 def write_report(results_dir: Path, name: str, text: str) -> None:

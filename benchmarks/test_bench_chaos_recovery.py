@@ -112,7 +112,7 @@ def test_chaos_recovery(results_dir):
     assert overhead < 0.05, f"invariant checker overhead {overhead:.1%}"
 
 
-def test_chaos_recovery_smoke(results_dir):
+def test_chaos_recovery_smoke(smoke_report):
     """Reduced CI variant: adaptive only, two faults, 3600 s."""
     schedule = ChaosSchedule(faults=(
         FaultSpec(kind=FaultKind.SHARD_BROWNOUT, start=600, duration=300, intensity=0.5),
@@ -127,9 +127,7 @@ def test_chaos_recovery_smoke(results_dir):
         "schedule": schedule.to_dict(),
         "adaptive": row,
     }
-    path = results_dir / "BENCH_chaos_smoke.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+    smoke_report("BENCH_chaos_smoke", report)
 
     assert row["invariant_violations"] == 0
     assert row["recovered_all"], row

@@ -97,7 +97,7 @@ def test_e2e_tick_throughput(results_dir):
     assert measured[4] >= 0.5 * measured[1]
 
 
-def test_e2e_tick_throughput_smoke(results_dir):
+def test_e2e_tick_throughput_smoke(smoke_report):
     """Reduced-scale variant for CI: same scenario, 600 s base horizon.
 
     Uses a generous scaling bound so shared-runner noise does not flake,
@@ -116,9 +116,7 @@ def test_e2e_tick_throughput_smoke(results_dir):
         "ticks_per_sec_16x": round(long, 1),
         "retention": round(long / short, 3),
     }
-    path = results_dir / "BENCH_e2e_smoke.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+    smoke_report("BENCH_e2e_smoke", report)
 
     assert long >= 0.35 * short, (
         f"ticks/sec fell from {short:.0f} (1x) to {long:.0f} (16x) at smoke scale"

@@ -222,7 +222,7 @@ def test_fast_path_throughput(results_dir):
         )
 
 
-def test_fast_path_throughput_smoke(results_dir):
+def test_fast_path_throughput_smoke(smoke_report):
     """Reduced-scale CI variant: 600 s base horizon, generous bound."""
     base = 600
     exact = fast = 0.0
@@ -242,9 +242,7 @@ def test_fast_path_throughput_smoke(results_dir):
         },
         "cpu_count": os.cpu_count() or 1,
     }
-    path = results_dir / "BENCH_fast_smoke.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+    smoke_report("BENCH_fast_smoke", report)
 
     assert fast >= 2.0 * exact, (
         f"fast path only reached {fast:.0f} t/s vs {exact:.0f} t/s exact "

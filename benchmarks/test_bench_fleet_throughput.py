@@ -175,7 +175,7 @@ def test_fleet_throughput(results_dir):
     assert 16 * best["span"][16] >= 0.8 * best["span"][1]
 
 
-def test_fleet_throughput_smoke(results_dir):
+def test_fleet_throughput_smoke(smoke_report):
     """Reduced-scale CI variant: 4 flows, 1800 s, generous bounds."""
     duration = 1800
     best = measure((4,), MODES, duration=duration)
@@ -189,9 +189,7 @@ def test_fleet_throughput_smoke(results_dir):
         "ticks_per_sec": {mode: round(by_n[4], 1) for mode, by_n in best.items()},
         "speedup_vs_per_tick_4_flows": round(ratio_ref, 2),
     }
-    path = results_dir / "BENCH_fleet_smoke.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+    smoke_report("BENCH_fleet_smoke", report)
 
     assert ratio_ref >= 2.0, (
         f"fleet span execution reached only {ratio_ref:.2f}x the per-tick "

@@ -11,7 +11,6 @@ properties a perf regression would break first:
   (the determinism contract in DESIGN.md).
 """
 
-import json
 import time
 
 from repro.core.flow import clickstream_flow_spec
@@ -41,7 +40,7 @@ def _solve(vectorized):
     return result, time.perf_counter() - start
 
 
-def test_nsga2_smoke(results_dir):
+def test_nsga2_smoke(smoke_report):
     vec_result, vec_seconds = _solve(vectorized=True)
     ref_result, ref_seconds = _solve(vectorized=False)
 
@@ -76,6 +75,4 @@ def test_nsga2_smoke(results_dir):
         "pareto_solutions": len(vec_result),
         "fronts_identical": True,
     }
-    path = results_dir / "BENCH_nsga2_smoke.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+    smoke_report("BENCH_nsga2_smoke", report)

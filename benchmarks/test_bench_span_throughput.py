@@ -117,7 +117,7 @@ def test_span_throughput(results_dir):
     assert spanned[16] >= 0.8 * spanned[1]
 
 
-def test_span_throughput_smoke(results_dir):
+def test_span_throughput_smoke(smoke_report):
     """Reduced-scale CI variant: 600 s base horizon, generous bound."""
     base = 600
     reference = ticks_per_second(4, spans=False, base_horizon=base)
@@ -130,9 +130,7 @@ def test_span_throughput_smoke(results_dir):
         "span_ticks_per_sec_4x": round(spanned, 1),
         "speedup": round(spanned / reference, 2),
     }
-    path = results_dir / "BENCH_span_smoke.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{json.dumps(report, indent=2)}\n[report written to {path}]")
+    smoke_report("BENCH_span_smoke", report)
 
     assert spanned >= 1.25 * reference, (
         f"span execution only reached {spanned:.0f} t/s vs {reference:.0f} t/s "

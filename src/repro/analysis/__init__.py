@@ -16,7 +16,7 @@ from repro.analysis.metrics import (
 from repro.analysis.report import ComparisonReport
 from repro.analysis.runner import (
     RunnerError,
-    Scenario,
+    SweepCase,
     derive_scenario_seed,
     run_scenarios,
     run_scenarios_dict,
@@ -41,7 +41,7 @@ __all__ = [
     "savings_vs_peak",
     "CostSummary",
     "ComparisonReport",
-    "Scenario",
+    "SweepCase",
     "RunnerError",
     "run_scenarios",
     "run_scenarios_dict",

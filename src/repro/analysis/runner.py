@@ -18,8 +18,8 @@ results **indistinguishable from a serial run**:
 * the worker start method is pinned (see :data:`START_METHOD`), so the
   same sweep launches the same kind of worker on every platform.
 
-Scenario callables must be module-level functions (picklable by
-reference); their keyword arguments must be picklable values.
+Each :class:`SweepCase` calls a module-level function (picklable by
+reference); its keyword arguments must be picklable values.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def derive_scenario_seed(base_seed: int, name: str) -> int:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class SweepCase:
     """One unit of sweep work: a named call to a module-level function."""
 
     name: str
@@ -94,11 +94,11 @@ class Scenario:
     kwargs: dict = field(default_factory=dict)
 
 
-def _call(scenario: Scenario) -> Any:
+def _call(scenario: SweepCase) -> Any:
     return scenario.fn(**scenario.kwargs)
 
 
-def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1) -> list[Any]:
+def run_scenarios(scenarios: Sequence[SweepCase], jobs: int = 1) -> list[Any]:
     """Run every scenario; return results in scenario order.
 
     ``jobs=1`` (the default) runs serially in-process. ``jobs > 1``
@@ -131,7 +131,7 @@ def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1) -> list[Any]:
             raise
 
 
-def run_scenarios_dict(scenarios: Sequence[Scenario], jobs: int = 1) -> dict[str, Any]:
+def run_scenarios_dict(scenarios: Sequence[SweepCase], jobs: int = 1) -> dict[str, Any]:
     """Like :func:`run_scenarios` but keyed by scenario name."""
     results = run_scenarios(scenarios, jobs=jobs)
     return {scenario.name: result for scenario, result in zip(scenarios, results)}

@@ -5,7 +5,7 @@ A run that only lives in memory cannot be compared against last week's.
 utilisation and throttle traces as CSV, the run summary as JSON, and
 the rendered dashboard as text — into a directory; ``load_run_traces``
 reads the traces back for offline analysis or trace replay
-(:class:`~repro.workload.generators.ReplayRate`).
+(:class:`~repro.workload.generators.TracePattern`).
 """
 
 from __future__ import annotations

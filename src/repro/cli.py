@@ -10,16 +10,20 @@ is the terminal version::
     python -m repro.cli pareto     # resource share analysis (Fig. 4)
     python -m repro.cli shootout   # controller comparison (Sec. 3.3)
     python -m repro.cli chaos      # fault injection + invariant audit + MTTR
+    python -m repro.cli fleet      # N flows in one region under a coordinator
     python -m repro.cli scorecard  # run health digest + baseline regression gate
     python -m repro.cli scenario   # scenario catalog: list / show / run / gate
 
 Every command prints deterministic output; run commands accept
-``--seed`` (``scenario`` carries its seeds inside the specs).
+``--seed`` (``scenario`` carries its seeds inside the specs). ``demo``,
+``trace``, ``chaos``, ``shootout`` and ``fleet`` compile their flags
+into specs; only ``fig2``'s uncontrolled flow is built by hand.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from functools import partial
 from pathlib import Path
@@ -36,7 +40,7 @@ from repro import (
 )
 from repro.analysis import (
     ComparisonReport,
-    Scenario,
+    SweepCase,
     run_scenarios,
     settling_time,
     slo_violation_rate,
@@ -51,9 +55,18 @@ from repro.chaos import recovery_times
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.dependency import fit_linear, pearson_r
 from repro.monitoring import stacked_panels
-from repro.observability import FlightRecorder, chain_for, to_chrome_trace
+from repro.observability import TickProfiler, chain_for, to_chrome_trace
 from repro.optimization import ResourceShareAnalyzer, ShareConstraint
-from repro.workload import FlashCrowdRate, ConstantRate, SinusoidalRate
+from repro.scenarios import PatternSpec, Scenario
+from repro.workload import SinusoidalRate
+
+
+def positive_int(text: str) -> int:
+    """argparse type for horizons and counts; argparse names the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _ensure_writable(path: str) -> None:
@@ -65,29 +78,33 @@ def _ensure_writable(path: str) -> None:
         raise SystemExit(f"cannot write trace file {path!r}: {exc}")
 
 
-def _managed_run(
-    duration: int,
-    seed: int,
-    style: str,
-    reference: float,
-    recorder: FlightRecorder | None = None,
-    exact: bool = True,
-):
-    workload = SinusoidalRate(
-        mean=1500.0, amplitude=1200.0, period=duration, phase=-duration // 4
+def _compile(args: argparse.Namespace, **fields) -> Scenario:
+    """A spec from a run command's ``--duration``, ``--seed``,
+    ``--reference`` and ``--fast`` plus ``fields``; a field the DSL
+    rejects is reported with the flags it came from."""
+    flags = {"duration": args.duration, "seed": args.seed, "reference": args.reference}
+    try:
+        return Scenario(**flags, exact=not getattr(args, "fast", False), **fields)
+    except FlowerError as exc:
+        given = " ".join(f"--{name}={value}" for name, value in flags.items())
+        raise SystemExit(f"{args.command}: {exc} (given {given})")
+
+
+def flow_scenario(args: argparse.Namespace) -> Scenario:
+    """The spec ``demo``, ``trace`` and ``chaos`` run: a sinusoid of
+    1500 ± 1200 rec/s, one period per run from its peak, into 2 shards,
+    2 VMs and 300 WCU; ``chaos`` adds its fault schedule."""
+    return _compile(
+        args,
+        name=f"cli-{args.command}",
+        workload=PatternSpec("sinusoid", {
+            "mean": 1500.0, "amplitude": 1200.0,
+            "period": args.duration, "phase": -args.duration // 4,
+        }),
+        controller=args.style,
+        shards=2, vms=2, write_units=300,
+        chaos=_chaos_schedule(args) if args.command == "chaos" else None,
     )
-    builder = (
-        FlowBuilder("cli-flow", seed=seed)
-        .ingestion(shards=2)
-        .analytics(vms=2)
-        .storage(write_units=300)
-        .workload(workload)
-        .control_all(style=style, reference=reference, period=60)
-        .exact(exact)
-    )
-    if recorder is not None:
-        builder.observe(recorder=recorder)
-    return builder.build().run(duration)
 
 
 def _fast_banner(exact: bool) -> None:
@@ -102,12 +119,10 @@ def _fast_banner(exact: bool) -> None:
 def cmd_demo(args: argparse.Namespace) -> int:
     if args.trace:
         _ensure_writable(args.trace)
-    recorder = FlightRecorder() if args.trace else None
-    _fast_banner(not args.fast)
-    result = _managed_run(
-        args.duration, args.seed, args.style, args.reference,
-        recorder=recorder, exact=not args.fast,
-    )
+    scenario = flow_scenario(args)
+    _fast_banner(scenario.exact)
+    manager = scenario.build_manager()
+    result = manager.run(scenario.duration)
     print(result.dashboard())
     print()
     for kind in LayerKind:
@@ -116,7 +131,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"{kind.name.lower():<10} {label:<7} "
               f"{capacity.minimum():.0f}..{capacity.maximum():.0f}")
     print(f"total cost: ${result.total_cost:.4f}")
-    if recorder is not None:
+    if args.trace:
+        recorder = manager.recorder
         lines = recorder.to_jsonl(args.trace)
         print(f"trace: {lines} lines ({len(recorder.bus)} events, "
               f"{len(recorder.decisions)} decisions) -> {args.trace}")
@@ -128,10 +144,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         _ensure_writable(args.out)
     if args.chrome:
         _ensure_writable(args.chrome)
-    recorder = FlightRecorder(profile=args.profile)
-    result = _managed_run(
-        args.duration, args.seed, args.style, args.reference, recorder=recorder
-    )
+    scenario = flow_scenario(args)
+    manager = scenario.build_manager()
+    recorder = manager.recorder
+    if args.profile:
+        recorder.profiler = manager.engine.profiler = TickProfiler()
+    result = manager.run(scenario.duration)
     filtering = (
         args.layer or args.kind
         or args.from_tick is not None or args.to_tick is not None
@@ -221,53 +239,54 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shootout_style(
-    style: str, duration: int, seed: int, reference: float, exact: bool = True
-) -> list[float | None]:
-    """One controller style's shootout row (module-level: sweep workers pickle it)."""
-    crowd_at = duration // 4
-    workload = ConstantRate(700.0) + FlashCrowdRate(
-        peak=2200.0, at=crowd_at, rise_seconds=120, decay_seconds=1500
+def shootout_scenario(args: argparse.Namespace, style: str) -> Scenario:
+    """One style's shootout spec: 700 rec/s plus a 2200 rec/s flash crowd
+    a quarter into the run, into 1 shard, 1 VM and 200 WCU."""
+    return _compile(
+        args,
+        name=f"shootout-{style}",
+        workload=PatternSpec("sum", inner=(
+            PatternSpec("constant", {"value": 700.0}),
+            PatternSpec("flash_crowd", {
+                "peak": 2200.0, "at": args.duration // 4,
+                "rise_seconds": 120, "decay_seconds": 1500,
+            }),
+        )),
+        controller=style,
+        shards=1, vms=1, write_units=200,
     )
-    manager = (
-        FlowBuilder(f"cli-{style}", seed=seed)
-        .ingestion(shards=1)
-        .analytics(vms=1)
-        .storage(write_units=200)
-        .workload(workload)
-        .control_all(style=style, reference=reference, period=60)
-        .exact(exact)
-        .build()
-    )
-    result = manager.run(duration)
+
+
+def _shootout_row(spec: dict) -> list[float | None]:
+    """One style's row: ingestion SLO violations, settling time after the
+    crowd arrives, cost (module-level: sweep workers pickle it)."""
+    scenario = Scenario.from_dict(spec)
+    result = scenario.build_manager().run(scenario.duration)
     util = result.utilization_trace(LayerKind.INGESTION)
-    settle = settling_time(util, 0.0, 85.0, start=crowd_at, hold_seconds=300)
+    band = scenario.slo.utilization_band
+    crowd_at = scenario.workload.inner[1].params["at"]
+    settle = settling_time(util, 0.0, band, start=crowd_at, hold_seconds=300)
     return [
-        100.0 * slo_violation_rate(util, "<=", 85.0),
+        100.0 * slo_violation_rate(util, "<=", band),
         float(settle) if settle is not None else None,
         result.total_cost,
     ]
 
 
 def cmd_shootout(args: argparse.Namespace) -> int:
-    columns = ["violations_%", "settle_s", "cost_$"]
     _fast_banner(not args.fast)
     report = ComparisonReport(
-        "controller comparison under a flash crowd", columns
+        "controller comparison under a flash crowd", ["violations_%", "settle_s", "cost_$"]
     )
     styles = sorted(CONTROLLER_FACTORIES)
-    scenarios = [
-        Scenario(
-            name=style,
-            fn=_shootout_style,
-            kwargs=dict(
-                style=style, duration=args.duration, seed=args.seed,
-                reference=args.reference, exact=not args.fast,
-            ),
+    cases = [
+        SweepCase(
+            name=style, fn=_shootout_row,
+            kwargs={"spec": shootout_scenario(args, style).to_dict()},
         )
         for style in styles
     ]
-    for style, row in zip(styles, run_scenarios(scenarios, jobs=args.jobs)):
+    for style, row in zip(styles, run_scenarios(cases, jobs=args.jobs)):
         report.add_row(style, row)
     print(report.render())
     print(f"\nbest on SLO violations: {report.best_row('violations_%')}")
@@ -295,49 +314,34 @@ def _parse_fault(text: str) -> FaultSpec:
         raise SystemExit(f"bad --fault {text!r}: {exc}")
 
 
-def _default_chaos(duration: int, seed: int) -> ChaosSchedule:
-    """One fault per flow layer, spaced across the run."""
+def _chaos_schedule(args: argparse.Namespace) -> ChaosSchedule:
+    """The ``--schedule`` file, else the ``--fault`` list, else one fault
+    per flow layer, spaced across the run."""
+    if args.schedule:
+        try:
+            with open(args.schedule) as handle:
+                return ChaosSchedule.from_json(handle.read())
+        except (OSError, ValueError, FlowerError) as exc:
+            raise SystemExit(f"cannot load schedule {args.schedule!r}: {exc}")
+    if args.fault:
+        return ChaosSchedule(
+            faults=tuple(_parse_fault(text) for text in args.fault), seed=args.seed
+        )
+    duration = args.duration
     return ChaosSchedule(faults=(
         FaultSpec(kind=FaultKind.SHARD_BROWNOUT, start=duration // 6,
                   duration=duration // 12, intensity=0.5),
         FaultSpec(kind=FaultKind.WORKER_CRASH, start=duration // 2, intensity=1),
         FaultSpec(kind=FaultKind.THROTTLE_STORM, start=2 * duration // 3,
                   duration=duration // 12, intensity=0.6),
-    ), seed=seed, name="cli-default")
+    ), seed=args.seed, name="cli-default")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    if args.schedule:
-        try:
-            with open(args.schedule) as handle:
-                schedule = ChaosSchedule.from_json(handle.read())
-        except (OSError, ValueError, FlowerError) as exc:
-            raise SystemExit(f"cannot load schedule {args.schedule!r}: {exc}")
-    elif args.fault:
-        schedule = ChaosSchedule(
-            faults=tuple(_parse_fault(text) for text in args.fault), seed=args.seed
-        )
-    else:
-        schedule = _default_chaos(args.duration, args.seed)
-    for spec in schedule.faults:
-        if spec.start >= args.duration:
-            raise SystemExit(
-                f"fault {spec.kind.value}@{spec.start} starts at or after "
-                f"--duration={args.duration} and would never fire"
-            )
+    scenario = flow_scenario(args)
+    result = scenario.build_manager().run(scenario.duration)
 
-    manager = (
-        FlowBuilder("cli-chaos", seed=args.seed)
-        .ingestion(shards=2)
-        .analytics(vms=2)
-        .storage(write_units=300)
-        .workload(ConstantRate(1500.0))
-        .control_all(style=args.style, reference=args.reference, period=60)
-        .chaos(schedule)
-        .build()
-    )
-    result = manager.run(args.duration)
-
+    schedule = scenario.chaos
     print(f"fault timeline ({schedule.name}, seed {schedule.seed}):")
     for event in result.chaos_events:
         detail = f"  {event.detail}" if event.detail else ""
@@ -362,12 +366,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.cloud.region import RegionLimits
     from repro.cloud.storm import StormConfig
     from repro.core.config import LayerControlConfig, default_adaptive_controller
-    from repro.core.fleet import (
-        FleetFlowSpec,
-        FleetScenarioSpec,
-        RegionFleetManager,
-        sweep_fleet_scenarios,
-    )
+    from repro.core.fleet import FleetFlowSpec, FleetScenarioSpec, sweep_fleet_scenarios
 
     def controls():
         return {
@@ -399,38 +398,27 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         contention_threshold=0.7,
         contention_slope=0.3,
     )
-    _fast_banner(not args.fast)
+    spec = FleetScenarioSpec(
+        name="cli-fleet",
+        flows=flows,
+        limits=limits,
+        duration=args.duration,
+        coordinate_period=None if args.no_coordinator else args.coordinate_period,
+        exact=not args.fast,
+    )
+    _fast_banner(spec.exact)
     if args.sweep > 1:
         # Process-parallel policy sweep: the same region squeeze as
         # independent scenario cases (name-derived seeds), fanned over
         # the runner's pinned-context pool.
-        spec_cases = [
-            FleetScenarioSpec(
-                name=f"fleet-case{i}",
-                flows=tuple(flows),
-                limits=limits,
-                duration=args.duration,
-                coordinate_period=(
-                    None if args.no_coordinator else args.coordinate_period
-                ),
-                exact=not args.fast,
-            )
-            for i in range(args.sweep)
-        ]
-        cards = sweep_fleet_scenarios(spec_cases, base_seed=args.seed, jobs=args.jobs)
+        cases = [dataclasses.replace(spec, name=f"fleet-case{i}") for i in range(args.sweep)]
+        cards = sweep_fleet_scenarios(cases, base_seed=args.seed, jobs=args.jobs)
         for card in cards.values():
             print(card.summary())
             print()
         print(f"{len(cards)} fleet cases swept with jobs={args.jobs}")
         return 0
-    fleet = RegionFleetManager(
-        flows,
-        limits=limits,
-        seed=args.seed,
-        coordinate_period=None if args.no_coordinator else args.coordinate_period,
-        exact=not args.fast,
-    )
-    result = fleet.run(args.duration)
+    result = spec.build(args.seed).run(spec.duration)
     print(result.summary())
     if result.coordinator is not None and result.coordinator.records:
         print("\nanalytics cap trajectory (coordinator grants per flow):")
@@ -594,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a managed flow and show the dashboard")
-    demo.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    demo.add_argument("--duration", type=positive_int, default=2 * 3600, help="simulated seconds")
     demo.add_argument("--seed", type=int, default=7)
     demo.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
     demo.add_argument("--reference", type=float, default=60.0,
@@ -609,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run a managed flow with the flight recorder and summarise it"
     )
-    trace.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    trace.add_argument("--duration", type=positive_int, default=2 * 3600, help="simulated seconds")
     trace.add_argument("--seed", type=int, default=7)
     trace.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
     trace.add_argument("--reference", type=float, default=60.0)
@@ -634,25 +622,25 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     fig2 = sub.add_parser("fig2", help="workload dependency analysis on a static run")
-    fig2.add_argument("--duration", type=int, default=3 * 3600)
+    fig2.add_argument("--duration", type=positive_int, default=3 * 3600)
     fig2.add_argument("--seed", type=int, default=7)
     fig2.set_defaults(func=cmd_fig2)
 
     pareto = sub.add_parser("pareto", help="resource share analysis (Fig. 4)")
     pareto.add_argument("--budget", type=float, default=1.5, help="dollars per hour")
-    pareto.add_argument("--generations", type=int, default=150)
+    pareto.add_argument("--generations", type=positive_int, default=150)
     pareto.add_argument("--seed", type=int, default=0)
     pareto.add_argument("--pick", default="balanced",
                         help="random | balanced | cheapest | max:<layer>")
     pareto.set_defaults(func=cmd_pareto)
 
     shootout = sub.add_parser("shootout", help="compare the four controller styles")
-    shootout.add_argument("--duration", type=int, default=2 * 3600)
+    shootout.add_argument("--duration", type=positive_int, default=2 * 3600)
     shootout.add_argument("--seed", type=int, default=5)
     shootout.add_argument("--reference", type=float, default=60.0)
     shootout.add_argument("--fast", action="store_true",
                           help="approximate (exact=False) workload path")
-    shootout.add_argument("--jobs", type=int, default=1,
+    shootout.add_argument("--jobs", type=positive_int, default=1,
                           help="worker processes for the style sweep "
                                "(results are identical to a serial run)")
     shootout.set_defaults(func=cmd_shootout)
@@ -660,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="run a managed flow under injected faults and audit recovery"
     )
-    chaos.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    chaos.add_argument("--duration", type=positive_int, default=2 * 3600, help="simulated seconds")
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
     chaos.add_argument("--reference", type=float, default=60.0)
@@ -676,24 +664,24 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run several flows against one region's shared account limits",
     )
-    fleet.add_argument("--flows", type=int, default=3, help="number of flows")
-    fleet.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    fleet.add_argument("--flows", type=positive_int, default=3, help="number of flows")
+    fleet.add_argument("--duration", type=positive_int, default=2 * 3600, help="simulated seconds")
     fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument("--reference", type=float, default=60.0)
-    fleet.add_argument("--max-instances", type=int, default=10,
+    fleet.add_argument("--max-instances", type=positive_int, default=10,
                        help="account-wide EC2 instance limit")
-    fleet.add_argument("--max-shards", type=int, default=12,
+    fleet.add_argument("--max-shards", type=positive_int, default=12,
                        help="account-wide Kinesis shard limit")
-    fleet.add_argument("--max-write-units", type=int, default=2400,
+    fleet.add_argument("--max-write-units", type=positive_int, default=2400,
                        help="account-wide DynamoDB write-unit limit")
-    fleet.add_argument("--coordinate-period", type=int, default=300,
+    fleet.add_argument("--coordinate-period", type=positive_int, default=300,
                        help="seconds between coordinator arbitration passes")
     fleet.add_argument("--fast", action="store_true",
                        help="approximate (exact=False) workload path for every flow")
-    fleet.add_argument("--sweep", type=int, default=1, metavar="N",
+    fleet.add_argument("--sweep", type=positive_int, default=1, metavar="N",
                        help="run the fleet as N independent scenario cases "
                             "(name-derived seeds) instead of one run")
-    fleet.add_argument("--jobs", type=int, default=1,
+    fleet.add_argument("--jobs", type=positive_int, default=1,
                        help="worker processes for --sweep (byte-identical to jobs=1)")
     fleet.add_argument("--no-coordinator", action="store_true",
                        help="disable arbitration; region admission alone "
@@ -709,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=list(SMOKE_SCENARIOS),
                            help="run only this scenario (repeatable; default: all)")
     scorecard.add_argument("--seed", type=int, default=7)
-    scorecard.add_argument("--duration", type=int, default=2 * 3600,
+    scorecard.add_argument("--duration", type=positive_int, default=2 * 3600,
                            help="simulated seconds per scenario")
     scorecard.add_argument("--out", default=None, metavar="DIR",
                            help="write SCORECARD_<scenario>_smoke.json files here")
@@ -736,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = actions.add_parser("run", parents=[variant], help="run scenarios and score them")
     run.add_argument("name", nargs="*", metavar="NAME",
                      help="catalog scenario name(s); default: all")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=positive_int, default=1,
                      help="worker processes for the run "
                           "(matrix is byte-identical at any value)")
     run.add_argument("--fast", action="store_true",
@@ -758,9 +746,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except FlowerError as exc:
+        # Input only the library can judge (a budget, a spec field):
+        # one line naming the command, not a traceback.
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ processes with byte-identical results.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -40,7 +41,6 @@ from repro.chaos.schedule import ChaosSchedule
 from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.ec2 import EC2Config
 from repro.cloud.kinesis import KinesisConfig
-from repro.cloud.pricing import PriceBook
 from repro.cloud.region import RegionContext, RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.control.bounded import BoundedActuator
@@ -49,12 +49,16 @@ from repro.core.errors import ConfigurationError
 from repro.core.fleet_exec import FleetSpanExecutor
 from repro.core.flow import LayerKind
 from repro.core.manager import FlowElasticityManager, FlowRunResult, ServiceCapacities
-from repro.simulation.clock import SimClock
 from repro.simulation.engine import SimulationEngine
 from repro.workload.generators import RatePattern
 
 #: Arbitrated layers, in decision order.
 COORDINATED_LAYERS = (LayerKind.INGESTION, LayerKind.ANALYTICS, LayerKind.STORAGE)
+
+#: Weight of one unit of controller pressure (a share-bound clamp or a
+#: failed actuation attempt) against one unit of committed usage in the
+#: coordinator's demand weights.
+PRESSURE_GAIN = 2.0
 
 #: Component phases for the shared engine's grouped ordering: every
 #: flow's data path (the executor) must run before any flow's auditor,
@@ -79,8 +83,6 @@ class FleetFlowSpec:
     storm: StormConfig | None = None
     ec2: EC2Config | None = None
     dynamodb: DynamoDBConfig | None = None
-    #: Extra keyword arguments forwarded to FlowElasticityManager.
-    manager_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -123,16 +125,12 @@ class FleetCoordinator:
         managers: dict[str, FlowElasticityManager],
         region: RegionContext,
         period: int = 300,
-        pressure_gain: float = 2.0,
     ) -> None:
         if period <= 0:
             raise ConfigurationError(f"coordinator period must be positive, got {period}")
-        if pressure_gain < 0:
-            raise ConfigurationError("pressure_gain must be non-negative")
         self.managers = managers
         self.region = region
         self.period = period
-        self.pressure_gain = pressure_gain
         self.records: list[CoordinationRecord] = []
         #: Lifetime count of cap retargets that changed a bound.
         self.retargets = 0
@@ -207,7 +205,7 @@ class FleetCoordinator:
             for flow_id, manager, _actuator in flows:
                 usage = self._usage(manager, kind, now)
                 pressure = self._pressure(flow_id, manager, kind)
-                weight = float(usage) + self.pressure_gain * pressure + 1.0
+                weight = float(usage) + PRESSURE_GAIN * pressure + 1.0
                 demand.append(weight)
                 floors.append(self._floor(manager, kind))
                 weights.setdefault(flow_id, {})[kind] = weight
@@ -260,22 +258,9 @@ class FleetRunResult:
     def total_cost(self) -> float:
         return sum(result.total_cost for result in self.flows.values())
 
-    @property
-    def cost_by_flow(self) -> dict[str, float]:
-        return {flow_id: result.total_cost for flow_id, result in self.flows.items()}
-
     def denials_by_flow(self) -> dict[str, dict[str, int]]:
         """Region admission denials per flow and resource."""
         return self.region.denials_by_flow()
-
-    def scorecards(self) -> dict[str, "object"]:
-        """Per-flow :class:`~repro.analysis.scorecard.RunScorecard`s."""
-        from repro.analysis.scorecard import RunScorecard
-
-        return {
-            flow_id: RunScorecard.from_result(flow_id, result)
-            for flow_id, result in self.flows.items()
-        }
 
     def summary(self) -> str:
         """A compact per-flow digest of the fleet run."""
@@ -311,14 +296,9 @@ class RegionFleetManager:
         flows: list[FleetFlowSpec],
         limits: RegionLimits | None = None,
         seed: int = 0,
-        tick_seconds: int = 1,
         snapshot_period: int = 60,
         span_execution: bool = True,
         coordinate_period: int | None = 300,
-        pressure_gain: float = 2.0,
-        price_book: PriceBook | None = None,
-        telemetry: bool = True,
-        invariants: bool = True,
         exact: bool = True,
     ) -> None:
         if not flows:
@@ -346,17 +326,9 @@ class RegionFleetManager:
         #: flagged as approximate).
         self.exact = bool(exact)
         self.region = RegionContext(limits=limits)
-        self.engine = SimulationEngine(
-            clock=SimClock(tick_seconds=tick_seconds), span_execution=span_execution
-        )
+        self.engine = SimulationEngine(span_execution=span_execution)
         self.managers: dict[str, FlowElasticityManager] = {}
         for spec in flows:
-            if "exact" in spec.manager_kwargs:
-                raise ConfigurationError(
-                    f"flow {spec.name!r} sets exact= in manager_kwargs; "
-                    "workload exactness is a fleet-level choice — pass "
-                    "exact= to RegionFleetManager instead"
-                )
             # Name-derived seeds: adding/removing/reordering flows never
             # reshuffles the randomness of the others (the same contract
             # the scenario runner gives sweeps).
@@ -370,7 +342,6 @@ class RegionFleetManager:
                 workload=spec.workload,
                 capacities=spec.capacities,
                 controls=spec.controls,
-                price_book=price_book,
                 seed=flow_seed,
                 snapshot_period=snapshot_period,
                 share_bounds=share_bounds,
@@ -379,14 +350,11 @@ class RegionFleetManager:
                 storm=spec.storm,
                 ec2=spec.ec2,
                 dynamodb=spec.dynamodb,
-                telemetry=telemetry,
-                invariants=invariants,
                 engine=self.engine,
                 region=self.region,
                 flow_id=spec.name,
                 coordinated=coordinate_period is not None,
                 exact=self.exact,
-                **spec.manager_kwargs,
             )
         # One executor runs every flow's data path (the managers do not
         # register their pipelines on a shared engine).
@@ -411,10 +379,7 @@ class RegionFleetManager:
         self.coordinator: FleetCoordinator | None = None
         if coordinate_period is not None:
             self.coordinator = FleetCoordinator(
-                self.managers,
-                self.region,
-                period=coordinate_period,
-                pressure_gain=pressure_gain,
+                self.managers, self.region, period=coordinate_period
             )
             # Registered last: at coincident boundaries the coordinator
             # observes the flows' post-actuation state.
@@ -473,12 +438,13 @@ class RegionFleetManager:
 
 @dataclass(frozen=True)
 class FleetScenarioSpec:
-    """One picklable fleet-sweep case: a whole region fleet run.
+    """One picklable fleet case: a whole region fleet run.
 
-    Everything :func:`run_fleet_scenario` needs to build and run a
-    :class:`RegionFleetManager` and score it. The spec must stay
-    picklable (its flows, chaos schedules and controllers are), because
-    :func:`sweep_fleet_scenarios` ships specs to worker processes.
+    Everything :meth:`build` needs to compile a
+    :class:`RegionFleetManager`, plus the horizon to run it for. The
+    spec must stay picklable (its flows, chaos schedules and
+    controllers are), because :func:`sweep_fleet_scenarios` ships specs
+    to worker processes.
     """
 
     name: str
@@ -497,30 +463,33 @@ class FleetScenarioSpec:
         # callers mutating a shared flow list between sweep cases.
         object.__setattr__(self, "flows", tuple(self.flows))
 
+    def build(self, seed: int) -> RegionFleetManager:
+        """Compile into a ready-to-run fleet seeded with ``seed``.
+
+        The flows are deep-copied first, so every build starts from
+        fresh controller and chaos state — the state a sweep worker
+        gets from unpickling. Without the copy, a serial sweep would
+        mutate the caller's controllers and diverge from the parallel
+        run on the second use of a spec.
+        """
+        return RegionFleetManager(
+            list(deepcopy(self.flows)),
+            limits=self.limits,
+            seed=seed,
+            coordinate_period=self.coordinate_period,
+            exact=self.exact,
+        )
+
 
 def run_fleet_scenario(spec: FleetScenarioSpec, seed: int):
     """Run one fleet scenario; return its pickle-stable scorecard.
 
     Module-level on purpose: sweep workers pickle this function by
-    reference. The spec is deep-copied before the fleet is built, so
-    in-process (``jobs=1``) execution gets the same fresh controller
-    and chaos state a worker gets from pickling — without the copy, a
-    serial sweep would mutate the caller's controllers and diverge
-    from the parallel run on the second use of a spec.
+    reference.
     """
-    from copy import deepcopy
-
     from repro.analysis.scorecard import FleetScorecard
 
-    spec = deepcopy(spec)
-    fleet = RegionFleetManager(
-        list(spec.flows),
-        limits=spec.limits,
-        seed=seed,
-        coordinate_period=spec.coordinate_period,
-        exact=spec.exact,
-    )
-    result = fleet.run(spec.duration)
+    result = spec.build(seed).run(spec.duration)
     return FleetScorecard.from_fleet_result(spec.name, result, seed=seed)
 
 
@@ -536,14 +505,14 @@ def sweep_fleet_scenarios(
     Returns ``{name: FleetScorecard}`` in submission order; any
     ``jobs`` value yields byte-identical scorecards.
     """
-    from repro.analysis.runner import Scenario, run_scenarios_dict
+    from repro.analysis.runner import SweepCase, run_scenarios_dict
 
-    scenarios = [
-        Scenario(
+    cases = [
+        SweepCase(
             name=spec.name,
             fn=run_fleet_scenario,
             kwargs=dict(spec=spec, seed=derive_scenario_seed(base_seed, spec.name)),
         )
         for spec in specs
     ]
-    return run_scenarios_dict(scenarios, jobs=jobs)
+    return run_scenarios_dict(cases, jobs=jobs)

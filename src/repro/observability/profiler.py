@@ -114,7 +114,7 @@ class TickProfiler:
 
         Always at most :attr:`tick_seconds_total` (each tick's duration
         wraps its components' and tasks' durations); the difference is
-        the engine's own loop overhead plus hooks.
+        the engine's own loop overhead.
         """
         return sum(self.component_seconds.values()) + sum(self.task_seconds.values())
 

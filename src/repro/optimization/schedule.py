@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.runner import Scenario, run_scenarios
+from repro.analysis.runner import SweepCase, run_scenarios
 from repro.core.errors import OptimizationError
 from repro.core.flow import LayerKind
 from repro.optimization.share_analyzer import (
@@ -153,7 +153,7 @@ def analyze_windows(
     if not windows:
         raise OptimizationError("need at least one budget window")
     scenarios = [
-        Scenario(
+        SweepCase(
             name=f"window-{index}",
             fn=_solve_window,
             kwargs=dict(

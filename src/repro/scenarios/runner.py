@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.analysis.runner import Scenario as SweepCase
-from repro.analysis.runner import run_scenarios
+from repro.analysis.runner import SweepCase, run_scenarios
 from repro.analysis.scorecard import RunScorecard, _require_same_exactness
 from repro.core.errors import ConfigurationError
 from repro.scenarios.spec import Scenario

@@ -125,14 +125,12 @@ class SimulationEngine:
     #: per :meth:`run` call, not per tick.
     profiler: TickProfiler | None = None
     #: Batch quiet ticks into spans when every component supports the
-    #: :class:`SpanComponent` protocol and no per-tick hooks are
-    #: registered; otherwise :meth:`run` silently falls back to the
-    #: per-tick reference loop. Disable to force the reference loop.
+    #: :class:`SpanComponent` protocol; otherwise :meth:`run` silently
+    #: falls back to the per-tick reference loop. Disable to force the
+    #: reference loop.
     span_execution: bool = True
     _components: list[TickComponent] = field(default_factory=list)
     _tasks: list[PeriodicTask] = field(default_factory=list)
-    _tick_hooks: list[Callable[[int], None]] = field(default_factory=list)
-    _stopped: bool = False
     _labels_cache: dict[int, str] | None = field(default=None, init=False, repr=False)
     #: Whether the most recent :meth:`run` used the span scheduler.
     #: Lets tests assert that registering a component (e.g. a fault
@@ -193,23 +191,15 @@ class SimulationEngine:
         self.add_task(task)
         return task
 
-    def on_each_tick(self, hook: Callable[[int], None]) -> None:
-        """Register a hook called after all components each tick."""
-        self._tick_hooks.append(hook)
-
-    def stop(self) -> None:
-        """Request the run loop to stop after the current tick."""
-        self._stopped = True
-
     def run(self, duration_seconds: int) -> int:
         """Run for ``duration_seconds`` of simulated time.
 
         Each tick executes, in order: every component's ``on_tick``,
-        every due periodic task, every tick hook. Tasks see the time of
-        the tick that just completed, so a controller with a 60 s period
-        acts on metrics covering the full preceding minute.
+        then every due periodic task. Tasks see the time of the tick
+        that just completed, so a controller with a 60 s period acts on
+        metrics covering the full preceding minute.
 
-        Returns the simulated time at which the run stopped.
+        Returns the simulated time at which the run ended.
         """
         if duration_seconds <= 0:
             raise SimulationError(f"duration must be positive, got {duration_seconds}")
@@ -218,11 +208,9 @@ class SimulationEngine:
                 f"duration {duration_seconds}s is not a multiple of the "
                 f"tick length {self.clock.tick_seconds}s"
             )
-        self._stopped = False
         end = self.clock.now + duration_seconds
         self.last_run_used_spans = (
             self.span_execution
-            and not self._tick_hooks
             and all(
                 hasattr(c, "run_span") and hasattr(c, "span_horizon") for c in self._components
             )
@@ -231,15 +219,13 @@ class SimulationEngine:
             return self._run_spans(end)
         if self.profiler is not None:
             return self._run_profiled(end)
-        while self.clock.now < end and not self._stopped:
+        while self.clock.now < end:
             now = self.clock.advance()
             for component in self._components:
                 component.on_tick(self.clock)
             for task in self._tasks:
                 if task.due(now):
                     task.callback(now)
-            for hook in self._tick_hooks:
-                hook(now)
         return self.clock.now
 
     def _run_spans(self, end: int) -> int:
@@ -271,7 +257,7 @@ class SimulationEngine:
         calendar = [(task.next_due(now), seq, task) for seq, task in enumerate(self._tasks)]
         heapq.heapify(calendar)
         task_count = len(self._tasks)
-        while self.clock.now < end and not self._stopped:
+        while self.clock.now < end:
             now = self.clock.now
             boundary = calendar[0][0] if calendar else end
             if boundary > end:
@@ -317,7 +303,7 @@ class SimulationEngine:
         """The same tick loop, timed per component, task and whole tick."""
         profiler = self.profiler
         labels = self._component_labels()
-        while self.clock.now < end and not self._stopped:
+        while self.clock.now < end:
             now = self.clock.advance()
             tick_started = perf_counter()
             for component in self._components:
@@ -329,7 +315,5 @@ class SimulationEngine:
                     started = perf_counter()
                     task.callback(now)
                     profiler.record_task(task.name, perf_counter() - started)
-            for hook in self._tick_hooks:
-                hook(now)
             profiler.record_tick(perf_counter() - tick_started)
         return self.clock.now

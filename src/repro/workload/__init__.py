@@ -22,7 +22,6 @@ from repro.workload.generators import (
     RampRate,
     RateGrid,
     RatePattern,
-    ReplayRate,
     SinusoidalRate,
     StepRate,
     TracePattern,
@@ -42,7 +41,6 @@ __all__ = [
     "BurstyRate",
     "NoisyRate",
     "CompositeRate",
-    "ReplayRate",
     "TracePattern",
     "RateGrid",
     "ClickStreamGenerator",

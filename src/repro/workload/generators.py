@@ -409,19 +409,6 @@ class RateGrid:
         return self.pattern.values(start, start + count * step, step)
 
 
-class ReplayRate(RatePattern):
-    """Replays a recorded trace with step-hold interpolation."""
-
-    def __init__(self, trace: Trace) -> None:
-        if len(trace) == 0:
-            raise ConfigurationError("cannot replay an empty trace")
-        self.trace = trace
-        self._first_time = trace.times[0]
-
-    def rate(self, t: int) -> float:
-        return max(0.0, self.trace.value_at(max(t, self._first_time)))
-
-
 class TracePattern(RatePattern):
     """Replays any :class:`Trace` through the grid API, bit-exactly.
 
@@ -433,11 +420,11 @@ class TracePattern(RatePattern):
     gaps) hold the last value seen. ``scale`` rescales a recorded trace
     onto a different fleet size.
 
-    Unlike :class:`ReplayRate`, the :meth:`values` override serves grid
-    reads with one ``searchsorted`` per chunk while preserving the
-    elementwise-equality contract with per-tick ``rate(t)`` calls, so
-    span-batched runs replay a trace bit-identically to the per-tick
-    reference loop (pinned by ``tests/test_trace_replay.py``).
+    The :meth:`values` override serves grid reads with one
+    ``searchsorted`` per chunk while preserving the elementwise-equality
+    contract with per-tick ``rate(t)`` calls, so span-batched runs
+    replay a trace bit-identically to the per-tick reference loop
+    (pinned by ``tests/test_trace_replay.py``).
     """
 
     def __init__(self, trace: Trace, scale: float = 1.0) -> None:

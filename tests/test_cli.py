@@ -2,7 +2,27 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, flow_scenario, main
+from repro.scenarios import Scenario, run_scenario
+
+#: Bad values for numeric flags, each with the flag or spec field its
+#: one-line rejection must name.
+BAD_FLAGS = [
+    (["fleet", "--flows", "0"], "--flows"),
+    (["fleet", "--max-instances", "0"], "--max-instances"),
+    (["fleet", "--coordinate-period", "0"], "--coordinate-period"),
+    (["fleet", "--sweep", "0"], "--sweep"),
+    (["demo", "--duration", "0"], "--duration"),
+    (["fig2", "--duration", "0"], "--duration"),
+    (["scorecard", "--duration", "0"], "--duration"),
+    (["shootout", "--jobs", "0"], "--jobs"),
+    (["scenario", "run", "step-surge-worker-crash", "--jobs", "0"], "--jobs"),
+    (["pareto", "--generations", "0"], "--generations"),
+    (["pareto", "--budget", "-1"], "budget"),
+    (["demo", "--seed", "-1"], "--seed=-1"),
+    (["demo", "--reference", "150"], "--reference=150"),
+    (["trace", "--reference", "0"], "--reference=0"),
+]
 
 
 class TestParser:
@@ -28,6 +48,40 @@ class TestParser:
         args = build_parser().parse_args(["scenario", "run", "--jobs", "1", "seasonal-drift"])
         assert args.name == ["seasonal-drift"]
         assert args.jobs == 1
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv, names", BAD_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_FLAGS]
+    )
+    def test_rejected_in_one_line_naming_the_flag(self, argv, names, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        code = info.value.code
+        # argparse prints usage and exits 2; main() exits with the message.
+        message = code if isinstance(code, str) else capsys.readouterr().err.splitlines()[-1]
+        assert code != 0
+        assert names in message
+        assert "\n" not in message
+
+
+class TestCommandsRunTheirSpec:
+    """``demo`` and ``chaos`` run the spec the CLI compiles, and nothing else."""
+
+    @pytest.mark.parametrize("command", ["demo", "chaos"])
+    def test_printed_cost_is_the_specs(self, command, capsys):
+        argv = [command, "--duration", "1200", "--seed", "3"]
+        spec = flow_scenario(build_parser().parse_args(argv))
+        assert Scenario.from_json(spec.to_json()) == spec
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.split("total cost: $")[1].split()[0]
+        assert printed == f"{run_scenario(spec).total_cost:.4f}"
+
+    def test_demo_fast_compiles_an_approximate_spec(self, capsys):
+        argv = ["demo", "--duration", "1200", "--seed", "3", "--fast"]
+        assert flow_scenario(build_parser().parse_args(argv)).exact is False
+        assert main(argv) == 0
+        assert "APPROXIMATE" in capsys.readouterr().out
 
 
 class TestCommands:

@@ -369,12 +369,6 @@ class TestFleetFastPath:
         assert all(flow_card.exact is False for flow_card in card.flows.values())
         assert "APPROXIMATE" in card.summary()
 
-    def test_manager_kwargs_cannot_override_exactness(self):
-        spec = _fleet_specs(n_flows=1)[0]
-        spec = dataclasses.replace(spec, manager_kwargs={"exact": False})
-        with pytest.raises(ConfigurationError, match="fleet-level"):
-            RegionFleetManager([spec])
-
     @staticmethod
     def _strip_wall(card):
         """Wall-clock fields are informational and vary run to run."""

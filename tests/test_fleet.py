@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.runner import Scenario, derive_scenario_seed, run_scenarios
+from repro.analysis.runner import SweepCase, derive_scenario_seed, run_scenarios
 from repro.cloud.region import RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
@@ -244,7 +244,7 @@ class TestDenialAbsorption:
 class TestParallelFleetSweeps:
     def test_jobs_parallel_byte_identical_to_serial(self):
         scenarios = [
-            Scenario(
+            SweepCase(
                 name=f"fleet-{seed}",
                 fn=_fleet_digest,
                 kwargs=dict(seed=derive_scenario_seed(11, f"fleet-{seed}")),

@@ -14,10 +14,10 @@ from repro.workload import (
     NoisyRate,
     RampRate,
     RateGrid,
-    ReplayRate,
     SinusoidalRate,
     StepRate,
     Trace,
+    TracePattern,
     WeeklyRate,
 )
 
@@ -166,17 +166,17 @@ class TestComposite:
 class TestReplay:
     def test_replays_trace_step_hold(self):
         trace = Trace("w", [(0, 10.0), (60, 20.0)])
-        replay = ReplayRate(trace)
+        replay = TracePattern(trace)
         assert replay.rate(30) == 10.0
         assert replay.rate(61) == 20.0
 
     def test_before_first_point_holds_first_value(self):
         trace = Trace("w", [(100, 10.0)])
-        assert ReplayRate(trace).rate(0) == 10.0
+        assert TracePattern(trace).rate(0) == 10.0
 
     def test_rejects_empty_trace(self):
         with pytest.raises(ConfigurationError):
-            ReplayRate(Trace("empty"))
+            TracePattern(Trace("empty"))
 
 
 class TestSample:

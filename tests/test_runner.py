@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import (
     RunnerError,
-    Scenario,
+    SweepCase,
     derive_scenario_seed,
     run_scenarios,
     run_scenarios_dict,
@@ -47,7 +47,7 @@ def slow_sentinel(path, delay):
 
 def scenarios_for(base_seed, count=5):
     return [
-        Scenario(
+        SweepCase(
             name=f"case-{i}",
             fn=seeded_draws,
             kwargs=dict(seed=derive_scenario_seed(base_seed, f"case-{i}"), n=32),
@@ -58,7 +58,7 @@ def scenarios_for(base_seed, count=5):
 
 class TestSerialParallelEquivalence:
     def test_results_in_submission_order(self):
-        scenarios = [Scenario(name=f"s{i}", fn=square, kwargs={"value": i}) for i in range(6)]
+        scenarios = [SweepCase(name=f"s{i}", fn=square, kwargs={"value": i}) for i in range(6)]
         assert run_scenarios(scenarios, jobs=1) == [0, 1, 4, 9, 16, 25]
         assert run_scenarios(scenarios, jobs=3) == [0, 1, 4, 9, 16, 25]
 
@@ -73,7 +73,7 @@ class TestSerialParallelEquivalence:
             assert pickle.dumps(a) == pickle.dumps(b)
 
     def test_dict_helper_keys_by_name(self):
-        scenarios = [Scenario(name=f"s{i}", fn=square, kwargs={"value": i}) for i in range(3)]
+        scenarios = [SweepCase(name=f"s{i}", fn=square, kwargs={"value": i}) for i in range(3)]
         assert run_scenarios_dict(scenarios, jobs=2) == {"s0": 0, "s1": 1, "s2": 4}
 
 
@@ -100,8 +100,8 @@ class TestValidation:
 
     def test_rejects_duplicate_names(self):
         scenarios = [
-            Scenario(name="dup", fn=square, kwargs={"value": 1}),
-            Scenario(name="dup", fn=square, kwargs={"value": 2}),
+            SweepCase(name="dup", fn=square, kwargs={"value": 1}),
+            SweepCase(name="dup", fn=square, kwargs={"value": 2}),
         ]
         with pytest.raises(RunnerError):
             run_scenarios(scenarios)
@@ -112,8 +112,8 @@ class TestValidation:
 
     def test_worker_exception_propagates(self):
         scenarios = [
-            Scenario(name="ok", fn=square, kwargs={"value": 2}),
-            Scenario(name="boom", fn=explode),
+            SweepCase(name="ok", fn=square, kwargs={"value": 2}),
+            SweepCase(name="boom", fn=explode),
         ]
         with pytest.raises(ValueError, match="scenario failure"):
             run_scenarios(scenarios, jobs=2)
@@ -126,8 +126,8 @@ class TestValidation:
         by the executor's shutdown. With 2 workers, at most the two
         in-flight sentinels can run; the other eight must be cancelled
         before they ever start."""
-        scenarios = [Scenario(name="boom", fn=explode)] + [
-            Scenario(
+        scenarios = [SweepCase(name="boom", fn=explode)] + [
+            SweepCase(
                 name=f"queued-{i}",
                 fn=slow_sentinel,
                 kwargs=dict(path=str(tmp_path / f"queued-{i}"), delay=0.2),

@@ -7,7 +7,7 @@ import pytest
 from repro import FlowBuilder, LayerKind
 from repro.analysis import load_run_summary, load_run_traces, save_run
 from repro.core.errors import ConfigurationError
-from repro.workload import ConstantRate, ReplayRate
+from repro.workload import ConstantRate, TracePattern
 
 
 @pytest.fixture(scope="module")
@@ -76,5 +76,5 @@ class TestLoadRun:
         """A persisted utilisation trace can drive a replay workload."""
         directory = save_run(finished_run, tmp_path / "run5")
         trace = load_run_traces(directory)[(LayerKind.INGESTION, "utilization")]
-        replay = ReplayRate(trace)
+        replay = TracePattern(trace)
         assert replay.rate(trace.times[0]) == trace.values[0]
