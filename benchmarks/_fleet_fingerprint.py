@@ -21,11 +21,57 @@ import json
 import sys
 import time
 
-sys.path.insert(0, ".")
-from benchmarks.test_bench_fleet_throughput import build_fleet  # noqa: E402
+from repro.cloud.region import RegionLimits
+from repro.cloud.storm import StormConfig
+from repro.core.config import LayerControlConfig, default_adaptive_controller
+from repro.core.fleet import FleetFlowSpec, RegionFleetManager
+from repro.core.flow import LayerKind
+from repro.workload import SinusoidalRate
 
+SEED = 7
+CONTROL_PERIOD = 300
+SNAPSHOT_PERIOD = 600
 DURATION = 1800
 FLOWS = 4
+
+
+def build_fleet(n: int, *, span: bool = True, exact: bool = False):
+    """N staggered sinusoidal flows in one generously sized region."""
+    flows = [
+        FleetFlowSpec(
+            name=f"fleet{i:02d}",
+            workload=SinusoidalRate(
+                mean=2000.0 + 100.0 * i,
+                amplitude=400.0,
+                period=1800,
+                phase=(1800 // n) * i,
+            ),
+            controls={
+                kind: LayerControlConfig(
+                    controller=default_adaptive_controller(kind),
+                    period=CONTROL_PERIOD,
+                )
+                for kind in LayerKind
+            },
+            storm=StormConfig(records_per_vm_per_second=800),
+        )
+        for i in range(n)
+    ]
+    limits = RegionLimits(
+        max_instances=12 * n,
+        max_total_shards=12 * n,
+        max_total_write_units=4000 * n,
+        contention_threshold=0.95,
+        contention_slope=0.3,
+    )
+    return RegionFleetManager(
+        flows,
+        limits=limits,
+        seed=SEED,
+        exact=exact,
+        span_execution=span,
+        snapshot_period=SNAPSHOT_PERIOD,
+    )
 
 
 def main() -> None:

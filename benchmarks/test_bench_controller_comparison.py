@@ -66,10 +66,7 @@ def outcomes():
     return {style: run_style(style) for style in STYLES}
 
 
-def test_controller_comparison(benchmark, outcomes, results_dir):
-    # Benchmark one representative run (the adaptive controller).
-    benchmark.pedantic(lambda: run_style("adaptive"), rounds=1, iterations=1)
-
+def test_controller_comparison(outcomes, results_dir):
     columns = ["violations_%", "throttled_rec", "settle_after_step_s", "cost_$", "actions"]
     report = ComparisonReport(
         "E4 — controller comparison (step + flash crowd, 4 h, SLO: ingestion util <= 85%)",

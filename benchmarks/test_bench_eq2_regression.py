@@ -39,13 +39,11 @@ def analyzer():
     return analyzer
 
 
-def test_eq2_regression(benchmark, analyzer, results_dir):
+def test_eq2_regression(analyzer, results_dir):
     source = MetricRef(LayerKind.INGESTION, "WriteCapacity")
     target = MetricRef(LayerKind.ANALYTICS, "CPU")
 
-    model = benchmark.pedantic(
-        lambda: analyzer.fit_pair(source, target), rounds=1, iterations=1
-    )
+    model = analyzer.fit_pair(source, target)
     fit = model.result
     ci_low, ci_high = fit.slope_confidence_interval(0.95)
     # The paper's worked example: CPU needed to absorb one full shard
@@ -68,8 +66,8 @@ def test_eq2_regression(benchmark, analyzer, results_dir):
     assert ci_low > 0, "slope CI must exclude zero"
 
 
-def test_eq2_analyzer_discovers_the_dependency(analyzer, benchmark, results_dir):
+def test_eq2_analyzer_discovers_the_dependency(analyzer, results_dir):
     """The analyze() scan must surface the Eq. 2 pair on its own."""
-    models = benchmark.pedantic(analyzer.analyze, rounds=1, iterations=1)
+    models = analyzer.analyze()
     pairs = {(m.source.metric, m.target.metric) for m in models}
     assert ("WriteCapacity", "CPU") in pairs

@@ -38,13 +38,10 @@ def fig2_series():
     return records, cpu, writes
 
 
-def test_fig2_ingestion_analytics_correlation(benchmark, fig2_series, results_dir):
+def test_fig2_ingestion_analytics_correlation(fig2_series, results_dir):
     records, cpu, writes = fig2_series
 
-    def compute():
-        return pearson_r(records.values, cpu.values)
-
-    r = benchmark.pedantic(compute, rounds=1, iterations=1)
+    r = pearson_r(records.values, cpu.values)
 
     r_storage = pearson_r(records.values, writes.values)
     lag_scan = cross_correlation(records.values, cpu.values, max_lag=5)

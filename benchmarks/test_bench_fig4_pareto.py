@@ -11,8 +11,6 @@ searches it with NSGA-II. Shape targets: a small Pareto set of mutually
 non-dominated, fully feasible allocations with the budget binding.
 """
 
-import pytest
-
 from repro.core.flow import LayerKind, clickstream_flow_spec
 from repro.optimization import ResourceShareAnalyzer, ShareConstraint
 
@@ -29,15 +27,11 @@ def paper_constraints():
     ]
 
 
-def test_fig4_pareto_front(benchmark, results_dir):
+def test_fig4_pareto_front(results_dir):
     analyzer = ResourceShareAnalyzer(clickstream_flow_spec(), constraints=paper_constraints())
 
-    result = benchmark.pedantic(
-        lambda: analyzer.analyze(
-            budget_per_hour=BUDGET_PER_HOUR, population_size=100, generations=250, seed=0
-        ),
-        rounds=1,
-        iterations=1,
+    result = analyzer.analyze(
+        budget_per_hour=BUDGET_PER_HOUR, population_size=100, generations=250, seed=0
     )
 
     lines = [

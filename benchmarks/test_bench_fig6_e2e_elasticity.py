@@ -53,9 +53,7 @@ def run():
     return manager.run(DURATION)
 
 
-def test_fig6_e2e_elasticity(benchmark, run, results_dir):
-    benchmark.pedantic(lambda: run.duration_seconds, rounds=1, iterations=1)
-
+def test_fig6_e2e_elasticity(run, results_dir):
     records = run.trace(
         "AWS/Kinesis", "IncomingRecords", period=300, statistic="Sum",
         dimensions=run.layer_dimensions[LayerKind.INGESTION],

@@ -16,7 +16,7 @@ less throttling overall.
 
 import pytest
 
-from repro import FlowBuilder, LayerControlConfig, LayerKind
+from repro import LayerControlConfig, LayerKind
 from repro.analysis import settling_time
 from repro.core.config import default_adaptive_controller
 from repro.workload import ConstantRate, StepRate
@@ -91,9 +91,7 @@ def outcomes():
     return {"with-memory": run_variant(True), "without-memory": run_variant(False)}
 
 
-def test_gain_memory_ablation(benchmark, outcomes, results_dir):
-    benchmark.pedantic(lambda: run_variant(True), rounds=1, iterations=1)
-
+def test_gain_memory_ablation(outcomes, results_dir):
     with_mem = outcomes["with-memory"]
     without = outcomes["without-memory"]
     lines = [

@@ -17,7 +17,7 @@ ceiling is no worse than the timid extreme.
 
 import pytest
 
-from repro import FlowBuilder, LayerControlConfig, LayerKind
+from repro import LayerControlConfig, LayerKind
 from repro.analysis import ComparisonReport, slo_violation_rate
 from repro.control import AdaptiveGainConfig, AdaptiveGainController
 from repro.workload import ConstantRate, FlashCrowdRate
@@ -79,10 +79,8 @@ def sweeps():
     return periods, gains
 
 
-def test_parameter_sensitivity(benchmark, sweeps, results_dir):
+def test_parameter_sensitivity(sweeps, results_dir):
     periods, gains = sweeps
-    benchmark.pedantic(lambda: run_with(period=60), rounds=1, iterations=1)
-
     columns = ["violations_%", "throttled", "cost_$", "actions"]
     period_report = ComparisonReport(
         "E9a — monitoring period sweep (flash crowd, SLO util <= 85%)", columns

@@ -57,9 +57,7 @@ def outcomes():
     return {period: run_with_period(period) for period in (60, 120, 300)}
 
 
-def test_rebalance_ablation(benchmark, outcomes, results_dir):
-    benchmark.pedantic(lambda: run_with_period(300), rounds=1, iterations=1)
-
+def test_rebalance_ablation(outcomes, results_dir):
     columns = ["peak_vms", "final_vms", "actions", "cost_$"]
     report = ComparisonReport(
         "E10 — rebalance-storm ablation (fixed-parallelism topology, step load; "

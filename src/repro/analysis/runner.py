@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.core.errors import FlowerError
+from repro.core.errors import ConfigurationError, FlowerError
 
 #: Pinned worker start method for every sweep pool.
 #:
@@ -77,9 +77,13 @@ def derive_scenario_seed(base_seed: int, name: str) -> int:
     Uses the same CRC32 label-folding as
     :func:`repro.simulation.rng.derive_rng`, so two sweeps with the same
     base seed give a scenario the same stream regardless of where it
-    sits in the list or which worker process runs it.
+    sits in the list or which worker process runs it. A negative seed
+    raises :class:`ConfigurationError`, as there.
     """
     import numpy as np
+
+    if base_seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {base_seed}")
 
     sequence = np.random.SeedSequence([int(base_seed), zlib.crc32(name.encode("utf-8"))])
     return int(sequence.generate_state(1)[0])

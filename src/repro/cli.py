@@ -368,6 +368,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core.config import LayerControlConfig, default_adaptive_controller
     from repro.core.fleet import FleetFlowSpec, FleetScenarioSpec, sweep_fleet_scenarios
 
+    # The DSL's bound on a scenario's reference: a utilisation percentage.
+    if not 0.0 < args.reference <= 100.0:
+        raise SystemExit(f"fleet: --reference must be > 0 and <= 100, got {args.reference}")
+
     def controls():
         return {
             kind: LayerControlConfig(

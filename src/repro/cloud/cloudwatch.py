@@ -362,21 +362,6 @@ class SimCloudWatch:
         """Record one datapoint. Timestamps must be non-decreasing per series."""
         self._lone_frame(namespace, metric_name, dimensions).append(timestamp, (value,))
 
-    def put_metric_data_batch(
-        self,
-        namespace: str,
-        metric_name: str,
-        times: ArrayLike,
-        values: ArrayLike,
-        dimensions: dict[str, str] | None = None,
-    ) -> None:
-        """Record a whole time-ordered batch of datapoints in one call.
-
-        Batch order is append order — identical to issuing the scalar
-        puts one at a time — so reads and memo semantics are unchanged.
-        """
-        self._lone_frame(namespace, metric_name, dimensions).extend(times, (values,))
-
     def put_metric_frame(
         self,
         namespace: str,

@@ -129,7 +129,6 @@ class SimKinesisStream:
         self._reshard_trace: str | None = None
         # Consumer-facing buffer of accepted-but-unread records.
         self._buffer_records = 0
-        self._buffer_bytes = 0
         # Per-tick counters, flushed to metrics by emit_metrics().
         self._tick_accepted = 0
         self._tick_accepted_bytes = 0
@@ -354,7 +353,6 @@ class SimKinesisStream:
         accepted = int(records * fraction)
         accepted_bytes = int(payload_bytes * fraction)
         self._buffer_records += accepted
-        self._buffer_bytes += accepted_bytes
         self.total_accepted_records += accepted
         self._tick_accepted += accepted
         self._tick_accepted_bytes += accepted_bytes
@@ -376,8 +374,6 @@ class SimKinesisStream:
             * clock.tick_seconds
         )
         handed = min(max_records, self._buffer_records, read_cap)
-        if self._buffer_records:
-            self._buffer_bytes -= int(self._buffer_bytes * handed / self._buffer_records)
         self._buffer_records -= handed
         self.total_read_records += handed
         self._tick_read += handed

@@ -369,22 +369,6 @@ class SimStormCluster:
             return self._rebalancing_until
         return None
 
-    def next_window_flush(self, now: int, tick_seconds: int) -> int:
-        """The tick at which the current aggregation window will flush.
-
-        Span execution draws its CPU-noise normals in flush-bounded
-        segments of this length, so each segment's batched draws and
-        the flush's Poisson draw interleave in the same bitstream order
-        as the per-tick loop: one normal per tick, then the flush draw
-        on the segment's last tick. (Flushes themselves do not bound
-        spans.)
-        """
-        remaining = self.config.window_seconds - self._window_elapsed
-        ticks = -(-remaining // tick_seconds)
-        if ticks < 1:
-            ticks = 1
-        return now + ticks * tick_seconds
-
     @property
     def pending_records(self) -> int:
         """Tuples pulled from the stream but not yet processed."""

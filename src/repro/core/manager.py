@@ -93,11 +93,6 @@ class ServiceCapacities:
             raise ConfigurationError("all initial capacities must be >= 1")
 
 
-#: Products (payload x records) must stay below this for the stream's
-#: buffer byte split ``int(bytes * handed / records)`` to be float-exact.
-_EXACT_PRODUCT_LIMIT = 2**53
-
-
 class _Span:
     """One span of ticks as :meth:`_FlowPipeline.run_span` executes it.
 
@@ -155,20 +150,16 @@ class _Span:
 
         A tick can run closed-form when its draws clear every hoisted
         cap, so nothing throttles, buffers or queues anywhere in the
-        chain; when its payload's byte split is float-exact; and when
-        its dashboard reads stay within the read capacity. The ticks
-        that cannot are found once per span, on first use.
+        chain, and when its dashboard reads stay within the read
+        capacity. The ticks that cannot are found once per span, on
+        first use.
         """
         violations = self._violations
         if violations is None:
             records = np.asarray(self.records, dtype=np.int64)
             payload = np.asarray(self.payload, dtype=np.int64)
             limit = min(self.record_cap, self.stream_read_cap, self.poll_limit, self.analytics_cap)
-            mask = (
-                (records > limit)
-                | (payload > self.byte_cap)
-                | (payload * records >= _EXACT_PRODUCT_LIMIT)
-            )
+            mask = (records > limit) | (payload > self.byte_cap)
             if self.reads is not None:
                 mask |= np.asarray(self.reads, dtype=np.int64) > self.read_cap
             violations = self._violations = np.flatnonzero(mask).tolist()
@@ -418,7 +409,6 @@ class _FlowPipeline:
             or self._producer_backlog_bytes
             or self._write_backlog
             or stream._buffer_records
-            or stream._buffer_bytes
             or self.cluster._pending_records
         )
 
@@ -472,7 +462,6 @@ class _FlowPipeline:
         backlog_bytes = self._producer_backlog_bytes
         dropped_records = self.dropped_records
         buffer_records = stream._buffer_records
-        buffer_bytes = stream._buffer_bytes
         smoothed_rate = stream._smoothed_rate
         pending = cluster._pending_records
         window_keys = cluster._window_keys
@@ -544,7 +533,7 @@ class _FlowPipeline:
                     i > start
                     and not (
                         buffer_records or pending or backlog_records or write_backlog
-                        or backlog_bytes or buffer_bytes
+                        or backlog_bytes
                     )
                     and viable_run(i) >= min_run
                 ):
@@ -588,7 +577,6 @@ class _FlowPipeline:
                 accepted = int(offered * fraction)
                 accepted_bytes = int(offered_bytes * fraction)
                 buffer_records += accepted
-                buffer_bytes += accepted_bytes
                 throttled = offered - accepted
                 throttled_bytes = offered_bytes - accepted_bytes
             backlog_records = backlog_records - retry_records + throttled
@@ -603,8 +591,6 @@ class _FlowPipeline:
             if wanted < 0:
                 wanted = 0
             handed = min(wanted, buffer_records, stream_read_cap)
-            if buffer_records:
-                buffer_bytes -= int(buffer_bytes * handed / buffer_records)
             buffer_records -= handed
             pending += handed
             processed = min(pending, analytics_cap)
@@ -700,7 +686,6 @@ class _FlowPipeline:
         self._write_backlog = write_backlog
         self.dropped_writes = dropped_writes
         stream._buffer_records = buffer_records
-        stream._buffer_bytes = buffer_bytes
         stream._smoothed_rate = smoothed_rate
         stream.total_accepted_records += sum(k_accepted)
         stream.total_read_records += sum(k_read)

@@ -90,14 +90,6 @@ def _too_few(a_name: str, b_name: str, common: int) -> RegressionError:
     )
 
 
-def _align(a: Trace, b: Trace) -> tuple[list[float], list[float]]:
-    """Pair up values of two traces on their common timestamps."""
-    xs, ys = _align_columns(a, b)
-    if len(xs) < 3:
-        raise _too_few(a.name, b.name, len(xs))
-    return xs, ys
-
-
 class WorkloadDependencyAnalyzer:
     """Scans every cross-layer metric pair for linear dependencies.
 

@@ -7,11 +7,11 @@ plain-dict counters, last-value gauges and log-bucketed histograms that
 are touched **only at control boundaries** — control-loop invocations
 and snapshot collections, tens of simulated seconds apart — never
 inside the per-tick or span data path. That is what keeps it inside
-the <2 % overhead budget (``benchmarks/test_bench_telemetry_overhead
-.py`` verifies it) and what keeps span-batched execution and the
-bit-exactness contract untouched: the registry only ever *reads*
-simulation state, at times where every pending capacity transition has
-already settled.
+the <2 % overhead budget (the ``telemetry`` rows of
+``benchmarks/test_bench_ratios.py`` check it) and what keeps
+span-batched execution and the bit-exactness contract untouched: the
+registry only ever *reads* simulation state, at times where every
+pending capacity transition has already settled.
 
 Unlike the recorder, telemetry is on by default for every managed flow
 (``FlowBuilder.telemetry(False)`` disables it) and is exported on the

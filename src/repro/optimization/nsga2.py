@@ -232,6 +232,8 @@ class NSGA2:
         seed: int = 0,
         vectorized: bool = True,
     ) -> None:
+        if seed < 0:
+            raise OptimizationError(f"seed must be a non-negative integer, got {seed}")
         self.problem = problem
         self.config = config or NSGA2Config()
         self.vectorized = bool(vectorized)

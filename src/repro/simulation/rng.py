@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from repro.core.errors import ConfigurationError
+
 
 def derive_rng(seed: int, label: str = "") -> np.random.Generator:
     """Return an independent generator derived from ``seed`` and ``label``.
@@ -20,8 +22,11 @@ def derive_rng(seed: int, label: str = "") -> np.random.Generator:
     Two calls with the same ``(seed, label)`` yield identical streams;
     different labels under the same seed yield statistically independent
     streams. The label is folded into the seed material via CRC32 so
-    that human-readable stream names stay cheap.
+    that human-readable stream names stay cheap. A negative seed raises
+    :class:`ConfigurationError`.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     label_entropy = zlib.crc32(label.encode("utf-8"))
     sequence = np.random.SeedSequence([int(seed), label_entropy])
     return np.random.default_rng(sequence)

@@ -22,6 +22,11 @@ BAD_FLAGS = [
     (["demo", "--seed", "-1"], "--seed=-1"),
     (["demo", "--reference", "150"], "--reference=150"),
     (["trace", "--reference", "0"], "--reference=0"),
+    (["fig2", "--seed", "-1"], "seed"),
+    (["pareto", "--seed", "-1"], "seed"),
+    (["fleet", "--seed", "-1"], "seed"),
+    (["fleet", "--reference", "150"], "--reference"),
+    (["fleet", "--reference", "0"], "--reference"),
 ]
 
 

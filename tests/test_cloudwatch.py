@@ -356,10 +356,6 @@ class TestFrameValidation:
         self._rejects(framed, lambda: framed.put_metric_data("NS", "B", 1.0, 9),
                       r"series NS/B \(dimensions=\{\}\) belongs to the frame")
 
-    def test_put_metric_data_batch_into_a_frame_row(self, framed):
-        self._rejects(framed, lambda: framed.put_metric_data_batch("NS", "A", [9], [1.0]),
-                      r"series NS/A \(dimensions=\{\}\) belongs to the frame")
-
     def test_frame_over_an_existing_series(self, framed):
         framed.put_metric_data("NS", "C", 1.0, 1)
         self._rejects(framed, lambda: framed.put_metric_frame("NS", ("C", "D"), 2, (1.0, 2.0)),
