@@ -1,0 +1,107 @@
+"""Stretch split: which ``run_span`` stretch executed each flow-tick.
+
+``_FlowPipeline.run_span`` runs a span as a sequence of stretches: the
+closed-form vector stretch (every backlog empty), the closed-form
+saturated stretch (Storm at capacity, the stream backlogged) and the
+bit-exact scalar loop everywhere else. This script runs one pinned
+workload from ``bench.workloads`` (imported read-only) with counters
+wrapped around the three stretch methods, and prints the calls and
+ticks each one ran.
+
+Usage, from the repository root::
+
+    PYTHONPATH=src python -m benchmarks._stretch_split fleet-16 [--seed 7]
+        [--seconds S] [--require KIND ...]
+
+``--seconds`` overrides the workload's pinned horizon. ``--require
+KIND`` exits 1 when stretch ``KIND`` ran no ticks, so a change that
+silently disables a stretch fails loudly. The last line of standard
+output is the split as one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+from bench.workloads import WORKLOADS
+
+from repro.core.manager import _FlowPipeline
+
+#: Stretch kind → ``_FlowPipeline`` method that runs it.
+STRETCHES = {
+    "vector": "_vector_stretch",
+    "saturated": "_saturated_stretch",
+    "scalar": "_scalar_stretch",
+}
+
+
+def count_stretches() -> dict[str, dict[str, int]]:
+    """Wrap every stretch method with a call and tick counter.
+
+    Returns the live counters; the wrappers stay installed for the rest
+    of the process.
+    """
+    counts = {kind: {"calls": 0, "ticks": 0} for kind in STRETCHES}
+    for kind, name in STRETCHES.items():
+        method = getattr(_FlowPipeline, name)
+
+        def counted(self, span, start, *stop, _method=method, _count=counts[kind]):
+            reached, columns = _method(self, span, start, *stop)
+            _count["calls"] += 1
+            _count["ticks"] += reached - start
+            return reached, columns
+
+        setattr(_FlowPipeline, name, counted)
+    return counts
+
+
+def run_workload(name: str, seed: int, seconds: int | None) -> int:
+    """Run workload ``name`` once; returns the flow-ticks it executed."""
+    workload = WORKLOADS[name]
+    horizon = workload.horizon if seconds is None else seconds
+    built = workload.build(seed, horizon)
+    if workload.kind == "catalog":
+        from repro.scenarios import run_scenario
+
+        for scenario in built:
+            run_scenario(scenario)
+        return sum(scenario.duration for scenario in built)
+    built.run(horizon)
+    return workload.flows * horizon
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=int, default=None,
+                        help="simulated horizon (default: the workload's pinned one)")
+    parser.add_argument("--require", action="append", default=[], choices=sorted(STRETCHES),
+                        help="exit 1 if this stretch ran no ticks (repeatable)")
+    args = parser.parse_args(argv)
+
+    counts = count_stretches()
+    started = time.perf_counter()
+    flow_ticks = run_workload(args.workload, args.seed, args.seconds)
+    wall_s = time.perf_counter() - started
+
+    ran = sum(c["ticks"] for c in counts.values())
+    print(f"{args.workload} seed={args.seed}: {flow_ticks} flow-ticks in {wall_s:.2f} s")
+    print(f"{'stretch':<10} {'calls':>8} {'ticks':>10} {'share':>7}")
+    for kind, c in counts.items():
+        share = c["ticks"] / ran if ran else 0.0
+        print(f"{kind:<10} {c['calls']:>8} {c['ticks']:>10} {share:>7.3f}")
+    missing = [kind for kind in args.require if counts[kind]["ticks"] == 0]
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "flow_ticks": flow_ticks,
+                      "wall_s": round(wall_s, 3), "stretches": counts}))
+    if missing:
+        print(f"FAIL: stretch(es) {', '.join(missing)} ran 0 ticks", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,6 +93,13 @@ class ServiceCapacities:
             raise ConfigurationError("all initial capacities must be >= 1")
 
 
+#: Fewest ticks in a row that :meth:`_FlowPipeline.run_span` hands to a
+#: closed-form (vector or saturated) stretch: on shorter runs the
+#: closed form's fixed numpy cost exceeds what it saves over the scalar
+#: loop.
+_CLOSED_FORM_MIN_TICKS = 32
+
+
 class _Span:
     """One span of ticks as :meth:`_FlowPipeline.run_span` executes it.
 
@@ -109,7 +116,8 @@ class _Span:
         "record_cap", "byte_cap", "shards", "stream_read_cap", "vms",
         "analytics_cap", "poll_limit", "provisioned_vms", "billable_vms",
         "write_units", "write_cap", "read_units", "read_cap",
-        "write_bucket_cap", "read_bucket_cap", "_violations",
+        "write_bucket_cap", "read_bucket_cap", "_records", "_capped", "_violations",
+        "_surplus",
     )
 
     def __init__(self, pipeline: "_FlowPipeline", now: int, dt: int, count: int) -> None:
@@ -143,28 +151,83 @@ class _Span:
         self.read_cap = table.effective_read_capacity(first_tick) * dt
         self.write_bucket_cap = table.config.burst_seconds * self.write_units
         self.read_bucket_cap = table.config.burst_seconds * self.read_units
+        self._capped: np.ndarray | None = None
         self._violations: list[int] | None = None
+        self._surplus: np.ndarray | None = None
+
+    def closed_form_run(self, i: int, buffer: int, pending: int) -> tuple[int, bool]:
+        """The closed-form stretch that can take over at span index ``i``.
+
+        Returns ``(ticks, saturated)``: a vector run when the stream
+        buffer and Storm's queue are empty and the run is long enough,
+        else a saturated one; ``ticks`` is 0 when neither runs
+        :data:`_CLOSED_FORM_MIN_TICKS` ticks. The caller guarantees that
+        the producer and write backlogs are empty.
+        """
+        if self.count - i < _CLOSED_FORM_MIN_TICKS:
+            return 0, False
+        if not (buffer or pending):
+            run = self.viable_run(i)
+            if run >= _CLOSED_FORM_MIN_TICKS:
+                return run, False
+        run = self.saturated_run(i, buffer, pending)
+        return (run, True) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
+
+    def _capped_mask(self) -> np.ndarray:
+        """The ticks whose draws exceed a Kinesis write cap or whose
+        dashboard reads exceed the read capacity: neither closed form
+        runs them. Built once per span, on first use."""
+        capped = self._capped
+        if capped is None:
+            records = self._records = np.asarray(self.records, dtype=np.int64)
+            capped = (records > self.record_cap) | (
+                np.asarray(self.payload, dtype=np.int64) > self.byte_cap
+            )
+            if self.reads is not None:
+                capped |= np.asarray(self.reads, dtype=np.int64) > self.read_cap
+            self._capped = capped
+        return capped
 
     def viable_run(self, i: int) -> int:
         """How many ticks from span index ``i`` a vector stretch can run.
 
-        A tick can run closed-form when its draws clear every hoisted
-        cap, so nothing throttles, buffers or queues anywhere in the
-        chain, and when its dashboard reads stay within the read
-        capacity. The ticks that cannot are found once per span, on
-        first use.
+        A tick can run closed-form from drained state when its draws
+        clear every hoisted cap, so nothing throttles, buffers or queues
+        anywhere in the chain, and when its dashboard reads stay within
+        the read capacity.
         """
         violations = self._violations
         if violations is None:
-            records = np.asarray(self.records, dtype=np.int64)
-            payload = np.asarray(self.payload, dtype=np.int64)
-            limit = min(self.record_cap, self.stream_read_cap, self.poll_limit, self.analytics_cap)
-            mask = (records > limit) | (payload > self.byte_cap)
-            if self.reads is not None:
-                mask |= np.asarray(self.reads, dtype=np.int64) > self.read_cap
-            violations = self._violations = np.flatnonzero(mask).tolist()
+            capped = self._capped_mask()
+            limit = min(self.stream_read_cap, self.poll_limit, self.analytics_cap)
+            violations = self._violations = np.flatnonzero(capped | (self._records > limit)).tolist()
         j = bisect_left(violations, i)
         return (violations[j] if j < len(violations) else self.count) - i
+
+    def saturated_run(self, i: int, buffer: int, pending: int) -> int:
+        """How many ticks from span index ``i`` a saturated stretch can run.
+
+        From a stream buffer of ``buffer`` records and ``pending``
+        queued tuples, with no producer or write backlog. Storm's poll
+        tops its queue up to ``poll_limit`` and it processes its full
+        capacity each tick, so the buffer after tick ``k`` is
+        ``buffer + sum(records[i..k]) - (poll_limit - pending) - (k - i)
+        * cap``. The run ends before the first tick where that would go
+        negative or whose draws break a cap. Needs the stream's read cap
+        to cover every poll, and ``pending <= poll_limit``.
+        """
+        cap = self.analytics_cap
+        first = self.poll_limit - pending
+        if cap <= 0 or first < 0 or self.stream_read_cap < max(first, cap):
+            return 0
+        capped = self._capped_mask()
+        surplus = self._surplus
+        if surplus is None:
+            # surplus[k] = sum(records[..k]) - (k + 1) * cap, in int64.
+            surplus = self._surplus = np.cumsum(self._records - cap)
+        floor = first - cap - buffer + (int(surplus[i - 1]) if i else 0)
+        stops = np.flatnonzero(capped[i:] | (surplus[i:] < floor))
+        return int(stops[0]) if len(stops) else self.count - i
 
 
 class _FlowPipeline:
@@ -173,11 +236,6 @@ class _FlowPipeline:
     #: Bound on producer/write retry backlogs; beyond it data is dropped
     #: (a real producer's buffer is finite too) and counted.
     MAX_BACKLOG = 5_000_000
-
-    #: Fewest vector-viable ticks in a row that :meth:`run_span` hands to
-    #: a vector stretch: on shorter runs the closed-form path's fixed
-    #: numpy cost exceeds what it saves over the scalar loop.
-    _VECTOR_MIN_TICKS = 32
 
     def __init__(
         self,
@@ -325,28 +383,40 @@ class _FlowPipeline:
         execution contract, DESIGN.md). A :class:`_Span` draws the
         workload and dashboard-read columns once and hoists the capacity
         coefficients once — :meth:`span_horizon` guarantees they are
-        constant across the span. Execution then alternates two
-        stretches over those columns: the closed-form
-        :meth:`_vector_stretch` wherever every backlog is empty and the
-        draws clear every cap for at least :data:`_VECTOR_MIN_TICKS`
-        ticks, and the bit-exact :meth:`_scalar_stretch` recurrence
-        everywhere else. The metric columns land as one frame append per
-        service, and the costs accrue once, at the end of the span.
+        constant across the span. Execution then alternates three
+        stretches over those columns. Where the producer and write
+        backlogs are empty and :meth:`_Span.closed_form_run` finds at
+        least :data:`_CLOSED_FORM_MIN_TICKS` ticks, a closed form runs:
+        :meth:`_vector_stretch` when the stream buffer and Storm's queue
+        are empty too, :meth:`_saturated_stretch` when Storm runs at
+        capacity off a backlogged stream. The bit-exact
+        :meth:`_scalar_stretch` recurrence runs everywhere else. The
+        metric columns land as one frame append per service, and the
+        costs accrue once, at the end of the span.
         """
         dt = clock.tick_seconds
         count = (span_end - clock.now) // dt
         span = _Span(self, clock.now, dt, count)
         stream = self.stream
+        cluster = self.cluster
         accepted_before = stream.total_accepted_records
-        min_run = self._VECTOR_MIN_TICKS
         parts = []
         i = 0
         while i < count:
-            run = span.viable_run(i) if count - i >= min_run and self._drained() else 0
-            if run >= min_run:
-                i, columns = self._vector_stretch(span, i, i + run)
-            else:
+            run, saturated = 0, False
+            if not (
+                self._producer_backlog_records or self._producer_backlog_bytes
+                or self._write_backlog
+            ):
+                run, saturated = span.closed_form_run(
+                    i, stream._buffer_records, cluster._pending_records
+                )
+            if not run:
                 i, columns = self._scalar_stretch(span, i)
+            elif saturated:
+                i, columns = self._saturated_stretch(span, i, i + run)
+            else:
+                i, columns = self._vector_stretch(span, i, i + run)
             parts.append(columns)
         if len(parts) == 1:
             columns = parts[0]
@@ -364,7 +434,7 @@ class _FlowPipeline:
             cloudwatch, times, k_accepted, k_accepted_bytes, k_throttled, k_read,
             k_util, k_backlog, k_lag, span.shards,
         )
-        self.cluster.emit_metrics_span(
+        cluster.emit_metrics_span(
             cloudwatch, times, s_cpu, s_processed, s_pending, s_writes,
             span.vms, span.provisioned_vms,
         )
@@ -401,26 +471,15 @@ class _FlowPipeline:
         expected = np.maximum(grid.rates_array(first_tick, count) * dt, 0.0)
         return self._read_rng.poisson(expected).tolist()
 
-    def _drained(self) -> bool:
-        """Whether every backlog, buffer and queue on the path is empty."""
-        stream = self.stream
-        return not (
-            self._producer_backlog_records
-            or self._producer_backlog_bytes
-            or self._write_backlog
-            or stream._buffer_records
-            or self.cluster._pending_records
-        )
-
     def _scalar_stretch(self, span: "_Span", start: int) -> tuple[int, tuple]:
         """The bit-exact per-tick recurrence, from span index ``start``.
 
         Runs to the end of the span, or stops at a window boundary where
-        every backlog is empty ahead of a vector-viable run of at least
-        :data:`_VECTOR_MIN_TICKS` ticks. It stops only where its
-        CPU-noise buffer is used up, so the vector stretch that follows
-        draws from the right bitstream position. Returns the stop index
-        and the stretch's metric columns.
+        the producer and write backlogs are empty ahead of a closed-form
+        run (:meth:`_Span.closed_form_run`). It stops only where its
+        CPU-noise buffer is used up, so the closed-form stretch that
+        follows draws from the right bitstream position. Returns the
+        stop index and the stretch's metric columns.
         """
         dt = span.dt
         count = span.count
@@ -439,8 +498,7 @@ class _FlowPipeline:
         read_cap = span.read_cap
         write_bucket_cap = span.write_bucket_cap
         read_bucket_cap = span.read_bucket_cap
-        viable_run = span.viable_run
-        min_run = self._VECTOR_MIN_TICKS
+        closed_form_run = span.closed_form_run
         stream = self.stream
         cluster = self.cluster
         table = self.table
@@ -527,15 +585,13 @@ class _FlowPipeline:
         stop = count
         for i in range(start, count):
             if noise_idx == noise_end:
-                # A window boundary: the one place a vector stretch may
-                # take over, since no drawn normal is left unused.
+                # A window boundary: the one place a closed-form
+                # stretch may take over, since no drawn normal is left
+                # unused.
                 if (
                     i > start
-                    and not (
-                        buffer_records or pending or backlog_records or write_backlog
-                        or backlog_bytes
-                    )
-                    and viable_run(i) >= min_run
+                    and not (backlog_records or write_backlog or backlog_bytes)
+                    and closed_form_run(i, buffer_records, pending)[0]
                 ):
                     stop = i
                     break
@@ -708,21 +764,52 @@ class _FlowPipeline:
         )
 
     def _vector_stretch(self, span: "_Span", start: int, stop: int) -> tuple[int, tuple]:
-        """Closed-form columns for the span indices ``start`` .. ``stop - 1``.
+        """Closed-form columns for the span indices ``start`` .. ``stop - 1``
+        from drained state.
 
         The caller guarantees that every backlog, buffer and queue is
         empty at ``start`` and that each tick's draws clear every
         hoisted cap (:meth:`_Span.viable_run`). The recurrence then
-        degenerates: accepted = handed = processed = records, nothing
-        buffers or throttles, and reads never dip into the burst bucket.
-        Only storage can still go live, when a window flush's writes
-        overflow the write burst bucket: the stretch then ends on that
-        flush tick and a scalar stretch retries the write backlog.
-        Returns the stop index and the stretch's metric columns.
+        degenerates: accepted = handed = processed = records, and
+        nothing buffers or throttles (see :meth:`_closed_form`).
+        """
+        return self._closed_form(span, start, stop, saturated=False)
+
+    def _saturated_stretch(self, span: "_Span", start: int, stop: int) -> tuple[int, tuple]:
+        """Closed-form columns for the span indices ``start`` .. ``stop - 1``
+        with Storm at capacity.
+
+        The caller guarantees that the producer and write backlogs are
+        empty at ``start``, and that Storm's queue is at most
+        ``poll_limit``, the stream's buffer and read cap cover every
+        tick's poll, and each tick's draws clear the Kinesis write caps
+        and the read capacity (:meth:`_Span.saturated_run`). Kinesis then
+        accepts every record, and the poll tops Storm's queue back up to
+        ``poll_limit``: it hands over ``poll_limit - pending`` on the
+        first tick and ``analytics_cap`` after, Storm processes
+        ``analytics_cap`` and leaves ``poll_limit - analytics_cap``
+        pending, so CPU is ``clip(100 + noise)``. The buffer is
+        ``B0 + cumsum(records - handed)``, Lindley's queue recursion
+        while the buffer stays non-empty (see :meth:`_closed_form`).
+        """
+        return self._closed_form(span, start, stop, saturated=True)
+
+    def _closed_form(
+        self, span: "_Span", start: int, stop: int, saturated: bool
+    ) -> tuple[int, tuple]:
+        """The two closed-form stretches' shared columns and state.
+
+        Dashboard reads never dip into the burst bucket: the run tests
+        hold them within the read capacity. Only storage can still go
+        live, when a window flush's writes overflow the write burst
+        bucket: the stretch then ends on that flush tick and a scalar
+        stretch retries the write backlog. Returns the stop index and
+        the stretch's metric columns.
         """
         dt = span.dt
         records_col = span.records
         distinct_col = span.distinct
+        cap = span.analytics_cap
         write_cap = span.write_cap
         write_bucket_cap = span.write_bucket_cap
         stream = self.stream
@@ -732,8 +819,9 @@ class _FlowPipeline:
         # Window walk. Flush boundaries cut the stretch into the
         # segments the scalar loop draws its CPU-noise normals in, each
         # flush's Poisson interleaved at the same bitstream position.
-        # A flush's writes land on the table at once: up to the
-        # effective rate, the excess from the burst bucket, which
+        # Storm processes each tick's records, or its full capacity when
+        # saturated. A flush's writes land on the table at once: up to
+        # the effective rate, the excess from the burst bucket, which
         # refills by write_cap per tick in between. min(cap, b + k *
         # write_cap) is that per-tick refill exactly, because the
         # bucket holds integer-valued floats below 2**53.
@@ -762,7 +850,7 @@ class _FlowPipeline:
             if noise_std:
                 noise_parts.append(storm_normal(0.0, noise_std, size=trunc))
             wk += sum(distinct_col[i : i + trunc])
-            wr += sum(records_col[i : i + trunc])
+            wr += trunc * cap if saturated else sum(records_col[i : i + trunc])
             we += trunc * dt
             i += trunc
             if trunc < seg:
@@ -806,13 +894,38 @@ class _FlowPipeline:
             span.now + (start + 1) * dt, span.now + (stop + 1) * dt, dt, dtype=np.int64
         )
 
+        # The lag estimate's smoothed arrival rate, folded tick by tick
+        # as the scalar loop folds it.
+        smoothed_rate = stream._smoothed_rate
+        alpha = min(1.0, dt / 60.0)
+        rates = []
+        for r in records_col[start:stop]:
+            smoothed_rate += alpha * (r / dt - smoothed_rate)
+            rates.append(smoothed_rate)
+
+        # Kinesis → Storm: what the poll hands over, what Storm
+        # processes, and what stays buffered and pending.
         idle = cluster.config.cpu_idle_percent
-        if span.vms <= 0:
-            s_cpu = zeros_f
-        elif span.analytics_cap > 0:
-            s_cpu = idle + (100.0 - idle) * (records / span.analytics_cap)
+        if saturated:
+            pending = span.poll_limit - cap
+            handed = np.full(n, cap, dtype=np.int64)
+            handed[0] = span.poll_limit - cluster._pending_records
+            buffer = stream._buffer_records + np.cumsum(records - handed)
+            k_lag = (1000.0 * buffer) / np.maximum(rates, 1e-9)
+            processed = np.full(n, cap, dtype=np.int64)
+            s_pending = np.full(n, pending, dtype=np.int64)
+            # processed / cap is exactly 1.0; a non-empty queue pins 100.
+            s_cpu = np.full(n, 100.0 if pending > 0 else idle + (100.0 - idle))
         else:
-            s_cpu = np.full(n, float(idle))
+            handed = processed = records
+            buffer = s_pending = zeros_i
+            k_lag = zeros_f
+            if span.vms <= 0:
+                s_cpu = zeros_f
+            elif cap > 0:
+                s_cpu = idle + (100.0 - idle) * (records / cap)
+            else:
+                s_cpu = np.full(n, float(idle))
         if noise_std:
             s_cpu = s_cpu + np.concatenate(noise_parts)
         s_cpu = np.minimum(100.0, np.maximum(0.0, s_cpu))
@@ -835,10 +948,6 @@ class _FlowPipeline:
         d_util = (100.0 * d_consumed) / write_cap if write_cap else zeros_f
 
         k_util = (100.0 * records) / span.record_cap if span.record_cap else zeros_f
-        smoothed_rate = stream._smoothed_rate
-        alpha = min(1.0, dt / 60.0)
-        for r in records_col[start:stop]:
-            smoothed_rate += alpha * (r / dt - smoothed_rate)
 
         # Dashboard reads never exceed the read capacity here, so every
         # tick refills the read bucket by read_cap - reads >= 0, and the
@@ -858,25 +967,32 @@ class _FlowPipeline:
 
         # Write service state back (the scalar stretch's, in closed form).
         span_records = sum(records_col[start:stop])
+        if saturated:
+            stream._buffer_records = int(buffer[n - 1])
+            stream.total_read_records += int(handed.sum())
+            cluster._pending_records = pending
+            cluster.total_processed += n * cap
+            cluster._tick_processed = cap
+        else:
+            stream.total_read_records += span_records
+            cluster.total_processed += span_records
+            cluster._tick_processed = records_col[stop - 1]
         self._write_backlog = min(excess, self.MAX_BACKLOG)
         self.dropped_writes += excess - self._write_backlog
         stream._smoothed_rate = smoothed_rate
         stream.total_accepted_records += span_records
-        stream.total_read_records += span_records
-        cluster.total_processed += span_records
         cluster.total_writes_emitted += sum(flush_writes)
         table.total_write_accepted += sum(flush_accepted)
         cluster._window_keys = wk
         cluster._window_records = wr
         cluster._window_elapsed = we
         cluster._tick_cpu = float(s_cpu[n - 1])
-        cluster._tick_processed = records_col[stop - 1]
         cluster._tick_writes_emitted = int(s_writes[n - 1])
         table._burst_bucket = float(d_burst[n - 1])
         table._read_burst_bucket = read_burst
         return stop, (
-            times, records, payload, zeros_i, records, k_util, zeros_i, zeros_f,
-            s_cpu, records, zeros_i, s_writes, d_consumed, d_throttled, d_util, d_burst,
+            times, records, payload, zeros_i, handed, k_util, buffer, k_lag,
+            s_cpu, processed, s_pending, s_writes, d_consumed, d_throttled, d_util, d_burst,
             d_read_consumed, zeros_i, d_read_util,
         )
 

@@ -1,0 +1,181 @@
+"""Differential fuzzing: span execution ≡ the per-tick loop, on generated flows.
+
+Each example is a runnable :class:`~repro.scenarios.Scenario` built from
+the pattern and chaos strategies of ``test_scenarios_property``, at most
+an hour long, with its workload scaled against its drawn capacities so
+runs visit every regime: idle, analytics-bound and throttled. It runs
+twice, with ``span_execution`` off and on, each under a strict
+:class:`~repro.chaos.invariants.InvariantChecker`, and the two results
+must be repr-identical (``test_span_equivalence.assert_equivalent``).
+
+The property could pass by never reaching the closed forms, so the test
+also logs what ``_FlowPipeline.run_span`` did on every spanned run and
+asserts, across the corpus, that each stretch and each hand-over was
+reached: vector ↔ scalar, saturated ↔ scalar, a flush overflow that
+ends each closed-form stretch, and a producer backlog.
+
+The tier-1 profile is derandomized, so its corpus is fixed. A longer
+random run is opt-in::
+
+    FUZZ_PROFILE=fuzz-long PYTHONPATH=src python -m pytest tests/test_differential_fuzz.py
+
+A failure found there is shrunk by hypothesis; commit it as an
+``@example`` on :func:`test_span_execution_matches_per_tick_loop`.
+"""
+
+import os
+from collections import Counter
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from repro.core.flow import LayerKind
+from repro.scenarios import Scenario
+from repro.scenarios.spec import PatternSpec
+from repro.workload.clickstream import ClickStreamConfig
+
+from tests.test_scenarios_property import chaos_schedules, pattern_trees
+from tests.test_span_equivalence import _log_stretches, assert_equivalent
+
+settings.register_profile(
+    "fuzz-tier1", max_examples=40, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "fuzz-long", max_examples=400, deadline=None, print_blob=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+PROFILE = settings.get_profile(os.environ.get("FUZZ_PROFILE", "fuzz-tier1"))
+
+#: Scenario flows process 1000 records/s per VM (``Scenario.build_manager``)
+#: and Kinesis accepts 1000 records/s per shard.
+RECORDS_PER_UNIT = 1000
+CATALOG_PAGES = ClickStreamConfig().catalog_pages
+
+#: Paths the corpus must reach: stretch hand-overs inside one span
+#: (``a->b``), closed-form stretches a flush overflow cut short, and a
+#: throttled producer.
+REQUIRED_PATHS = frozenset({
+    "vector->scalar", "scalar->vector",
+    "saturated->scalar", "scalar->saturated",
+    "vector-overflow", "saturated-overflow",
+    "producer-backlog",
+})
+
+
+def _scaled(shape: PatternSpec, peak: float, seed: int, duration: int) -> PatternSpec:
+    """``shape`` rescaled so its largest rate over the run is ``peak``."""
+    unit = PatternSpec("product", inner=(shape, PatternSpec("constant", {"value": 1.0})))
+    top = float(unit.build(seed, duration).values(0, duration).max())
+    if not top > 1e-6:
+        return shape
+    return PatternSpec("product", inner=(shape, PatternSpec("constant", {"value": peak / top})))
+
+
+#: A busy window's flush writes about one item per catalog page (at key
+#: skews up to 1); the table's write units are drawn as that flush over
+#: this ratio. The 10-second burst bucket absorbs a flush up to 11 times
+#: the units and refills by 9 between flushes, so half the draws land
+#: where only some flushes overflow it.
+flush_ratios = st.one_of(
+    st.floats(min_value=0.5, max_value=12.0),
+    st.floats(min_value=9.5, max_value=11.5),
+)
+
+
+@st.composite
+def runnable_scenarios(draw):
+    duration = draw(st.integers(min_value=600, max_value=3600))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    # Load is a drawn base plus a drawn shape, both against Storm's
+    # capacity, and the shards accept at least what the VMs process:
+    # flows idle, run Storm-bound, or throttle the producer, by draw.
+    vms = draw(st.integers(min_value=1, max_value=3))
+    shards = draw(st.integers(min_value=vms, max_value=vms + 2))
+    processes = RECORDS_PER_UNIT * vms
+    base = draw(st.floats(min_value=0.0, max_value=1.5)) * processes
+    swing = draw(st.floats(min_value=0.0, max_value=1.0)) * processes
+    shape = draw(pattern_trees(rates=st.floats(min_value=0.0, max_value=1.0), extent=duration))
+    workload = PatternSpec("sum", inner=(
+        PatternSpec("constant", {"value": base}), _scaled(shape, swing, seed, duration),
+    ))
+    # The bit-exact path draws every record's size: keep it to small runs.
+    exact = draw(st.booleans()) and (base + swing) * duration <= 2e6
+    return Scenario(
+        name="fuzz",
+        workload=workload,
+        duration=duration,
+        seed=seed,
+        controller=draw(st.sampled_from(["adaptive", "fixed", "quasi", "rule"])),
+        reference=draw(st.floats(min_value=20.0, max_value=90.0)),
+        control_period=draw(st.sampled_from([60, 120, 300, 600])),
+        shards=shards,
+        vms=vms,
+        write_units=max(1, round(CATALOG_PAGES / draw(flush_ratios))),
+        chaos=draw(st.one_of(st.none(), chaos_schedules(max_start=duration - 1))),
+        key_skew=draw(st.floats(min_value=0.0, max_value=1.0)),
+        exact=exact,
+    )
+
+
+def _paths(calls: list, result) -> set[str]:
+    """The :data:`REQUIRED_PATHS` one spanned run reached, from its
+    ``_log_stretches`` calls ``(span, kind, stop asked for, stop reached)``."""
+    paths = set()
+    for (span, kind, _, _), (next_span, next_kind, _, _) in zip(calls, calls[1:]):
+        if span == next_span:
+            paths.add(f"{kind}->{next_kind}")
+    for _, kind, stop, reached in calls:
+        if kind != "scalar" and reached < stop:
+            paths.add(f"{kind}-overflow")
+    if max(result.throttle_trace(LayerKind.INGESTION).values, default=0) > 0:
+        paths.add("producer-backlog")
+    return paths
+
+
+#: Explicit corpus members, run before the generated ones in every
+#: profile, so each required path is reached whatever the generator
+#: draws. A flow whose flushes ride the write bucket's edge (46 units
+#: against about 500 writes per flush): Storm-bound with a lull, then
+#: idle with a flash crowd that throttles its one shard.
+EDGE_FLOWS = [
+    Scenario(
+        name="storm-bound-lull", duration=1800, seed=5, controller="fixed",
+        control_period=600, shards=2, vms=1, write_units=46, key_skew=0.5, exact=False,
+        workload=PatternSpec("step", {"base": 1600.0, "level": 400.0, "at": 900, "until": 1300}),
+    ),
+    Scenario(
+        name="idle-flash-crowd", duration=1200, seed=5, controller="fixed",
+        control_period=600, shards=1, vms=2, write_units=46, key_skew=0.5, exact=False,
+        workload=PatternSpec("sum", inner=(
+            PatternSpec("constant", {"value": 600.0}),
+            PatternSpec("flash_crowd", {"peak": 2500.0, "at": 400, "rise_seconds": 5,
+                                        "decay_seconds": 15}),
+        )),
+    ),
+]
+
+
+def test_span_execution_matches_per_tick_loop(monkeypatch):
+    calls = _log_stretches(monkeypatch)
+    reached = Counter()
+
+    @PROFILE
+    @given(scenario=runnable_scenarios())
+    @example(scenario=EDGE_FLOWS[0])
+    @example(scenario=EDGE_FLOWS[1])
+    def check(scenario):
+        results = []
+        for spans in (False, True):
+            manager = scenario.build_manager()
+            manager.engine.span_execution = spans
+            manager.invariant_checker._strict = True
+            calls.clear()
+            results.append(manager.run(scenario.duration))
+        reference, spanned = results
+        assert spanned.invariants.checks < reference.invariants.checks, "spans never ran"
+        assert_equivalent(reference, spanned, events=True)
+        reached.update(_paths(calls, spanned))
+
+    check()
+    missing = sorted(REQUIRED_PATHS - set(reached))
+    assert not missing, f"the corpus never reached {missing}; reached {dict(reached)}"

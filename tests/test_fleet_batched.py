@@ -23,7 +23,9 @@ from repro.cloud.region import RegionContext, RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
 from repro.core.fleet import FleetFlowSpec, RegionFleetManager
+from repro.core.fleet_exec import FleetSpanExecutor
 from repro.core.flow import LayerKind
+from repro.core.manager import _FlowPipeline
 from repro.workload.generators import SinusoidalRate
 
 DURATION = 1800
@@ -186,6 +188,32 @@ class TestBatchedEquivalence:
         # The tight account must actually deny something, or this case
         # degenerates into the healthy-fleet test.
         assert spanned.region.total_denials() > 0
+
+    def test_contended_fleet_runs_saturated_stretches(self, monkeypatch):
+        """Flows on an undersized account run Storm at capacity with a
+        backlogged stream: the executor's sub-spans take the saturated
+        closed form, and every flow stays bit-identical."""
+        in_executor = []  # one entry per saturated stretch
+        inside = []
+        saturated = _FlowPipeline._saturated_stretch
+        run_span = FleetSpanExecutor.run_span
+
+        def logged_saturated(self, span, start, stop):
+            in_executor.append(bool(inside))
+            return saturated(self, span, start, stop)
+
+        def logged_run_span(self, clock, span_end):
+            inside.append(True)
+            try:
+                run_span(self, clock, span_end)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(_FlowPipeline, "_saturated_stretch", logged_saturated)
+        monkeypatch.setattr(FleetSpanExecutor, "run_span", logged_run_span)
+        _assert_equivalent(3, exact=False, tight=True)
+        assert in_executor, "no saturated stretch ran"
+        assert all(in_executor)
 
     @pytest.mark.parametrize("kind", list(FaultKind))
     def test_each_chaos_fault_kind(self, kind):

@@ -23,30 +23,29 @@ from repro.scenarios.spec import PatternSpec
 rates = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 positive_rates = st.floats(min_value=0.1, max_value=1e6, allow_nan=False,
                            allow_infinity=False)
-times = st.integers(min_value=0, max_value=10**6)
 
 
 @st.composite
-def step_params(draw):
-    at = draw(times)
-    until = draw(st.one_of(st.none(), st.integers(min_value=at + 1, max_value=at + 10**6)))
+def step_params(draw, rates, extent):
+    at = draw(st.integers(min_value=0, max_value=extent))
+    until = draw(st.one_of(st.none(), st.integers(min_value=at + 1, max_value=at + extent)))
     return {"base": draw(rates), "level": draw(rates), "at": at, "until": until}
 
 
 @st.composite
-def ramp_params(draw):
-    t0 = draw(times)
+def ramp_params(draw, rates, extent):
+    t0 = draw(st.integers(min_value=0, max_value=extent))
     return {
         "start_rate": draw(rates), "end_rate": draw(rates),
-        "t0": t0, "t1": draw(st.integers(min_value=t0 + 1, max_value=t0 + 10**6)),
+        "t0": t0, "t1": draw(st.integers(min_value=t0 + 1, max_value=t0 + extent)),
     }
 
 
 @st.composite
-def trace_points(draw):
-    deltas = draw(st.lists(st.integers(min_value=1, max_value=3600),
+def trace_points(draw, rates, extent):
+    deltas = draw(st.lists(st.integers(min_value=1, max_value=min(3600, extent)),
                            min_size=1, max_size=8))
-    start = draw(times)
+    start = draw(st.integers(min_value=0, max_value=extent))
     points, t = [], start
     for delta, value in zip(deltas, draw(st.lists(rates, min_size=len(deltas),
                                                   max_size=len(deltas)))):
@@ -55,28 +54,30 @@ def trace_points(draw):
     return points
 
 
-leaf_specs = st.one_of(
-    st.builds(lambda v: PatternSpec("constant", {"value": v}), rates),
-    st.builds(lambda p: PatternSpec("step", p), step_params()),
-    st.builds(lambda p: PatternSpec("ramp", p), ramp_params()),
-    st.builds(
-        lambda m, a, period, phase: PatternSpec(
-            "sinusoid", {"mean": m, "amplitude": a, "period": period, "phase": phase}),
-        rates, rates, st.integers(min_value=1, max_value=10**6),
-        st.integers(min_value=-10**6, max_value=10**6)),
-    st.builds(
-        lambda m, a, h: PatternSpec(
-            "diurnal", {"mean": m, "amplitude": a, "peak_hour": h}),
-        rates, rates, st.floats(min_value=0.0, max_value=24.0)),
-    st.builds(
-        lambda peak, at, rise, decay: PatternSpec(
-            "flash_crowd", {"peak": peak, "at": at,
-                            "rise_seconds": rise, "decay_seconds": decay}),
-        rates, times, st.integers(min_value=1, max_value=7200),
-        st.integers(min_value=1, max_value=7200)),
-    st.builds(lambda pts, s: PatternSpec("trace", {"points": pts, "scale": s}),
-              trace_points(), positive_rates),
-)
+def _leaves(rates, extent):
+    times = st.integers(min_value=0, max_value=extent)
+    return st.one_of(
+        st.builds(lambda v: PatternSpec("constant", {"value": v}), rates),
+        st.builds(lambda p: PatternSpec("step", p), step_params(rates, extent)),
+        st.builds(lambda p: PatternSpec("ramp", p), ramp_params(rates, extent)),
+        st.builds(
+            lambda m, a, period, phase: PatternSpec(
+                "sinusoid", {"mean": m, "amplitude": a, "period": period, "phase": phase}),
+            rates, rates, st.integers(min_value=1, max_value=extent),
+            st.integers(min_value=-extent, max_value=extent)),
+        st.builds(
+            lambda m, a, h: PatternSpec(
+                "diurnal", {"mean": m, "amplitude": a, "peak_hour": h}),
+            rates, rates, st.floats(min_value=0.0, max_value=24.0)),
+        st.builds(
+            lambda peak, at, rise, decay: PatternSpec(
+                "flash_crowd", {"peak": peak, "at": at,
+                                "rise_seconds": rise, "decay_seconds": decay}),
+            rates, times, st.integers(min_value=1, max_value=7200),
+            st.integers(min_value=1, max_value=7200)),
+        st.builds(lambda pts, s: PatternSpec("trace", {"points": pts, "scale": s}),
+                  trace_points(rates, extent), positive_rates),
+    )
 
 
 def _wrap(children_strategy):
@@ -106,7 +107,13 @@ def _wrap(children_strategy):
     )
 
 
-pattern_specs = st.recursive(leaf_specs, _wrap, max_leaves=6)
+def pattern_trees(rates=rates, extent=10**6):
+    """Workload trees whose leaf rates come from ``rates`` and whose
+    event times, periods and phases stay within ``extent`` seconds."""
+    return st.recursive(_leaves(rates, extent), _wrap, max_leaves=6)
+
+
+pattern_specs = pattern_trees()
 
 _POINT_KINDS = frozenset({FaultKind.WORKER_CRASH})
 _FRACTION_KINDS = frozenset({FaultKind.SHARD_BROWNOUT, FaultKind.THROTTLE_STORM})

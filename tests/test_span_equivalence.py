@@ -23,7 +23,7 @@ import pytest
 
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
 from repro.cloud.dynamodb import DynamoDBConfig
-from repro.cloud.storm import BoltSpec, TopologyConfig
+from repro.cloud.storm import BoltSpec, StormConfig, TopologyConfig
 from repro.core.builder import FlowBuilder
 from repro.core.flow import LayerKind
 from repro.core.manager import FlowElasticityManager, ServiceCapacities, _FlowPipeline
@@ -230,21 +230,16 @@ def _log_stretches(monkeypatch):
     asked for, stop reached). A span's kinds, in order, show which
     stretches executed it."""
     calls = []
-    vector = _FlowPipeline._vector_stretch
-    scalar = _FlowPipeline._scalar_stretch
+    for kind in ("vector", "saturated", "scalar"):
+        method = getattr(_FlowPipeline, f"_{kind}_stretch")
 
-    def logged_vector(self, span, start, stop):
-        reached, columns = vector(self, span, start, stop)
-        calls.append((span.now, "vector", stop, reached))
-        return reached, columns
+        # A scalar stretch is asked for the rest of the span.
+        def logged(self, span, start, *stop, _method=method, _kind=kind):
+            reached, columns = _method(self, span, start, *stop)
+            calls.append((span.now, _kind, stop[0] if stop else span.count, reached))
+            return reached, columns
 
-    def logged_scalar(self, span, start):
-        reached, columns = scalar(self, span, start)
-        calls.append((span.now, "scalar", span.count, reached))
-        return reached, columns
-
-    monkeypatch.setattr(_FlowPipeline, "_vector_stretch", logged_vector)
-    monkeypatch.setattr(_FlowPipeline, "_scalar_stretch", logged_scalar)
+        monkeypatch.setattr(_FlowPipeline, f"_{kind}_stretch", logged)
     return calls
 
 
@@ -256,7 +251,7 @@ def _kinds_by_span(calls):
 
 
 class TestSpanStretches:
-    """Single flows run both stretches of ``run_span``, bit-exactly.
+    """Single flows run every stretch of ``run_span``, bit-exactly.
 
     Uncontrolled flows with a 600 s snapshot period give spans long
     enough to hold several stretches; every case checks span ≡ tick
@@ -342,6 +337,88 @@ class TestSpanStretches:
         )
         assert max(read_throttles.values) > 0, "reads never exceeded the bucket"
         assert ["vector", "scalar", "vector"] in _kinds_by_span(calls).values()
+
+    def test_saturated_scalar_saturated_across_a_lull(self, monkeypatch):
+        """Storm processes 800 records/s against 1200 arriving, so the
+        stream backlogs under a saturated stretch. A 100 s lull drains
+        the buffer: a scalar stretch takes over before it would go
+        negative, and the same span hands back once load returns."""
+        calls = _log_stretches(monkeypatch)
+
+        def build(spans):
+            return FlowElasticityManager(
+                workload=StepRate(base=1200, level=0, at=200, until=300),
+                capacities=ServiceCapacities(shards=2, vms=2, write_units=300),
+                storm=StormConfig(records_per_vm_per_second=400),
+                seed=23,
+                snapshot_period=600,
+                span_execution=spans,
+            )
+
+        reference, spanned = self._pair(build, 1200)
+        assert_equivalent(reference, spanned)
+        assert ["saturated", "scalar", "saturated"] in _kinds_by_span(calls).values()
+
+    def test_flush_overflows_into_write_backlog_in_saturated_stretch(self, monkeypatch):
+        """With no burst credit and write capacity just above a flush's
+        mean, an occasional flush overflows while Storm is saturated:
+        the saturated stretch ends on that flush tick and a scalar
+        stretch retries the write backlog."""
+        calls = _log_stretches(monkeypatch)
+
+        def build(spans):
+            return FlowElasticityManager(
+                workload=ConstantRate(1200),
+                capacities=ServiceCapacities(shards=2, vms=2, write_units=520),
+                storm=StormConfig(records_per_vm_per_second=400),
+                dynamodb=DynamoDBConfig(burst_seconds=0),
+                seed=29,
+                snapshot_period=600,
+                span_execution=spans,
+            )
+
+        reference, spanned = self._pair(build, 1200)
+        assert_equivalent(reference, spanned)
+        cut_short = [c for c in calls if c[1] == "saturated" and c[3] < c[2]]
+        assert cut_short, "no flush overflowed inside a saturated stretch"
+        throttle = spanned.throttle_trace(LayerKind.STORAGE, period=1)
+        throttled = dict(zip(throttle.times, throttle.values))
+        for now, _, _, reached in cut_short:
+            assert throttled[now + reached] > 0, "the stretch ran past its overflow"
+
+    def test_pending_above_poll_limit_keeps_span_scalar(self, monkeypatch):
+        """Losing seven of eight VMs leaves Storm's queue above the new
+        poll limit (1.5 x 200 records) at the next span's start. The
+        poll then hands over nothing until the queue drains, which the
+        saturated closed form does not model, so that span stays scalar
+        and the next one is saturated again. With 40 s snapshots that
+        span is 39 ticks: long enough for a closed form at its start,
+        too short for one at its first window boundary."""
+        calls = _log_stretches(monkeypatch)
+        crash = ChaosSchedule(faults=(
+            FaultSpec(kind=FaultKind.WORKER_CRASH, start=280, intensity=7),
+        ), seed=3)
+
+        def build(spans):
+            return FlowElasticityManager(
+                workload=ConstantRate(2000),
+                capacities=ServiceCapacities(shards=4, vms=8, write_units=1000),
+                storm=StormConfig(records_per_vm_per_second=200),
+                chaos=crash,
+                seed=31,
+                snapshot_period=40,
+                span_execution=spans,
+            )
+
+        reference, spanned = self._pair(build, 600)
+        assert_equivalent(reference, spanned)
+        pending = spanned.throttle_trace(LayerKind.ANALYTICS, period=1)
+        # The crash tick (280) runs as its own span; the next starts at 281.
+        assert dict(zip(pending.times, pending.values))[281] > 1.5 * 200
+        kinds = _kinds_by_span(calls)
+        assert kinds[240] == ["saturated"]
+        assert kinds[281] == ["scalar"]
+        assert kinds[320] == ["saturated"]
 
 
 #: One scenario per fault kind, sized so the fault actually bites.
