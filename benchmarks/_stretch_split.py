@@ -6,7 +6,8 @@ saturated stretch (Storm at capacity, the stream backlogged) and the
 bit-exact scalar loop everywhere else. This script runs one pinned
 workload from ``bench.workloads`` (imported read-only) with counters
 wrapped around the three stretch methods, and prints the calls and
-ticks each one ran.
+ticks each one ran, then the scalar ticks split by why no closed form
+took them (:data:`SCALAR_REGIMES`).
 
 Usage, from the repository root::
 
@@ -28,7 +29,7 @@ import time
 
 from bench.workloads import WORKLOADS
 
-from repro.core.manager import _FlowPipeline
+from repro.core.manager import _CLOSED_FORM_MIN_TICKS, _FlowPipeline
 
 #: Stretch kind → ``_FlowPipeline`` method that runs it.
 STRETCHES = {
@@ -38,24 +39,73 @@ STRETCHES = {
 }
 
 
-def count_stretches() -> dict[str, dict[str, int]]:
+#: Why a ``_scalar_stretch`` call ran instead of a closed form, judged
+#: from the state when the call starts; the first regime that matches
+#: takes all of the call's ticks.
+SCALAR_REGIMES = (
+    "producer-backlog",
+    "write-backlog",
+    "span-remainder",  # fewer than _CLOSED_FORM_MIN_TICKS ticks left
+    "pending-above-poll-limit",
+    "drained-short-viable-run",
+    "backlogged-short-saturated-run",
+)
+
+
+def scalar_regime(pipeline: _FlowPipeline, span, start: int) -> str:
+    """The :data:`SCALAR_REGIMES` entry for a scalar stretch that starts
+    at index ``start`` of ``span``.
+
+    With both backlogs empty, ``run_span`` runs a scalar stretch only
+    where :meth:`_Span.closed_form_run` finds no closed form; this asks
+    it again and raises if it would take over, so the split cannot
+    drift from the dispatch it explains.
+    """
+    if pipeline._producer_backlog_records or pipeline._producer_backlog_bytes:
+        return "producer-backlog"
+    if pipeline._write_backlog:
+        return "write-backlog"
+    buffer = pipeline.stream._buffer_records
+    pending = pipeline.cluster._pending_records
+    run, saturated = span.closed_form_run(start, buffer, pending)
+    if run:
+        kind = "saturated" if saturated else "vector"
+        raise AssertionError(
+            f"scalar stretch at span index {start} where a {run}-tick {kind} stretch runs"
+        )
+    if span.count - start < _CLOSED_FORM_MIN_TICKS:
+        return "span-remainder"
+    if pending > span.poll_limit:
+        return "pending-above-poll-limit"
+    if not (buffer or pending):
+        return "drained-short-viable-run"
+    return "backlogged-short-saturated-run"
+
+
+def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
     """Wrap every stretch method with a call and tick counter.
 
-    Returns the live counters; the wrappers stay installed for the rest
-    of the process.
+    Returns the live counters and the scalar ticks per
+    :data:`SCALAR_REGIMES` entry; the wrappers stay installed for the
+    rest of the process.
     """
     counts = {kind: {"calls": 0, "ticks": 0} for kind in STRETCHES}
+    why = dict.fromkeys(SCALAR_REGIMES, 0)
     for kind, name in STRETCHES.items():
         method = getattr(_FlowPipeline, name)
+        scalar = kind == "scalar"
 
-        def counted(self, span, start, *stop, _method=method, _count=counts[kind]):
+        def counted(self, span, start, *stop, _method=method, _count=counts[kind], _scalar=scalar):
+            regime = scalar_regime(self, span, start) if _scalar else None
             reached, columns = _method(self, span, start, *stop)
             _count["calls"] += 1
             _count["ticks"] += reached - start
+            if regime is not None:
+                why[regime] += reached - start
             return reached, columns
 
         setattr(_FlowPipeline, name, counted)
-    return counts
+    return counts, why
 
 
 def run_workload(name: str, seed: int, seconds: int | None) -> int:
@@ -83,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="exit 1 if this stretch ran no ticks (repeatable)")
     args = parser.parse_args(argv)
 
-    counts = count_stretches()
+    counts, why = count_stretches()
     started = time.perf_counter()
     flow_ticks = run_workload(args.workload, args.seed, args.seconds)
     wall_s = time.perf_counter() - started
@@ -94,9 +144,13 @@ def main(argv: list[str] | None = None) -> int:
     for kind, c in counts.items():
         share = c["ticks"] / ran if ran else 0.0
         print(f"{kind:<10} {c['calls']:>8} {c['ticks']:>10} {share:>7.3f}")
+    scalar = counts["scalar"]["ticks"]
+    print(f"{'scalar, by entry state':<32} {'ticks':>10} {'share':>7}")
+    for regime, ticks in why.items():
+        print(f"{regime:<32} {ticks:>10} {ticks / scalar if scalar else 0.0:>7.3f}")
     missing = [kind for kind in args.require if counts[kind]["ticks"] == 0]
     print(json.dumps({"workload": args.workload, "seed": args.seed, "flow_ticks": flow_ticks,
-                      "wall_s": round(wall_s, 3), "stretches": counts}))
+                      "wall_s": round(wall_s, 3), "stretches": counts, "why": why}))
     if missing:
         print(f"FAIL: stretch(es) {', '.join(missing)} ran 0 ticks", file=sys.stderr)
         return 1

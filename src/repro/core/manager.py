@@ -54,7 +54,7 @@ from repro.workload.clickstream import (
     ClickStreamGenerator,
     FastClickStreamGenerator,
 )
-from repro.workload.generators import RateGrid, RatePattern
+from repro.workload.generators import RatePattern
 from repro.workload.traces import Trace
 
 #: Per-layer controlled variable: (namespace, metric).
@@ -98,6 +98,10 @@ class ServiceCapacities:
 #: closed form's fixed numpy cost exceeds what it saves over the scalar
 #: loop.
 _CLOSED_FORM_MIN_TICKS = 32
+
+#: Ticks of dashboard reads :meth:`_FlowPipeline._draw_reads` draws at a
+#: time: one rate grid and one Poisson array per block.
+_READ_BLOCK = 1024
 
 
 class _Span:
@@ -255,8 +259,12 @@ class _FlowPipeline:
         self.cloudwatch = cloudwatch
         self.cost_meters = cost_meters
         self.read_workload = read_workload
-        self._read_grid: RateGrid | None = None
         self._read_rng = read_rng
+        # The drawn block of dashboard read units: ticks _read_start,
+        # _read_start + _read_step, ... (see _draw_reads).
+        self._reads: list[int] = []
+        self._read_start = 0
+        self._read_step: int | None = None
         self._producer_backlog_records = 0
         self._producer_backlog_bytes = 0
         self._write_backlog = 0
@@ -311,14 +319,8 @@ class _FlowPipeline:
         #     window dashboard over streaming data". Reads that throttle
         #     are lost page views, not retried.
         if self.read_workload is not None:
-            # Batched like the click generator: read rates come from a
-            # chunked grid, not a rate() call per tick (bit-identical by
-            # the values() contract).
-            grid = self._read_grid
-            if grid is None or grid.step != clock.tick_seconds:
-                grid = self._read_grid = RateGrid(self.read_workload, clock.tick_seconds)
-            expected = grid.rate_at(now) * clock.tick_seconds
-            read_units = int(self._read_rng.poisson(expected)) if expected > 0 else 0
+            # Served from the same drawn block as run_span's reads.
+            read_units = self._draw_reads(now, 1, clock.tick_seconds)[0]
             self.table.read(read_units, clock)
 
         # 4. Every service reports to CloudWatch.
@@ -457,19 +459,37 @@ class _FlowPipeline:
         meters["storage_reads"].accrue(span.read_units, span_seconds)
 
     def _draw_reads(self, first_tick: int, count: int, dt: int) -> list[int] | None:
-        """A span's dashboard read units, one Poisson draw per tick.
+        """Dashboard read units for ``count`` ticks from ``first_tick``.
 
-        The reads have an RNG stream of their own, so one array draw
-        consumes it exactly as the per-tick loop's scalar draws do;
-        zero-rate ticks draw nothing there and nothing here.
+        Served from a block drawn :data:`_READ_BLOCK` ticks at a time,
+        one ``poisson(max(rate * dt, 0))`` over the block's rate grid;
+        :meth:`run_span` and :meth:`on_tick` both read it. The reads
+        have an RNG stream of their own and each tick is read once, in
+        time order, so the blocks consume it exactly as one scalar draw
+        per tick would; a zero-rate tick draws nothing in either form.
         """
         if self.read_workload is None:
             return None
-        grid = self._read_grid
-        if grid is None or grid.step != dt:
-            grid = self._read_grid = RateGrid(self.read_workload, dt)
-        expected = np.maximum(grid.rates_array(first_tick, count) * dt, 0.0)
-        return self._read_rng.poisson(expected).tolist()
+        if self._read_step is None:
+            self._read_step = dt
+        elif dt != self._read_step:
+            raise ConfigurationError(
+                "dashboard reads cannot change tick length mid-stream "
+                f"({self._read_step}s -> {dt}s)"
+            )
+        reads = self._reads
+        index = (first_tick - self._read_start) // dt
+        if index + count > len(reads):
+            # Keep the unread tail; draw whole blocks after it.
+            tail = reads[index:]
+            start = first_tick + len(tail) * dt
+            ticks = -(-(count - len(tail)) // _READ_BLOCK) * _READ_BLOCK
+            expected = self.read_workload.values(start, start + ticks * dt, dt) * dt
+            drawn = self._read_rng.poisson(np.maximum(expected, 0.0)).tolist()
+            reads = self._reads = tail + drawn
+            self._read_start = first_tick
+            index = 0
+        return reads[index : index + count]
 
     def _scalar_stretch(self, span: "_Span", start: int) -> tuple[int, tuple]:
         """The bit-exact per-tick recurrence, from span index ``start``.

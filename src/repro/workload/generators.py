@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -141,8 +142,7 @@ class RampRate(RatePattern):
 
     def values(self, start: int, end: int, step: int = 1) -> np.ndarray:
         # Elementwise +, -, *, / are exact IEEE ops, identical between
-        # the scalar and array paths — unlike transcendentals, which is
-        # why SinusoidalRate keeps the loop default.
+        # the scalar and array paths.
         t = self._grid_times(start, end, step)
         progress = (t - self.t0) / (self.t1 - self.t0)
         ramp = self.start_rate + progress * (self.end_rate - self.start_rate)
@@ -165,6 +165,16 @@ class SinusoidalRate(RatePattern):
     def rate(self, t: int) -> float:
         value = self.mean + self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
         return max(0.0, value)
+
+    def values(self, start: int, end: int, step: int = 1) -> np.ndarray:
+        # rate()'s IEEE operations in rate()'s order, over the column;
+        # only the sine runs per element, through libm's math.sin (np.sin's
+        # SIMD kernel need not match it element by element). The where()
+        # floor is max(0.0, v) bit for bit: it turns -0.0 into 0.0 too.
+        angles = (2.0 * math.pi) * (self._grid_times(start, end, step) - self.phase) / self.period
+        sines = np.fromiter(map(math.sin, angles.tolist()), dtype=float, count=len(angles))
+        value = self.mean + self.amplitude * sines
+        return np.where(value > 0.0, value, 0.0)
 
 
 class DiurnalRate(SinusoidalRate):
@@ -268,11 +278,21 @@ class BurstyRate(RatePattern):
         return base
 
     def values(self, start: int, end: int, step: int = 1) -> np.ndarray:
-        t = self._grid_times(start, end, step)
         base = self.inner.values(start, end, step)
-        in_burst = np.zeros(len(t), dtype=bool)
-        for burst_start in self.burst_starts:
-            in_burst |= (t >= burst_start) & (t < burst_start + self.duration_seconds)
+        # Only the bursts overlapping [start, end) matter: bisect finds
+        # them in the sorted starts, and each marks the grid indices of
+        # its [b, b + duration) by ceiling division, so a call costs
+        # O(log bursts + overlaps).
+        starts = self.burst_starts
+        duration = self.duration_seconds
+        lo = bisect_right(starts, start - duration)
+        hi = bisect_left(starts, end)
+        if lo == hi:
+            return base
+        in_burst = np.zeros(len(base), dtype=bool)
+        for burst_start in starts[lo:hi]:
+            first = max(0, -((start - burst_start) // step))
+            in_burst[first : -((start - burst_start - duration) // step)] = True
         return np.where(in_burst, base * self.multiplier, base)
 
 
@@ -452,11 +472,14 @@ class TracePattern(RatePattern):
     def values(self, start: int, end: int, step: int = 1) -> np.ndarray:
         # Hold-last lookup for the whole grid in one searchsorted; the
         # per-element multiply and floor are the same IEEE operations
-        # as the scalar path, so equality holds to the last ULP.
+        # as the scalar path, so equality holds to the last ULP. The
+        # floor is where(), not np.maximum: max(0.0, -0.0) is 0.0, and
+        # np.maximum(0.0, -0.0) keeps the -0.0.
         t = self._grid_times(start, end, step)
         index = np.searchsorted(self._times, t, side="right") - 1
         np.clip(index, 0, None, out=index)
-        return np.maximum(0.0, self._values[index] * self.scale)
+        scaled = self._values[index] * self.scale
+        return np.where(scaled > 0.0, scaled, 0.0)
 
     @classmethod
     def from_csv(cls, path, name: str = "", scale: float = 1.0) -> "TracePattern":

@@ -12,7 +12,8 @@ The property could pass by never reaching the closed forms, so the test
 also logs what ``_FlowPipeline.run_span`` did on every spanned run and
 asserts, across the corpus, that each stretch and each hand-over was
 reached: vector ↔ scalar, saturated ↔ scalar, a flush overflow that
-ends each closed-form stretch, and a producer backlog.
+ends each closed-form stretch, a producer backlog, and an injection of
+every chaos fault kind.
 
 The tier-1 profile is derandomized, so its corpus is fixed. A longer
 random run is opt-in::
@@ -28,6 +29,7 @@ from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
 from repro.core.flow import LayerKind
 from repro.scenarios import Scenario
 from repro.scenarios.spec import PatternSpec
@@ -52,14 +54,15 @@ RECORDS_PER_UNIT = 1000
 CATALOG_PAGES = ClickStreamConfig().catalog_pages
 
 #: Paths the corpus must reach: stretch hand-overs inside one span
-#: (``a->b``), closed-form stretches a flush overflow cut short, and a
-#: throttled producer.
+#: (``a->b``), closed-form stretches a flush overflow cut short, a
+#: throttled producer, and an injected fault of every kind
+#: (``inject:<kind>``).
 REQUIRED_PATHS = frozenset({
     "vector->scalar", "scalar->vector",
     "saturated->scalar", "scalar->saturated",
     "vector-overflow", "saturated-overflow",
     "producer-backlog",
-})
+}) | frozenset(f"inject:{kind.value}" for kind in FaultKind)
 
 
 def _scaled(shape: PatternSpec, peak: float, seed: int, duration: int) -> PatternSpec:
@@ -129,6 +132,7 @@ def _paths(calls: list, result) -> set[str]:
             paths.add(f"{kind}-overflow")
     if max(result.throttle_trace(LayerKind.INGESTION).values, default=0) > 0:
         paths.add("producer-backlog")
+    paths.update(f"inject:{e.fault}" for e in result.chaos_events if e.phase == "inject")
     return paths
 
 
@@ -136,7 +140,8 @@ def _paths(calls: list, result) -> set[str]:
 #: profile, so each required path is reached whatever the generator
 #: draws. A flow whose flushes ride the write bucket's edge (46 units
 #: against about 500 writes per flush): Storm-bound with a lull, then
-#: idle with a flash crowd that throttles its one shard.
+#: idle with a flash crowd that throttles its one shard. Then a
+#: controlled flow that injects every fault kind once.
 EDGE_FLOWS = [
     Scenario(
         name="storm-bound-lull", duration=1800, seed=5, controller="fixed",
@@ -152,6 +157,22 @@ EDGE_FLOWS = [
                                         "decay_seconds": 15}),
         )),
     ),
+    Scenario(
+        name="every-fault-kind", duration=1800, seed=5, controller="adaptive",
+        control_period=120, shards=2, vms=2, write_units=300, key_skew=0.5, exact=False,
+        workload=PatternSpec("sinusoid", {"mean": 1400.0, "amplitude": 500.0,
+                                          "period": 1800, "phase": 0}),
+        chaos=ChaosSchedule(faults=(
+            FaultSpec(FaultKind.RESHARD_STALL, start=100, duration=400, intensity=3.0),
+            FaultSpec(FaultKind.SHARD_BROWNOUT, start=200, duration=200, intensity=0.4),
+            FaultSpec(FaultKind.THROTTLE_STORM, start=300, duration=400, intensity=0.6),
+            FaultSpec(FaultKind.WORKER_CRASH, start=500, intensity=1.0),
+            FaultSpec(FaultKind.UPDATE_REJECT, start=600, duration=300),
+            FaultSpec(FaultKind.METRIC_DELAY, start=800, duration=300, intensity=180.0),
+            FaultSpec(FaultKind.REBALANCE_FAIL, start=1000, duration=120),
+            FaultSpec(FaultKind.METRIC_DROPOUT, start=1200, duration=300),
+        ), seed=3),
+    ),
 ]
 
 
@@ -163,6 +184,7 @@ def test_span_execution_matches_per_tick_loop(monkeypatch):
     @given(scenario=runnable_scenarios())
     @example(scenario=EDGE_FLOWS[0])
     @example(scenario=EDGE_FLOWS[1])
+    @example(scenario=EDGE_FLOWS[2])
     def check(scenario):
         results = []
         for spans in (False, True):

@@ -130,6 +130,18 @@ class TestManagedReadWorkload:
         )
         assert set(rcu.values) == {120.0}
 
+    def test_read_tick_length_cannot_change_mid_stream(self):
+        """Reads are drawn ahead in blocks on one tick raster."""
+        manager = (
+            FlowBuilder("reads", seed=13)
+            .workload(ConstantRate(100))
+            .reads(ConstantRate(50))
+            .build()
+        )
+        manager._pipeline._draw_reads(1, 8, 1)
+        with pytest.raises(ConfigurationError, match="tick length"):
+            manager._pipeline._draw_reads(60, 8, 60)
+
     def test_read_control_requires_read_workload(self):
         from repro.core.config import LayerControlConfig, make_controller
         from repro.core.manager import FlowElasticityManager

@@ -1,7 +1,8 @@
 """Unit tests for rate patterns."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.simulation import derive_rng
@@ -20,6 +21,13 @@ from repro.workload import (
     TracePattern,
     WeeklyRate,
 )
+
+from tests.test_scenarios_property import pattern_trees
+
+
+def _bits(values):
+    """Float64 bit patterns: unlike ``==``, tells -0.0 from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
 def _fig2_style_stack(horizon=7200, seed=11):
@@ -194,12 +202,12 @@ class TestGridEvaluation:
         pattern = _fig2_style_stack()
         grid = pattern.values(0, 3600, step=1)
         loop = [pattern.rate(t) for t in range(0, 3600)]
-        assert grid.tolist() == loop  # bit-exact, not approx
+        assert _bits(grid) == _bits(loop)  # bit-exact, not approx
 
     def test_values_matches_sample_grid(self):
         pattern = _fig2_style_stack()
         trace = pattern.sample(100, 1000, step=7)
-        assert pattern.values(100, 1000, step=7).tolist() == trace.values
+        assert _bits(pattern.values(100, 1000, step=7)) == _bits(trace.values)
 
     def test_values_rejects_bad_step(self):
         with pytest.raises(ConfigurationError):
@@ -208,21 +216,20 @@ class TestGridEvaluation:
     def test_rate_grid_is_bit_identical_across_chunks(self):
         pattern = _fig2_style_stack()
         grid = RateGrid(pattern, step=1, chunk=64)  # force many refills
-        for t in range(0, 1000):
-            assert grid.rate_at(t) == pattern.rate(t)
+        got = [grid.rate_at(t) for t in range(0, 1000)]
+        assert _bits(got) == _bits([pattern.rate(t) for t in range(0, 1000)])
 
     def test_rate_grid_off_raster_falls_back(self):
         pattern = _fig2_style_stack()
         grid = RateGrid(pattern, step=10, chunk=8)
-        assert grid.rate_at(0) == pattern.rate(0)
-        assert grid.rate_at(13) == pattern.rate(13)  # off the 10 s raster
-        assert grid.rate_at(20) == pattern.rate(20)
+        times = [0, 13, 20]  # 13 is off the 10 s raster
+        assert _bits([grid.rate_at(t) for t in times]) == _bits([pattern.rate(t) for t in times])
 
     def test_rate_grid_handles_backwards_jumps(self):
         pattern = _fig2_style_stack()
         grid = RateGrid(pattern, step=1, chunk=16)
-        assert grid.rate_at(500) == pattern.rate(500)
-        assert grid.rate_at(3) == pattern.rate(3)
+        times = [500, 3]
+        assert _bits([grid.rate_at(t) for t in times]) == _bits([pattern.rate(t) for t in times])
 
     def test_rate_grid_validation(self):
         with pytest.raises(ConfigurationError):
@@ -238,6 +245,9 @@ class TestGridEvaluation:
             StepRate(base=10, level=100, at=600, until=1200),
             StepRate(base=10, level=100, at=600),
             RampRate(5, 50, t0=300, t1=900),
+            # Amplitude above the mean: the floor clips a third of the cycle.
+            SinusoidalRate(mean=20, amplitude=50, period=600, phase=100),
+            DiurnalRate(mean=60, amplitude=40, peak_hour=20.0),
             WeeklyRate(ConstantRate(7.0), day_factors=[1, 0.5, 2, 1, 1, 0.25, 3]),
             BurstyRate(
                 SinusoidalRate(mean=100, amplitude=40, period=3600),
@@ -253,7 +263,7 @@ class TestGridEvaluation:
         for pattern in patterns:
             got = pattern.values(0, 2000, step=7)
             want = [pattern.rate(t) for t in range(0, 2000, 7)]
-            assert got.tolist() == want, type(pattern).__name__
+            assert _bits(got) == _bits(want), type(pattern).__name__
 
     def test_weekly_values_across_day_boundaries(self):
         """The day-factor index must wrap mod 7 exactly like rate()."""
@@ -263,7 +273,52 @@ class TestGridEvaluation:
         )
         got = weekly.values(0, 9 * 86400, step=3571)  # off-raster step crosses every boundary
         want = [weekly.rate(t) for t in range(0, 9 * 86400, 3571)]
-        assert got.tolist() == want
+        assert _bits(got) == _bits(want)
+
+    def test_bursty_grid_marks_exactly_the_burst_ticks(self):
+        """Grids that start inside, end inside and straddle bursts, on
+        steps that divide neither a burst start nor its duration."""
+        pattern = BurstyRate(
+            ConstantRate(10.0), derive_rng(5, "bursts"), horizon=7200,
+            bursts_per_hour=6.0, multiplier=3.0, duration_seconds=301,
+        )
+        for burst in pattern.burst_starts:
+            for offset in (-13, 0, 1, 299, 301):
+                start = max(burst + offset, 0)
+                for step in (1, 7, 60):
+                    end = start + 40 * step
+                    want = [pattern.rate(t) for t in range(start, end, step)]
+                    assert _bits(pattern.values(start, end, step)) == _bits(want), (start, step)
+
+
+#: Horizon the property test builds its pattern trees against.
+_TREE_HORIZON = 7200
+
+
+class TestGridContractProperty:
+    """values() equals per-tick rate(t) bit for bit for every pattern
+    kind the scenario DSL builds: all 12 kinds, nested wrappers and
+    traces. Leaf rates include -0.0, which only a bit comparison tells
+    from 0.0; grids start anywhere up to twice the horizon, on steps of
+    1-97 s, and run up to 400 points, across burst ends."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        spec=pattern_trees(
+            rates=st.floats(min_value=-0.0, max_value=1e6, allow_nan=False,
+                            allow_infinity=False),
+            extent=_TREE_HORIZON,
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+        start=st.integers(min_value=0, max_value=2 * _TREE_HORIZON),
+        step=st.integers(min_value=1, max_value=97),
+        count=st.integers(min_value=0, max_value=400),
+    )
+    def test_values_bitwise_equal_to_rate(self, spec, seed, start, step, count):
+        pattern = spec.build(seed, _TREE_HORIZON)
+        end = start + count * step
+        want = [pattern.rate(t) for t in range(start, end, step)]
+        assert _bits(pattern.values(start, end, step)) == _bits(want)
 
 
 class TestProperties:

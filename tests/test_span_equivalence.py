@@ -190,6 +190,32 @@ class TestControlledFlowEquivalence:
         reference, spanned = run_pair(build, 900)
         assert_equivalent(reference, spanned)
 
+    def test_alternating_modes_match_one_per_tick_run(self):
+        """run_span and on_tick read dashboard reads from one drawn
+        block: four 900 s runs alternating span and per-tick execution
+        must give exactly one uninterrupted per-tick run. The read rate
+        floors at zero for part of each cycle, and the runs cross read
+        blocks in both modes."""
+
+        def build():
+            return (
+                FlowBuilder("mode-switch-reads", seed=27)
+                .ingestion(shards=2)
+                .analytics(vms=2)
+                .storage(write_units=300)
+                .workload(SinusoidalRate(mean=1200, amplitude=600, period=1500))
+                .control_all(style="adaptive", reference=60.0, period=60)
+                .reads(SinusoidalRate(mean=40, amplitude=80, period=1800), read_units=60)
+            )
+
+        reference = build().spans(False).build().run(3600)
+        manager = build().build()
+        for leg in range(4):
+            manager.engine.span_execution = leg % 2 == 0
+            switched = manager.run(900)
+        assert switched.duration_seconds == 3600
+        assert_equivalent(reference, switched)
+
     def test_max_backlog_crossing_inside_span(self, monkeypatch):
         """Drop accounting when the backlog clamps mid-span."""
         monkeypatch.setattr(_FlowPipeline, "MAX_BACKLOG", 25_000)

@@ -79,6 +79,16 @@ class TestGridEquality:
         scalar = [pattern.rate(t) for t in range(start, end, step)]
         assert [repr(v) for v in grid.tolist()] == [repr(v) for v in scalar]
 
+    @pytest.mark.parametrize("step", [1, 7])
+    def test_negative_zero_point_floors_to_positive_zero(self, step):
+        """A CSV ``-0`` loads as a -0.0 point; rate()'s max(0.0, v)
+        returns 0.0 there, and values() must too, not keep the sign."""
+        trace = Trace("signed-zero", [(0, 5.0), (10, -0.0), (30, 2.5), (40, -0.0)])
+        pattern = TracePattern(trace, scale=3.7)
+        grid = pattern.values(0, 60, step)
+        scalar = [pattern.rate(t) for t in range(0, 60, step)]
+        assert [repr(v) for v in grid.tolist()] == [repr(v) for v in scalar]
+
     def test_rate_grid_span_reads_match_per_tick(self):
         pattern = TracePattern(gappy_trace())
         grid = RateGrid(pattern, step=1, chunk=256)
