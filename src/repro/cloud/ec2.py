@@ -10,6 +10,7 @@ terminated. This module models exactly that.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,7 +77,14 @@ class EC2Config:
 
 @dataclass
 class SimEC2Fleet:
-    """A scalable group of identical instances."""
+    """A scalable group of identical instances.
+
+    Queries answer for any ``now``, earlier times included. Beside the
+    full launch history the fleet keeps the instances not yet
+    terminated: a query at or after the latest termination reads only
+    those, so its cost follows the live fleet rather than every
+    instance ever launched, and an earlier query scans the history.
+    """
 
     config: EC2Config = field(default_factory=EC2Config)
     initial_instances: int = 1
@@ -86,7 +94,12 @@ class SimEC2Fleet:
     #: shift surfaces as a rebalance, pinning the rebalance event onto
     #: the decision (or fault) that caused it.
     last_change_trace: str | None = field(default=None, init=False)
+    #: Every instance ever launched, in launch order.
     _instances: list[Instance] = field(default_factory=list, init=False)
+    #: The instances not yet terminated, in launch order.
+    _live: list[Instance] = field(default_factory=list, init=False)
+    #: Latest ``terminated_at`` stamped so far (``-inf`` before any).
+    _last_termination: float = field(default=-math.inf, init=False)
     _ids: "itertools.count[int]" = field(default_factory=itertools.count, init=False)
     # Region-level accounting (multi-flow runs only; see cloud/region.py).
     _region: object | None = field(default=None, init=False)
@@ -101,10 +114,24 @@ class SimEC2Fleet:
         for _ in range(self.initial_instances):
             # Initial instances are ready immediately: the flow starts
             # from an already-provisioned steady state.
-            self._instances.append(self._new_instance(launched_at=0, ready_at=0))
+            self._launch(launched_at=0, ready_at=0)
 
-    def _new_instance(self, launched_at: int, ready_at: int) -> Instance:
-        return Instance(f"i-{next(self._ids):06d}", launched_at, ready_at)
+    def _launch(self, launched_at: int, ready_at: int) -> None:
+        instance = Instance(f"i-{next(self._ids):06d}", launched_at, ready_at)
+        self._instances.append(instance)
+        self._live.append(instance)
+
+    def _retire(self, victims: list[Instance], now: int) -> None:
+        for victim in victims:
+            victim.terminated_at = now
+        self._live = [i for i in self._live if i.terminated_at is None]
+        self._last_termination = max(self._last_termination, now)
+
+    def _scanned(self, now: int) -> list[Instance]:
+        """The instances a query at ``now`` must look at. At or after the
+        latest termination every retired instance reads as terminated,
+        so the live list holds every answer; before it, the history."""
+        return self._live if now >= self._last_termination else self._instances
 
     def attach_region(self, region, flow_id: str) -> None:
         """Draw this fleet's instances from a shared region pool.
@@ -122,21 +149,28 @@ class SimEC2Fleet:
     # Queries
     # ------------------------------------------------------------------
     def instances(self, now: int, state: InstanceState | None = None) -> list[Instance]:
-        live = [i for i in self._instances if i.state(now) != InstanceState.TERMINATED]
+        """Instances not terminated at ``now`` (optionally only those in
+        ``state``), in launch order. O(live) at or after the latest
+        termination."""
+        live = [i for i in self._scanned(now) if i.state(now) != InstanceState.TERMINATED]
         if state is None:
             return live
         return [i for i in live if i.state(now) == state]
 
     def running_count(self, now: int) -> int:
-        """Instances actually serving load at ``now``."""
+        """Instances actually serving load at ``now``. O(live) at or
+        after the latest termination."""
         return len(self.instances(now, InstanceState.RUNNING))
 
     def provisioned_count(self, now: int) -> int:
-        """Instances launched or booting (the actuator's set-point view)."""
+        """Instances launched or booting (the actuator's set-point view).
+        O(live) at or after the latest termination."""
         return len(self.instances(now))
 
     def billable_count(self, now: int) -> int:
-        return sum(1 for i in self._instances if i.billable(now))
+        """Instances billed at ``now`` (launched, not terminated). O(live)
+        at or after the latest termination."""
+        return sum(1 for i in self._scanned(now) if i.billable(now))
 
     def next_capacity_event(self, now: int) -> int | None:
         """Earliest future time the running-instance count will change.
@@ -145,10 +179,11 @@ class SimEC2Fleet:
         (``ready_at``) or, defensively, a termination scheduled in the
         future (the built-in actuators terminate at the current time,
         so in practice only boots appear here). ``None`` when the fleet
-        is stable past ``now``.
+        is stable past ``now``. O(live) at or after the latest
+        termination.
         """
         best: int | None = None
-        for instance in self._instances:
+        for instance in self._scanned(now):
             terminated_at = instance.terminated_at
             if terminated_at is not None and terminated_at <= now:
                 continue
@@ -167,12 +202,14 @@ class SimEC2Fleet:
         being billed immediately, without a controller's involvement.
 
         Returns False if the instance is unknown or already terminated.
+        At or after the latest termination the lookup reads only the
+        live instances, since every retired one would answer False.
         """
-        for instance in self._instances:
+        for instance in self._scanned(now):
             if instance.instance_id == instance_id:
                 if instance.state(now) == InstanceState.TERMINATED:
                     return False
-                instance.terminated_at = now
+                self._retire([instance], now)
                 if self._region is not None:
                     self._region.note_capacity_change()
                 return True
@@ -194,17 +231,14 @@ class SimEC2Fleet:
                 # (and launches nothing) without account headroom.
                 self._region.admit_instances(self._region_flow_id, self, desired, now)
             for _ in range(desired - current):
-                self._instances.append(
-                    self._new_instance(launched_at=now, ready_at=now + self.config.boot_seconds)
-                )
+                self._launch(launched_at=now, ready_at=now + self.config.boot_seconds)
             if self._region is not None:
                 self._region.note_capacity_change()
         elif desired < current:
             victims = sorted(
                 self.instances(now), key=lambda i: i.launched_at, reverse=True
             )[: current - desired]
-            for victim in victims:
-                victim.terminated_at = now
+            self._retire(victims, now)
             if self._region is not None:
                 self._region.note_capacity_change()
         return desired

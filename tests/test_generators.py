@@ -1,11 +1,14 @@
 """Unit tests for rate patterns."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.simulation import derive_rng
+from repro.workload import generators
 from repro.workload import (
     BurstyRate,
     CompositeRate,
@@ -163,6 +166,16 @@ class TestComposite:
 
     def test_operators(self):
         assert (ConstantRate(2) * ConstantRate(3)).rate(0) == 6.0
+
+    def test_sum_folds_left_like_values(self, monkeypatch):
+        """rate() adds in pattern order, as values() does, so a
+        compensated sum() (Python 3.12+, stood in for by fsum) cannot
+        move it off the grid contract."""
+        monkeypatch.setattr(generators, "sum", math.fsum, raising=False)
+        total = CompositeRate([ConstantRate(1e16), ConstantRate(1.0), ConstantRate(1.0)])
+        for t in (0, 7, 3600):
+            assert _bits([total.rate(t)]) == _bits(total.values(t, t + 1))
+            assert total.rate(t) == 1e16
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
