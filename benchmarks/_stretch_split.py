@@ -2,12 +2,14 @@
 
 ``_FlowPipeline.run_span`` runs a span as a sequence of stretches: the
 closed-form vector stretch (every backlog empty), the closed-form
-saturated stretch (Storm at capacity, the stream backlogged) and the
-bit-exact scalar loop everywhere else. This script runs one pinned
-workload from ``bench.workloads`` (imported read-only) with counters
-wrapped around the three stretch methods, and prints the calls and
-ticks each one ran, then the scalar ticks split by why no closed form
-took them (:data:`SCALAR_REGIMES`).
+saturated stretch (Storm at capacity, the stream backlogged), the
+closed-form throttled stretch (the producer re-offering two record caps
+of backlog each tick, Storm drained or saturated) and the bit-exact
+scalar loop everywhere else. This script runs one pinned workload from
+``bench.workloads`` (imported read-only) with counters wrapped around
+the four stretch methods, and prints the calls and ticks each one ran
+(the throttled ticks also by Storm's regime), then the scalar ticks
+split by why no closed form took them (:data:`SCALAR_REGIMES`).
 
 Usage, from the repository root::
 
@@ -35,17 +37,22 @@ from repro.core.manager import _CLOSED_FORM_MIN_TICKS, _FlowPipeline
 STRETCHES = {
     "vector": "_vector_stretch",
     "saturated": "_saturated_stretch",
+    "throttled": "_throttled_stretch",
     "scalar": "_scalar_stretch",
 }
 
 
 #: Why a ``_scalar_stretch`` call ran instead of a closed form, judged
 #: from the state when the call starts; the first regime that matches
-#: takes all of the call's ticks.
+#: takes all of the call's ticks. The ``producer-*`` regimes start with
+#: a producer backlog, the last four with none.
 SCALAR_REGIMES = (
-    "producer-backlog",
+    "producer-partial-retry",  # backlog under two record caps
+    "producer-at-max-backlog",  # backlog at MAX_BACKLOG
     "write-backlog",
-    "span-remainder",  # fewer than _CLOSED_FORM_MIN_TICKS ticks left
+    "producer-span-remainder",  # fewer than _CLOSED_FORM_MIN_TICKS ticks left
+    "producer-short-run",
+    "span-remainder",
     "pending-above-poll-limit",
     "drained-short-viable-run",
     "backlogged-short-saturated-run",
@@ -56,23 +63,33 @@ def scalar_regime(pipeline: _FlowPipeline, span, start: int) -> str:
     """The :data:`SCALAR_REGIMES` entry for a scalar stretch that starts
     at index ``start`` of ``span``.
 
-    With both backlogs empty, ``run_span`` runs a scalar stretch only
-    where :meth:`_Span.closed_form_run` finds no closed form; this asks
-    it again and raises if it would take over, so the split cannot
-    drift from the dispatch it explains.
+    With the write backlog empty, ``run_span`` runs a scalar stretch
+    only where :meth:`_Span.closed_form_run` finds no closed form; this
+    asks it again, whatever the producer backlog, and raises if it would
+    take over, so the split cannot drift from the dispatch it explains.
     """
-    if pipeline._producer_backlog_records or pipeline._producer_backlog_bytes:
-        return "producer-backlog"
-    if pipeline._write_backlog:
-        return "write-backlog"
+    backlog = pipeline._producer_backlog_records
+    backlog_bytes = pipeline._producer_backlog_bytes
     buffer = pipeline.stream._buffer_records
     pending = pipeline.cluster._pending_records
-    run, saturated = span.closed_form_run(start, buffer, pending)
-    if run:
-        kind = "saturated" if saturated else "vector"
-        raise AssertionError(
-            f"scalar stretch at span index {start} where a {run}-tick {kind} stretch runs"
-        )
+    if not pipeline._write_backlog:
+        run, saturated = span.closed_form_run(start, buffer, pending, backlog, backlog_bytes)
+        if run:
+            kind = "throttled" if backlog else "saturated" if saturated else "vector"
+            raise AssertionError(
+                f"scalar stretch at span index {start} where a {run}-tick {kind} stretch runs"
+            )
+    producer = bool(backlog or backlog_bytes)
+    if producer and backlog < 2 * span.record_cap:
+        return "producer-partial-retry"
+    if producer and backlog >= span.max_backlog:
+        return "producer-at-max-backlog"
+    if pipeline._write_backlog:
+        return "write-backlog"
+    if producer:
+        if span.count - start < _CLOSED_FORM_MIN_TICKS:
+            return "producer-span-remainder"
+        return "producer-short-run"
     if span.count - start < _CLOSED_FORM_MIN_TICKS:
         return "span-remainder"
     if pending > span.poll_limit:
@@ -85,11 +102,13 @@ def scalar_regime(pipeline: _FlowPipeline, span, start: int) -> str:
 def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
     """Wrap every stretch method with a call and tick counter.
 
-    Returns the live counters and the scalar ticks per
-    :data:`SCALAR_REGIMES` entry; the wrappers stay installed for the
-    rest of the process.
+    Returns the live counters (the throttled stretch's also split into
+    ``drained`` and ``saturated`` ticks by Storm's regime) and the
+    scalar ticks per :data:`SCALAR_REGIMES` entry; the wrappers stay
+    installed for the rest of the process.
     """
     counts = {kind: {"calls": 0, "ticks": 0} for kind in STRETCHES}
+    counts["throttled"].update(drained=0, saturated=0)
     why = dict.fromkeys(SCALAR_REGIMES, 0)
     for kind, name in STRETCHES.items():
         method = getattr(_FlowPipeline, name)
@@ -102,6 +121,8 @@ def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
             _count["ticks"] += reached - start
             if regime is not None:
                 why[regime] += reached - start
+            if len(stop) == 2:  # throttled: (stop, saturated)
+                _count["saturated" if stop[1] else "drained"] += reached - start
             return reached, columns
 
         setattr(_FlowPipeline, name, counted)
@@ -144,6 +165,9 @@ def main(argv: list[str] | None = None) -> int:
     for kind, c in counts.items():
         share = c["ticks"] / ran if ran else 0.0
         print(f"{kind:<10} {c['calls']:>8} {c['ticks']:>10} {share:>7.3f}")
+    throttled = counts["throttled"]
+    print(f"throttled, by Storm regime: drained {throttled['drained']}, "
+          f"saturated {throttled['saturated']}")
     scalar = counts["scalar"]["ticks"]
     print(f"{'scalar, by entry state':<32} {'ticks':>10} {'share':>7}")
     for regime, ticks in why.items():

@@ -7,9 +7,9 @@ pipeline and the chaos injector and, at every tick (per-tick mode) or
 every span boundary (span mode), audits:
 
 * **Conservation** — no record is created or destroyed between layers:
-  generated = ingested + producer backlog + dropped; ingested = read +
-  stream buffer; read = processed + pending tuples; emitted writes =
-  stored + write backlog + dropped writes.
+  generated = ingested + producer backlog + dropped, in records and in
+  bytes; ingested = read + stream buffer; read = processed + pending
+  tuples; emitted writes = stored + write backlog + dropped writes.
 * **Capacity bounds** — every provisioned capacity (and in-flight
   target) sits inside its service's configured limits.
 * **Cost additivity** — each meter's accumulated unit-seconds equal
@@ -194,6 +194,15 @@ class InvariantChecker:
             self._violate(
                 now, "conservation.ingestion",
                 f"generated={generated} != accepted+backlog+dropped={balance}",
+            )
+        generated = self._generator.total_bytes
+        balance = (
+            stream.total_accepted_bytes + pipeline._producer_backlog_bytes + pipeline.dropped_bytes
+        )
+        if generated != balance:
+            self._violate(
+                now, "conservation.ingestion_bytes",
+                f"generated bytes={generated} != accepted+backlog+dropped={balance}",
             )
         read = stream.total_read_records
         if ingested != read + stream._buffer_records:

@@ -140,6 +140,7 @@ class SimKinesisStream:
         # Lifetime conservation counters (never reset; the invariant
         # checker audits them against the downstream layers).
         self.total_accepted_records = 0
+        self.total_accepted_bytes = 0
         self.total_read_records = 0
         # Fault-injection state (chaos harness). A brownout removes a
         # fraction of write capacity; a reshard stall multiplies the
@@ -354,6 +355,7 @@ class SimKinesisStream:
         accepted_bytes = int(payload_bytes * fraction)
         self._buffer_records += accepted
         self.total_accepted_records += accepted
+        self.total_accepted_bytes += accepted_bytes
         self._tick_accepted += accepted
         self._tick_accepted_bytes += accepted_bytes
         self._tick_throttled += records - accepted

@@ -94,14 +94,20 @@ class ServiceCapacities:
 
 
 #: Fewest ticks in a row that :meth:`_FlowPipeline.run_span` hands to a
-#: closed-form (vector or saturated) stretch: on shorter runs the
-#: closed form's fixed numpy cost exceeds what it saves over the scalar
-#: loop.
+#: closed-form (vector, saturated or throttled) stretch: on shorter runs
+#: the closed form's fixed numpy cost exceeds what it saves over the
+#: scalar loop.
 _CLOSED_FORM_MIN_TICKS = 32
 
 #: Ticks of dashboard reads :meth:`_FlowPipeline._draw_reads` draws at a
 #: time: one rate grid and one Poisson array per block.
 _READ_BLOCK = 1024
+
+
+def _run_length(stops: np.ndarray) -> int:
+    """Ticks before the first set entry of ``stops``, or all of them."""
+    hits = np.flatnonzero(stops)
+    return int(hits[0]) if len(hits) else len(stops)
 
 
 class _Span:
@@ -120,8 +126,8 @@ class _Span:
         "record_cap", "byte_cap", "shards", "stream_read_cap", "vms",
         "analytics_cap", "poll_limit", "provisioned_vms", "billable_vms",
         "write_units", "write_cap", "read_units", "read_cap",
-        "write_bucket_cap", "read_bucket_cap", "_records", "_capped", "_violations",
-        "_surplus",
+        "write_bucket_cap", "read_bucket_cap", "max_backlog", "_records", "_read_capped",
+        "_capped", "_violations", "_surplus", "_producer", "_throttled",
     )
 
     def __init__(self, pipeline: "_FlowPipeline", now: int, dt: int, count: int) -> None:
@@ -155,21 +161,32 @@ class _Span:
         self.read_cap = table.effective_read_capacity(first_tick) * dt
         self.write_bucket_cap = table.config.burst_seconds * self.write_units
         self.read_bucket_cap = table.config.burst_seconds * self.read_units
+        self.max_backlog = pipeline.MAX_BACKLOG
+        self._records: np.ndarray | None = None
+        self._read_capped: np.ndarray | None = None
         self._capped: np.ndarray | None = None
         self._violations: list[int] | None = None
         self._surplus: np.ndarray | None = None
+        self._producer: tuple | None = None
+        self._throttled: tuple | None = None
 
-    def closed_form_run(self, i: int, buffer: int, pending: int) -> tuple[int, bool]:
+    def closed_form_run(
+        self, i: int, buffer: int, pending: int, backlog: int, backlog_bytes: int
+    ) -> tuple[int, bool]:
         """The closed-form stretch that can take over at span index ``i``.
 
-        Returns ``(ticks, saturated)``: a vector run when the stream
-        buffer and Storm's queue are empty and the run is long enough,
-        else a saturated one; ``ticks`` is 0 when neither runs
+        Returns ``(ticks, saturated)``. With a producer backlog of
+        ``backlog`` records (``backlog_bytes`` bytes) only a throttled
+        run can (:meth:`throttled_run`). Without one: a vector run when
+        the stream buffer and Storm's queue are empty and the run is
+        long enough, else a saturated one. ``ticks`` is 0 when none runs
         :data:`_CLOSED_FORM_MIN_TICKS` ticks. The caller guarantees that
-        the producer and write backlogs are empty.
+        the write backlog is empty.
         """
         if self.count - i < _CLOSED_FORM_MIN_TICKS:
             return 0, False
+        if backlog or backlog_bytes:
+            return self.throttled_run(i, buffer, pending, backlog, backlog_bytes)
         if not (buffer or pending):
             run = self.viable_run(i)
             if run >= _CLOSED_FORM_MIN_TICKS:
@@ -177,19 +194,37 @@ class _Span:
         run = self.saturated_run(i, buffer, pending)
         return (run, True) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
 
+    def _record_column(self) -> np.ndarray:
+        """The drawn records as int64, converted once per span."""
+        records = self._records
+        if records is None:
+            records = self._records = np.asarray(self.records, dtype=np.int64)
+        return records
+
+    def _read_capped_mask(self) -> np.ndarray:
+        """The ticks whose dashboard reads exceed the read capacity: no
+        closed form runs them. Built once per span, on first use."""
+        read_capped = self._read_capped
+        if read_capped is None:
+            if self.reads is None:
+                read_capped = np.zeros(self.count, dtype=bool)
+            else:
+                read_capped = np.asarray(self.reads, dtype=np.int64) > self.read_cap
+            self._read_capped = read_capped
+        return read_capped
+
     def _capped_mask(self) -> np.ndarray:
         """The ticks whose draws exceed a Kinesis write cap or whose
         dashboard reads exceed the read capacity: neither closed form
-        runs them. Built once per span, on first use."""
+        from an empty producer backlog runs them. Built once per span,
+        on first use."""
         capped = self._capped
         if capped is None:
-            records = self._records = np.asarray(self.records, dtype=np.int64)
-            capped = (records > self.record_cap) | (
-                np.asarray(self.payload, dtype=np.int64) > self.byte_cap
+            capped = self._capped = (
+                (self._record_column() > self.record_cap)
+                | (np.asarray(self.payload, dtype=np.int64) > self.byte_cap)
+                | self._read_capped_mask()
             )
-            if self.reads is not None:
-                capped |= np.asarray(self.reads, dtype=np.int64) > self.read_cap
-            self._capped = capped
         return capped
 
     def viable_run(self, i: int) -> int:
@@ -202,9 +237,10 @@ class _Span:
         """
         violations = self._violations
         if violations is None:
-            capped = self._capped_mask()
             limit = min(self.stream_read_cap, self.poll_limit, self.analytics_cap)
-            violations = self._violations = np.flatnonzero(capped | (self._records > limit)).tolist()
+            violations = self._violations = np.flatnonzero(
+                self._capped_mask() | (self._record_column() > limit)
+            ).tolist()
         j = bisect_left(violations, i)
         return (violations[j] if j < len(violations) else self.count) - i
 
@@ -217,21 +253,125 @@ class _Span:
         capacity each tick, so the buffer after tick ``k`` is
         ``buffer + sum(records[i..k]) - (poll_limit - pending) - (k - i)
         * cap``. The run ends before the first tick where that would go
-        negative or whose draws break a cap. Needs the stream's read cap
-        to cover every poll, and ``pending <= poll_limit``.
+        negative or whose draws break a cap (:meth:`_saturated_exits`).
+        """
+        surplus = self._surplus
+        if surplus is None:
+            # surplus[k] = sum(records[..k]) - (k + 1) * cap, in int64.
+            surplus = self._surplus = np.cumsum(self._record_column() - self.analytics_cap)
+        exits = self._saturated_exits(i, buffer, pending, surplus)
+        return 0 if exits is None else _run_length(exits | self._capped_mask()[i:])
+
+    def _saturated_exits(
+        self, i: int, buffer: int, pending: int, surplus: np.ndarray
+    ) -> np.ndarray | None:
+        """The ticks from span index ``i`` where a saturated Storm would
+        find the stream buffer short of its poll, ``surplus`` being the
+        prefix sum of what Kinesis accepts less ``analytics_cap``.
+        ``None`` where saturation cannot start: it needs the stream's
+        read cap to cover every poll, and ``pending <= poll_limit``.
         """
         cap = self.analytics_cap
         first = self.poll_limit - pending
         if cap <= 0 or first < 0 or self.stream_read_cap < max(first, cap):
-            return 0
-        capped = self._capped_mask()
-        surplus = self._surplus
-        if surplus is None:
-            # surplus[k] = sum(records[..k]) - (k + 1) * cap, in int64.
-            surplus = self._surplus = np.cumsum(self._records - cap)
+            return None
         floor = first - cap - buffer + (int(surplus[i - 1]) if i else 0)
-        stops = np.flatnonzero(capped[i:] | (surplus[i:] < floor))
-        return int(stops[0]) if len(stops) else self.count - i
+        return surplus[i:] < floor
+
+    def _producer_columns(self) -> tuple:
+        """The span's columns under a full retry of ``2 * record_cap``.
+
+        ``accepted`` is what Kinesis takes of ``offered = records + 2 *
+        record_cap``, ``int(offered * (record_cap / offered))``, exactly
+        the scalar loop's float arithmetic: it reads ``record_cap - 1``
+        on some offers, so ``record_cap`` alone would be wrong. Also the
+        per-tick accept fraction, ``rise`` (``rise[k]`` is the sum of
+        ``records - accepted`` over the ticks before ``k``, so
+        ``count + 1`` entries), and Storm's saturated surplus over
+        ``accepted``. Built once per span, on first use.
+        """
+        producer = self._producer
+        if producer is None:
+            records = self._record_column()
+            offered = records + 2 * self.record_cap
+            fraction = self.record_cap / offered
+            accepted = (offered * fraction).astype(np.int64)
+            rise = np.zeros(self.count + 1, dtype=np.int64)
+            np.cumsum(records - accepted, out=rise[1:])
+            surplus = np.cumsum(accepted - self.analytics_cap)
+            producer = self._producer = (accepted, fraction, rise, surplus)
+        return producer
+
+    def throttled_run(
+        self, i: int, buffer: int, pending: int, backlog: int, backlog_bytes: int
+    ) -> tuple[int, bool]:
+        """How many ticks from span index ``i`` a throttled stretch can
+        run, and whether Storm runs it saturated.
+
+        From a producer backlog of ``backlog`` records, at least two
+        record caps, every tick retries exactly ``2 * record_cap``, so
+        what Kinesis accepts does not depend on the backlog
+        (:meth:`_producer_columns`) and the backlog after tick ``k`` is
+        ``backlog + sum(records[i..k] - accepted[i..k])``. The run ends
+        before the first tick that opens under two record caps, would
+        close above ``max_backlog``, reads above the read capacity, or
+        takes Storm out of its drained regime (tried first, from an
+        empty buffer and queue) or saturated one. Only if that leaves
+        :data:`_CLOSED_FORM_MIN_TICKS` ticks does the byte split run:
+        ``int(bytes * retry / records)`` is sequential in floats, so it
+        is a Python loop, and the run also ends before the first tick
+        where the byte cap binds. The split's accepted bytes are kept
+        for :meth:`producer_stage`, and the answer for a repeated
+        question, since the scalar stretch and ``run_span`` both ask at
+        a hand-over.
+        """
+        key = (i, buffer, pending, backlog, backlog_bytes)
+        if self._throttled is not None and self._throttled[0] == key:
+            return self._throttled[1]
+        run, saturated, accepted_bytes = 0, False, []
+        two_caps = 2 * self.record_cap
+        if self.record_cap > 0 and backlog >= two_caps:
+            accepted, fraction, rise, surplus = self._producer_columns()
+            base = backlog - int(rise[i])
+            stops = (
+                (rise[i:-1] < two_caps - base)
+                | (rise[i + 1 :] > self.max_backlog - base)
+                | self._read_capped_mask()[i:]
+            )
+            if not (buffer or pending):
+                limit = min(self.stream_read_cap, self.poll_limit, self.analytics_cap)
+                run = _run_length(stops | (accepted[i:] > limit))
+            if run < _CLOSED_FORM_MIN_TICKS:
+                saturated = True
+                exits = self._saturated_exits(i, buffer, pending, surplus)
+                run = 0 if exits is None else _run_length(stops | exits)
+            if run >= _CLOSED_FORM_MIN_TICKS:
+                # The byte split, tick by tick: the retry takes its share
+                # of the byte backlog, and the byte cap must not bind.
+                byte_cap = self.byte_cap
+                held = backlog_bytes
+                append = accepted_bytes.append
+                for opening, share, payload in zip(
+                    (rise[i : i + run] + base).tolist(),
+                    fraction[i : i + run].tolist(),
+                    self.payload[i : i + run],
+                ):
+                    offered = payload + int(held * two_caps / opening)
+                    if offered and byte_cap / offered < share:
+                        break
+                    took = int(offered * share)
+                    append(took)
+                    held += payload - took
+                run = len(accepted_bytes)
+        result = (run, saturated) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
+        self._throttled = (key, result, accepted_bytes)
+        return result
+
+    def producer_stage(self, start: int, stop: int) -> tuple[np.ndarray, list[int]]:
+        """What Kinesis accepts, in records and bytes, over the throttled
+        run :meth:`throttled_run` last found from ``start``, up to
+        ``stop``."""
+        return self._producer[0][start:stop], self._throttled[2][: stop - start]
 
 
 class _FlowPipeline:
@@ -269,6 +409,7 @@ class _FlowPipeline:
         self._producer_backlog_bytes = 0
         self._write_backlog = 0
         self.dropped_records = 0
+        self.dropped_bytes = 0
         self.dropped_writes = 0
 
     def on_tick(self, clock: SimClock) -> None:
@@ -294,7 +435,9 @@ class _FlowPipeline:
         backlog_bytes = self._producer_backlog_bytes - retry_bytes + result.throttled_bytes
         if backlog_records > self.MAX_BACKLOG:
             self.dropped_records += backlog_records - self.MAX_BACKLOG
-            backlog_bytes = int(backlog_bytes * self.MAX_BACKLOG / backlog_records)
+            kept_bytes = int(backlog_bytes * self.MAX_BACKLOG / backlog_records)
+            self.dropped_bytes += backlog_bytes - kept_bytes
+            backlog_bytes = kept_bytes
             backlog_records = self.MAX_BACKLOG
         self._producer_backlog_records = backlog_records
         self._producer_backlog_bytes = backlog_bytes
@@ -385,16 +528,18 @@ class _FlowPipeline:
         execution contract, DESIGN.md). A :class:`_Span` draws the
         workload and dashboard-read columns once and hoists the capacity
         coefficients once — :meth:`span_horizon` guarantees they are
-        constant across the span. Execution then alternates three
-        stretches over those columns. Where the producer and write
-        backlogs are empty and :meth:`_Span.closed_form_run` finds at
-        least :data:`_CLOSED_FORM_MIN_TICKS` ticks, a closed form runs:
-        :meth:`_vector_stretch` when the stream buffer and Storm's queue
-        are empty too, :meth:`_saturated_stretch` when Storm runs at
-        capacity off a backlogged stream. The bit-exact
-        :meth:`_scalar_stretch` recurrence runs everywhere else. The
-        metric columns land as one frame append per service, and the
-        costs accrue once, at the end of the span.
+        constant across the span. Execution then alternates four
+        stretches over those columns. Where the write backlog is empty
+        and :meth:`_Span.closed_form_run` finds at least
+        :data:`_CLOSED_FORM_MIN_TICKS` ticks, a closed form runs:
+        :meth:`_throttled_stretch` when the producer re-offers a full
+        retry of its backlog; otherwise :meth:`_vector_stretch` when the
+        stream buffer and Storm's queue are empty too, and
+        :meth:`_saturated_stretch` when Storm runs at capacity off a
+        backlogged stream. The bit-exact :meth:`_scalar_stretch`
+        recurrence runs everywhere else. The metric columns land as one
+        frame append per service, and the costs accrue once, at the end
+        of the span.
         """
         dt = clock.tick_seconds
         count = (span_end - clock.now) // dt
@@ -405,16 +550,17 @@ class _FlowPipeline:
         parts = []
         i = 0
         while i < count:
+            backlog = self._producer_backlog_records
             run, saturated = 0, False
-            if not (
-                self._producer_backlog_records or self._producer_backlog_bytes
-                or self._write_backlog
-            ):
+            if not self._write_backlog:
                 run, saturated = span.closed_form_run(
-                    i, stream._buffer_records, cluster._pending_records
+                    i, stream._buffer_records, cluster._pending_records,
+                    backlog, self._producer_backlog_bytes,
                 )
             if not run:
                 i, columns = self._scalar_stretch(span, i)
+            elif backlog:
+                i, columns = self._throttled_stretch(span, i, i + run, saturated)
             elif saturated:
                 i, columns = self._saturated_stretch(span, i, i + run)
             else:
@@ -495,8 +641,8 @@ class _FlowPipeline:
         """The bit-exact per-tick recurrence, from span index ``start``.
 
         Runs to the end of the span, or stops at a window boundary where
-        the producer and write backlogs are empty ahead of a closed-form
-        run (:meth:`_Span.closed_form_run`). It stops only where its
+        the write backlog is empty ahead of a closed-form run
+        (:meth:`_Span.closed_form_run`). It stops only where its
         CPU-noise buffer is used up, so the closed-form stretch that
         follows draws from the right bitstream position. Returns the
         stop index and the stretch's metric columns.
@@ -539,6 +685,7 @@ class _FlowPipeline:
         backlog_records = self._producer_backlog_records
         backlog_bytes = self._producer_backlog_bytes
         dropped_records = self.dropped_records
+        dropped_bytes = self.dropped_bytes
         buffer_records = stream._buffer_records
         smoothed_rate = stream._smoothed_rate
         pending = cluster._pending_records
@@ -610,8 +757,8 @@ class _FlowPipeline:
                 # unused.
                 if (
                     i > start
-                    and not (backlog_records or write_backlog or backlog_bytes)
-                    and closed_form_run(i, buffer_records, pending)[0]
+                    and not write_backlog
+                    and closed_form_run(i, buffer_records, pending, backlog_records, backlog_bytes)[0]
                 ):
                     stop = i
                     break
@@ -659,7 +806,9 @@ class _FlowPipeline:
             backlog_bytes = backlog_bytes - retry_bytes + throttled_bytes
             if backlog_records > max_backlog:
                 dropped_records += backlog_records - max_backlog
-                backlog_bytes = int(backlog_bytes * max_backlog / backlog_records)
+                kept_bytes = int(backlog_bytes * max_backlog / backlog_records)
+                dropped_bytes += backlog_bytes - kept_bytes
+                backlog_bytes = kept_bytes
                 backlog_records = max_backlog
 
             # 2. Storm pulls and processes (pull_and_process, inlined).
@@ -759,11 +908,13 @@ class _FlowPipeline:
         self._producer_backlog_records = backlog_records
         self._producer_backlog_bytes = backlog_bytes
         self.dropped_records = dropped_records
+        self.dropped_bytes = dropped_bytes
         self._write_backlog = write_backlog
         self.dropped_writes = dropped_writes
         stream._buffer_records = buffer_records
         stream._smoothed_rate = smoothed_rate
         stream.total_accepted_records += sum(k_accepted)
+        stream.total_accepted_bytes += sum(k_accepted_bytes)
         stream.total_read_records += sum(k_read)
         cluster._pending_records = pending
         cluster.total_processed += sum(s_processed)
@@ -814,20 +965,40 @@ class _FlowPipeline:
         """
         return self._closed_form(span, start, stop, saturated=True)
 
-    def _closed_form(
+    def _throttled_stretch(
         self, span: "_Span", start: int, stop: int, saturated: bool
     ) -> tuple[int, tuple]:
-        """The two closed-form stretches' shared columns and state.
+        """Closed-form columns for the span indices ``start`` .. ``stop - 1``
+        with Kinesis throttling a full retry of the producer backlog.
 
-        Dashboard reads never dip into the burst bucket: the run tests
-        hold them within the read capacity. Only storage can still go
-        live, when a window flush's writes overflow the write burst
-        bucket: the stretch then ends on that flush tick and a scalar
-        stretch retries the write backlog. Returns the stop index and
-        the stretch's metric columns.
+        The caller guarantees the run :meth:`_Span.throttled_run` found
+        from ``start``. Each tick then re-offers ``2 * record_cap`` of
+        backlog with its draws, Kinesis accepts
+        :meth:`_Span.producer_stage`'s records and bytes, the backlogs
+        take the rest, and Storm, DynamoDB and the metric columns run
+        the drained or (with ``saturated``) saturated closed form on
+        what Kinesis accepted (see :meth:`_closed_form`).
+        """
+        return self._closed_form(span, start, stop, saturated, span.producer_stage(start, stop))
+
+    def _closed_form(
+        self, span: "_Span", start: int, stop: int, saturated: bool,
+        producer: tuple[np.ndarray, list[int]] | None = None,
+    ) -> tuple[int, tuple]:
+        """The closed-form stretches' shared columns and state.
+
+        Kinesis accepts every drawn record and byte, or, given
+        ``producer``, its accepted records and bytes, throttling the
+        rest into the producer backlog. Dashboard reads never dip into
+        the burst bucket: the run tests hold them within the read
+        capacity. Only storage can still go live, when a window flush's
+        writes overflow the write burst bucket: the stretch then ends on
+        that flush tick and a scalar stretch retries the write backlog.
+        Returns the stop index and the stretch's metric columns.
         """
         dt = span.dt
-        records_col = span.records
+        # What Kinesis accepts, tick by tick, from span index start.
+        flow = span.records[start:stop] if producer is None else producer[0].tolist()
         distinct_col = span.distinct
         cap = span.analytics_cap
         write_cap = span.write_cap
@@ -839,12 +1010,12 @@ class _FlowPipeline:
         # Window walk. Flush boundaries cut the stretch into the
         # segments the scalar loop draws its CPU-noise normals in, each
         # flush's Poisson interleaved at the same bitstream position.
-        # Storm processes each tick's records, or its full capacity when
-        # saturated. A flush's writes land on the table at once: up to
-        # the effective rate, the excess from the burst bucket, which
-        # refills by write_cap per tick in between. min(cap, b + k *
-        # write_cap) is that per-tick refill exactly, because the
-        # bucket holds integer-valued floats below 2**53.
+        # Storm processes what Kinesis accepted each tick, or its full
+        # capacity when saturated. A flush's writes land on the table at
+        # once: up to the effective rate, the excess from the burst
+        # bucket, which refills by write_cap per tick in between.
+        # min(cap, b + k * write_cap) is that per-tick refill exactly,
+        # because the bucket holds integer-valued floats below 2**53.
         window_seconds = cluster.config.window_seconds
         distinct_estimator = cluster._distinct_estimator
         storm_poisson = cluster._rng.poisson
@@ -870,7 +1041,7 @@ class _FlowPipeline:
             if noise_std:
                 noise_parts.append(storm_normal(0.0, noise_std, size=trunc))
             wk += sum(distinct_col[i : i + trunc])
-            wr += trunc * cap if saturated else sum(records_col[i : i + trunc])
+            wr += trunc * cap if saturated else sum(flow[i - start : i - start + trunc])
             we += trunc * dt
             i += trunc
             if trunc < seg:
@@ -906,10 +1077,19 @@ class _FlowPipeline:
                 break
 
         n = stop - start
-        records = np.asarray(records_col[start:stop], dtype=np.int64)
+        flow = flow[:n]
+        records = np.asarray(span.records[start:stop], dtype=np.int64)
         payload = np.asarray(span.payload[start:stop], dtype=np.int64)
         zeros_i = np.zeros(n, dtype=np.int64)
         zeros_f = np.zeros(n)
+        if producer is None:
+            accepted = records
+            accepted_bytes = payload
+            k_throttled = zeros_i
+        else:
+            accepted = producer[0][:n]
+            accepted_bytes = np.asarray(producer[1][:n], dtype=np.int64)
+            k_throttled = records + 2 * span.record_cap - accepted
         times = np.arange(
             span.now + (start + 1) * dt, span.now + (stop + 1) * dt, dt, dtype=np.int64
         )
@@ -919,7 +1099,7 @@ class _FlowPipeline:
         smoothed_rate = stream._smoothed_rate
         alpha = min(1.0, dt / 60.0)
         rates = []
-        for r in records_col[start:stop]:
+        for r in flow:
             smoothed_rate += alpha * (r / dt - smoothed_rate)
             rates.append(smoothed_rate)
 
@@ -930,20 +1110,20 @@ class _FlowPipeline:
             pending = span.poll_limit - cap
             handed = np.full(n, cap, dtype=np.int64)
             handed[0] = span.poll_limit - cluster._pending_records
-            buffer = stream._buffer_records + np.cumsum(records - handed)
+            buffer = stream._buffer_records + np.cumsum(accepted - handed)
             k_lag = (1000.0 * buffer) / np.maximum(rates, 1e-9)
             processed = np.full(n, cap, dtype=np.int64)
             s_pending = np.full(n, pending, dtype=np.int64)
             # processed / cap is exactly 1.0; a non-empty queue pins 100.
             s_cpu = np.full(n, 100.0 if pending > 0 else idle + (100.0 - idle))
         else:
-            handed = processed = records
+            handed = processed = accepted
             buffer = s_pending = zeros_i
             k_lag = zeros_f
             if span.vms <= 0:
                 s_cpu = zeros_f
             elif cap > 0:
-                s_cpu = idle + (100.0 - idle) * (records / cap)
+                s_cpu = idle + (100.0 - idle) * (accepted / cap)
             else:
                 s_cpu = np.full(n, float(idle))
         if noise_std:
@@ -967,7 +1147,7 @@ class _FlowPipeline:
         d_burst = np.minimum(write_bucket_cap, base + (ticks - origin) * write_cap)
         d_util = (100.0 * d_consumed) / write_cap if write_cap else zeros_f
 
-        k_util = (100.0 * records) / span.record_cap if span.record_cap else zeros_f
+        k_util = (100.0 * accepted) / span.record_cap if span.record_cap else zeros_f
 
         # Dashboard reads never exceed the read capacity here, so every
         # tick refills the read bucket by read_cap - reads >= 0, and the
@@ -986,7 +1166,11 @@ class _FlowPipeline:
                 d_read_util = (100.0 * d_read_consumed) / read_cap
 
         # Write service state back (the scalar stretch's, in closed form).
-        span_records = sum(records_col[start:stop])
+        span_accepted = sum(flow)
+        span_accepted_bytes = int(accepted_bytes.sum())
+        if producer is not None:
+            self._producer_backlog_records += int(records.sum()) - span_accepted
+            self._producer_backlog_bytes += int(payload.sum()) - span_accepted_bytes
         if saturated:
             stream._buffer_records = int(buffer[n - 1])
             stream.total_read_records += int(handed.sum())
@@ -994,13 +1178,14 @@ class _FlowPipeline:
             cluster.total_processed += n * cap
             cluster._tick_processed = cap
         else:
-            stream.total_read_records += span_records
-            cluster.total_processed += span_records
-            cluster._tick_processed = records_col[stop - 1]
+            stream.total_read_records += span_accepted
+            cluster.total_processed += span_accepted
+            cluster._tick_processed = flow[n - 1]
         self._write_backlog = min(excess, self.MAX_BACKLOG)
         self.dropped_writes += excess - self._write_backlog
         stream._smoothed_rate = smoothed_rate
-        stream.total_accepted_records += span_records
+        stream.total_accepted_records += span_accepted
+        stream.total_accepted_bytes += span_accepted_bytes
         cluster.total_writes_emitted += sum(flush_writes)
         table.total_write_accepted += sum(flush_accepted)
         cluster._window_keys = wk
@@ -1011,7 +1196,7 @@ class _FlowPipeline:
         table._burst_bucket = float(d_burst[n - 1])
         table._read_burst_bucket = read_burst
         return stop, (
-            times, records, payload, zeros_i, handed, k_util, buffer, k_lag,
+            times, accepted, accepted_bytes, k_throttled, handed, k_util, buffer, k_lag,
             s_cpu, processed, s_pending, s_writes, d_consumed, d_throttled, d_util, d_burst,
             d_read_consumed, zeros_i, d_read_util,
         )

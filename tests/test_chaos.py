@@ -13,9 +13,10 @@ from repro.control.actuators import RetryingActuator
 from repro.control.base import Actuator
 from repro.control.sensors import CloudWatchSensor
 from repro.core.errors import ConfigurationError, SimulationError, TransientAPIError
+from repro.core.manager import _FlowPipeline
 from repro.observability.events import EventBus
 from repro.simulation import SimClock
-from repro.workload import ConstantRate, SinusoidalRate
+from repro.workload import ConstantRate, SinusoidalRate, StepRate
 
 
 def _sine_chaos_builder(schedule, seed=11):
@@ -529,6 +530,42 @@ class TestInvariantChecker:
         violations = [e for e in manager.recorder.bus if e.kind == "invariant.violation"]
         assert violations
         assert len(violations) <= 10  # MAX_EVENTS_PER_INVARIANT
+
+    def test_producer_bytes_are_conserved(self, monkeypatch):
+        """Generated bytes = accepted + producer backlog + dropped, both
+        in per-tick runs and in throttled stretches, across MAX_BACKLOG
+        drops; a stretch that writes the byte backlog back one byte off
+        breaks the balance."""
+        monkeypatch.setattr(_FlowPipeline, "MAX_BACKLOG", 60_000)
+
+        def run(spans):
+            # 1800 records/s into one shard for 100 s, then 700: the
+            # backlog hits the cap, then drains under throttled stretches.
+            manager = (
+                FlowBuilder("bytes", seed=5)
+                .ingestion(shards=1)
+                .workload(ConstantRate(700) + StepRate(base=0, level=1100, at=0, until=100))
+                .spans(spans)
+                .build()
+            )
+            manager.invariant_checker._strict = True
+            result = manager.run(600)
+            return manager._pipeline.dropped_bytes, result.invariants
+
+        for spans in (False, True):
+            dropped_bytes, report = run(spans)
+            assert dropped_bytes > 0 and report.ok
+
+        throttled = _FlowPipeline._throttled_stretch
+
+        def one_byte_off(self, *args):
+            reached, columns = throttled(self, *args)
+            self._producer_backlog_bytes += 1
+            return reached, columns
+
+        monkeypatch.setattr(_FlowPipeline, "_throttled_stretch", one_byte_off)
+        with pytest.raises(SimulationError, match="conservation.ingestion_bytes"):
+            run(True)
 
     def test_mttr_probe_records_degradation_episodes(self):
         # A brownout forces a producer backlog, then clears: the probe

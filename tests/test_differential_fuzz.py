@@ -11,9 +11,9 @@ must be repr-identical (``test_span_equivalence.assert_equivalent``).
 The property could pass by never reaching the closed forms, so the test
 also logs what ``_FlowPipeline.run_span`` did on every spanned run and
 asserts, across the corpus, that each stretch and each hand-over was
-reached: vector ↔ scalar, saturated ↔ scalar, a flush overflow that
-ends each closed-form stretch, a producer backlog, and an injection of
-every chaos fault kind.
+reached: vector ↔ scalar, saturated ↔ scalar, throttled ↔ scalar, a
+flush overflow that ends each closed-form stretch, a producer backlog,
+and an injection of every chaos fault kind.
 
 The tier-1 profile is derandomized, so its corpus is fixed. A longer
 random run is opt-in::
@@ -60,7 +60,8 @@ CATALOG_PAGES = ClickStreamConfig().catalog_pages
 REQUIRED_PATHS = frozenset({
     "vector->scalar", "scalar->vector",
     "saturated->scalar", "scalar->saturated",
-    "vector-overflow", "saturated-overflow",
+    "throttled->scalar", "scalar->throttled",
+    "vector-overflow", "saturated-overflow", "throttled-overflow",
     "producer-backlog",
 }) | frozenset(f"inject:{kind.value}" for kind in FaultKind)
 
@@ -140,8 +141,15 @@ def _paths(calls: list, result) -> set[str]:
 #: profile, so each required path is reached whatever the generator
 #: draws. A flow whose flushes ride the write bucket's edge (46 units
 #: against about 500 writes per flush): Storm-bound with a lull, then
-#: idle with a flash crowd that throttles its one shard. Then a
-#: controlled flow that injects every fault kind once.
+#: idle with a flash crowd that throttles its one shard; and one whose
+#: shard throttles a 500 s surge, so throttled stretches run while its
+#: flushes (50 units) overflow the bucket now and then. Then a
+#: controlled flow that injects every fault kind once. Then two deep VM
+#: losses while Storm runs saturated off a backlogged stream, first
+#: with no producer backlog, then (after the load outgrows the shards)
+#: with one: each leaves Storm's queue above the new poll limit where
+#: the next span starts, so the saturated and the throttled run test
+#: must both refuse it.
 EDGE_FLOWS = [
     Scenario(
         name="storm-bound-lull", duration=1800, seed=5, controller="fixed",
@@ -156,6 +164,11 @@ EDGE_FLOWS = [
             PatternSpec("flash_crowd", {"peak": 2500.0, "at": 400, "rise_seconds": 5,
                                         "decay_seconds": 15}),
         )),
+    ),
+    Scenario(
+        name="throttled-flush-edge", duration=1200, seed=5, controller="fixed",
+        control_period=600, shards=1, vms=2, write_units=50, key_skew=0.5, exact=False,
+        workload=PatternSpec("step", {"base": 600.0, "level": 1500.0, "at": 100, "until": 600}),
     ),
     Scenario(
         name="every-fault-kind", duration=1800, seed=5, controller="adaptive",
@@ -173,6 +186,16 @@ EDGE_FLOWS = [
             FaultSpec(FaultKind.METRIC_DROPOUT, start=1200, duration=300),
         ), seed=3),
     ),
+    Scenario(
+        name="deep-vm-loss", duration=1800, seed=5, controller="fixed",
+        control_period=600, shards=45, vms=40, write_units=1000, key_skew=0.5, exact=False,
+        workload=PatternSpec("step", {"base": 42000.0, "level": 47000.0, "at": 700,
+                                      "until": 1800}),
+        chaos=ChaosSchedule(faults=(
+            FaultSpec(FaultKind.WORKER_CRASH, start=300, intensity=33.0),
+            FaultSpec(FaultKind.WORKER_CRASH, start=1321, intensity=7.0),
+        ), seed=3),
+    ),
 ]
 
 
@@ -185,6 +208,8 @@ def test_span_execution_matches_per_tick_loop(monkeypatch):
     @example(scenario=EDGE_FLOWS[0])
     @example(scenario=EDGE_FLOWS[1])
     @example(scenario=EDGE_FLOWS[2])
+    @example(scenario=EDGE_FLOWS[3])
+    @example(scenario=EDGE_FLOWS[4])
     def check(scenario):
         results = []
         for spans in (False, True):

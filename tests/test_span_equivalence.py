@@ -27,6 +27,7 @@ from repro.cloud.storm import BoltSpec, StormConfig, TopologyConfig
 from repro.core.builder import FlowBuilder
 from repro.core.flow import LayerKind
 from repro.core.manager import FlowElasticityManager, ServiceCapacities, _FlowPipeline
+from repro.workload.clickstream import ClickStreamConfig
 from repro.workload.generators import (
     ConstantRate,
     FlashCrowdRate,
@@ -256,10 +257,11 @@ def _log_stretches(monkeypatch):
     asked for, stop reached). A span's kinds, in order, show which
     stretches executed it."""
     calls = []
-    for kind in ("vector", "saturated", "scalar"):
+    for kind in ("vector", "saturated", "throttled", "scalar"):
         method = getattr(_FlowPipeline, f"_{kind}_stretch")
 
-        # A scalar stretch is asked for the rest of the span.
+        # A scalar stretch is asked for the rest of the span; a
+        # throttled one is also told Storm's regime.
         def logged(self, span, start, *stop, _method=method, _kind=kind):
             reached, columns = _method(self, span, start, *stop)
             calls.append((span.now, _kind, stop[0] if stop else span.count, reached))
@@ -274,6 +276,50 @@ def _kinds_by_span(calls):
     for now, kind, _stop, _reached in calls:
         spans.setdefault(now, []).append(kind)
     return spans
+
+
+def _throttled_exits(monkeypatch):
+    """Record why each throttled stretch stopped, judged independently
+    of the run test from the state it leaves and the next tick's draws:
+    ``overflow`` (a flush overflowed the write bucket), ``span-end``,
+    ``two-caps`` (the backlog opens under two record caps),
+    ``max-backlog`` (it would close above ``MAX_BACKLOG``), ``byte-cap``
+    (the byte cap binds), else ``other`` (reads or Storm)."""
+    exits = []
+    method = _FlowPipeline._throttled_stretch
+
+    def logged(self, span, start, stop, saturated):
+        reached, columns = method(self, span, start, stop, saturated)
+        exits.append(_throttled_exit(self, span, stop, reached))
+        return reached, columns
+
+    monkeypatch.setattr(_FlowPipeline, "_throttled_stretch", logged)
+    return exits
+
+
+def _throttled_exit(pipeline, span, stop, reached):
+    if reached < stop:
+        return "overflow"
+    if reached == span.count:
+        return "span-end"
+    backlog = pipeline._producer_backlog_records
+    cap = span.record_cap
+    if backlog < 2 * cap:
+        return "two-caps"
+    records = span.records[reached]
+    offered = records + 2 * cap
+    if backlog + records - int(offered * (cap / offered)) > pipeline.MAX_BACKLOG:
+        return "max-backlog"
+    retry_bytes = int(pipeline._producer_backlog_bytes * 2 * cap / backlog)
+    if span.byte_cap / (span.payload[reached] + retry_bytes) < cap / offered:
+        return "byte-cap"
+    return "other"
+
+
+def _pending_at(result):
+    """Storm's pending tuples at each tick."""
+    pending = result.throttle_trace(LayerKind.ANALYTICS, period=1)
+    return dict(zip(pending.times, pending.values))
 
 
 class TestSpanStretches:
@@ -293,8 +339,10 @@ class TestSpanStretches:
         return results
 
     def test_kinesis_burst_goes_vector_scalar_vector(self, monkeypatch):
-        """A flash crowd throttles one shard mid-span; the producer
-        backlog drains and the same span returns to the vector path."""
+        """A flash crowd throttles one shard mid-span: the producer
+        backlog builds under a scalar stretch, a throttled stretch runs
+        while it is two record caps or more, the scalar stretch retries
+        the last of it, and the same span returns to the vector path."""
         calls = _log_stretches(monkeypatch)
 
         def build(spans):
@@ -311,7 +359,9 @@ class TestSpanStretches:
         assert_equivalent(reference, spanned)
         assert spanned.throttle_trace(LayerKind.INGESTION).values, "never throttled"
         assert max(spanned.throttle_trace(LayerKind.INGESTION).values) > 0
-        assert ["vector", "scalar", "vector"] in _kinds_by_span(calls).values()
+        assert ["vector", "scalar", "throttled", "scalar", "vector"] in _kinds_by_span(
+            calls
+        ).values()
 
     def test_flush_overflows_into_write_backlog_in_vector_stretch(self, monkeypatch):
         """With no burst credit, a window flush's writes exceed the
@@ -445,6 +495,121 @@ class TestSpanStretches:
         assert kinds[240] == ["saturated"]
         assert kinds[281] == ["scalar"]
         assert kinds[320] == ["saturated"]
+
+    @staticmethod
+    def _throttled_flow(spans, workload=None, storm=None, clickstream=None, dynamodb=None,
+                        write_units=300, seed=41):
+        """One shard (1000 records/s) under 1500 records/s by default:
+        the producer backlog grows past two record caps within a
+        window."""
+        return FlowElasticityManager(
+            workload=workload or ConstantRate(1500),
+            capacities=ServiceCapacities(shards=1, vms=2, write_units=write_units),
+            storm=storm,
+            clickstream=clickstream,
+            dynamodb=dynamodb,
+            seed=seed,
+            snapshot_period=600,
+            span_execution=spans,
+        )
+
+    def test_throttled_stretch_with_storm_drained(self, monkeypatch):
+        """1500 records/s against one shard: after the first window
+        the producer re-offers two record caps every tick, Kinesis
+        passes 1000 records/s and Storm (16,000/s) drains them."""
+        calls = _log_stretches(monkeypatch)
+        reference, spanned = self._pair(self._throttled_flow, 1200)
+        assert_equivalent(reference, spanned)
+        assert _kinds_by_span(calls) == {0: ["scalar", "throttled"], 600: ["throttled"]}
+        pending = _pending_at(spanned)
+        assert all(pending[t] == 0 for t in range(11, 1201))
+
+    def test_throttled_stretch_with_storm_saturated(self, monkeypatch):
+        """The same throttled producer over an 800 records/s Storm: the
+        stream buffers what Kinesis passes and Storm runs at capacity."""
+        calls = _log_stretches(monkeypatch)
+        reference, spanned = self._pair(
+            lambda spans: self._throttled_flow(
+                spans, storm=StormConfig(records_per_vm_per_second=400), seed=43
+            ),
+            1200,
+        )
+        assert_equivalent(reference, spanned)
+        assert _kinds_by_span(calls) == {0: ["scalar", "throttled"], 600: ["throttled"]}
+        pending = _pending_at(spanned)
+        assert all(pending[t] == 1.5 * 800 - 800 for t in range(11, 1201))
+
+    def test_throttled_run_ends_under_two_record_caps(self, monkeypatch):
+        """A 150 s surge builds the backlog; once the load falls it
+        drains by about 500 records a tick. The throttled run ends where
+        the backlog would open under two record caps, a scalar stretch
+        retries the rest, and the span goes back to the vector path."""
+        calls = _log_stretches(monkeypatch)
+        exits = _throttled_exits(monkeypatch)
+        reference, spanned = self._pair(
+            lambda spans: self._throttled_flow(
+                spans, workload=StepRate(base=500, level=1500, at=100, until=250), seed=47
+            ),
+            1200,
+        )
+        assert_equivalent(reference, spanned)
+        assert _kinds_by_span(calls)[0] == ["vector", "scalar", "throttled", "scalar", "vector"]
+        assert exits == ["two-caps"]
+
+    def test_throttled_run_ends_before_max_backlog(self, monkeypatch):
+        """With the backlog capped at 25,000 records the throttled run
+        ends on the tick before the cap would be passed; the scalar
+        stretch drops what overflows."""
+        monkeypatch.setattr(_FlowPipeline, "MAX_BACKLOG", 25_000)
+        calls = _log_stretches(monkeypatch)
+        exits = _throttled_exits(monkeypatch)
+        reference, spanned = self._pair(
+            lambda spans: self._throttled_flow(spans, seed=53), 1200
+        )
+        assert_equivalent(reference, spanned)
+        assert spanned.dropped_records > 0
+        assert _kinds_by_span(calls)[0] == ["scalar", "throttled", "scalar"]
+        assert exits == ["max-backlog"]
+
+    def test_throttled_run_ends_at_byte_bound_tick(self, monkeypatch):
+        """1040-byte records sit near the shard's 1048-byte-per-record
+        boundary: on some ticks the retried bytes make the byte cap
+        bind first, which ends the throttled run there."""
+        calls = _log_stretches(monkeypatch)
+        exits = _throttled_exits(monkeypatch)
+        reference, spanned = self._pair(
+            lambda spans: self._throttled_flow(
+                spans, clickstream=ClickStreamConfig(mean_record_bytes=1040), seed=59
+            ),
+            1200,
+        )
+        assert_equivalent(reference, spanned)
+        assert any(
+            kinds[:3] == ["scalar", "throttled", "scalar"] for kinds in _kinds_by_span(calls).values()
+        )
+        assert exits.count("byte-cap") >= 5
+        assert set(exits) <= {"byte-cap", "span-end"}
+
+    def test_flush_overflows_into_write_backlog_in_throttled_stretch(self, monkeypatch):
+        """With no burst credit and write capacity near a flush's
+        writes, a flush overflows inside the throttled stretch: it ends
+        on that flush tick and a scalar stretch retries the writes."""
+        calls = _log_stretches(monkeypatch)
+        exits = _throttled_exits(monkeypatch)
+        reference, spanned = self._pair(
+            lambda spans: self._throttled_flow(
+                spans, dynamodb=DynamoDBConfig(burst_seconds=0), write_units=470, seed=61
+            ),
+            1200,
+        )
+        assert_equivalent(reference, spanned)
+        cut_short = [c for c in calls if c[1] == "throttled" and c[3] < c[2]]
+        assert cut_short, "no flush overflowed inside a throttled stretch"
+        assert "overflow" in exits
+        throttle = spanned.throttle_trace(LayerKind.STORAGE, period=1)
+        throttled = dict(zip(throttle.times, throttle.values))
+        for now, _, _, reached in cut_short:
+            assert throttled[now + reached] > 0, "the stretch ran past its overflow"
 
 
 #: One scenario per fault kind, sized so the fault actually bites.

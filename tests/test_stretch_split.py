@@ -2,10 +2,10 @@
 
 The split files each scalar stretch's ticks under the state the stretch
 started in, and asks ``_Span.closed_form_run`` at every scalar stretch
-that starts with empty backlogs whether a closed form would have taken
-over; a yes raises. Running the two CI canaries here (fleet-16 and
-flow-congested) keeps that cross-check against ``run_span``'s dispatch
-in tier 1.
+that starts with an empty write backlog whether a closed form would
+have taken over; a yes raises. Running the two CI canaries here
+(fleet-16 and flow-congested) keeps that cross-check against
+``run_span``'s dispatch in tier 1.
 """
 
 from __future__ import annotations
@@ -20,25 +20,24 @@ from repro.core.manager import _FlowPipeline
 
 
 @pytest.mark.parametrize(
-    ("argv", "reached", "largest"),
+    ("argv", "reached"),
     [
-        # The closed-form cross-check runs on each short-run regime.
+        # The closed-form cross-check runs on each short-run regime,
+        # with and without a producer backlog.
         pytest.param(
             ["fleet-16", "--seconds", "1800", "--require", "saturated"],
             ("span-remainder", "drained-short-viable-run", "backlogged-short-saturated-run"),
-            None,
             id="fleet-16",
         ),
         pytest.param(
             ["flow-congested", "--seconds", "10800", "--require", "saturated",
-             "--require", "vector"],
-            (),
-            "producer-backlog",
+             "--require", "vector", "--require", "throttled"],
+            ("producer-partial-retry", "producer-span-remainder", "producer-short-run"),
             id="flow-congested",
         ),
     ],
 )
-def test_split_files_every_scalar_tick(monkeypatch, capsys, argv, reached, largest):
+def test_split_files_every_scalar_tick(monkeypatch, capsys, argv, reached):
     for name in split.STRETCHES.values():
         # Re-setting each method records it, so teardown removes the
         # counters the split installs over it.
@@ -50,5 +49,3 @@ def test_split_files_every_scalar_tick(monkeypatch, capsys, argv, reached, large
     assert sum(why.values()) == record["stretches"]["scalar"]["ticks"]
     for regime in reached:
         assert why[regime] > 0, regime
-    if largest is not None:
-        assert max(why, key=why.get) == largest
