@@ -5,11 +5,14 @@ closed-form vector stretch (every backlog empty), the closed-form
 saturated stretch (Storm at capacity, the stream backlogged), the
 closed-form throttled stretch (the producer re-offering two record caps
 of backlog each tick, Storm drained or saturated) and the bit-exact
-scalar loop everywhere else. This script runs one pinned workload from
-``bench.workloads`` (imported read-only) with counters wrapped around
-the four stretch methods, and prints the calls and ticks each one ran
-(the throttled ticks also by Storm's regime), then the scalar ticks
-split by why no closed form took them (:data:`SCALAR_REGIMES`).
+scalar loop everywhere else. Every closed form runs through
+``_FlowPipeline._closed_form``, its kind read from the plan's
+``saturated`` and ``producer``. This script runs one pinned workload
+from ``bench.workloads`` (imported read-only) with counters wrapped
+around ``_closed_form`` and ``_scalar_stretch``, and prints the calls
+and ticks each kind ran (the throttled ticks also by Storm's regime),
+then the scalar ticks split by why no closed form took them
+(:data:`SCALAR_REGIMES`).
 
 Usage, from the repository root::
 
@@ -33,13 +36,11 @@ from bench.workloads import WORKLOADS
 
 from repro.core.manager import _CLOSED_FORM_MIN_TICKS, _FlowPipeline
 
-#: Stretch kind → ``_FlowPipeline`` method that runs it.
-STRETCHES = {
-    "vector": "_vector_stretch",
-    "saturated": "_saturated_stretch",
-    "throttled": "_throttled_stretch",
-    "scalar": "_scalar_stretch",
-}
+#: Stretch kinds, in the order the split prints them.
+STRETCHES = ("vector", "saturated", "throttled", "scalar")
+
+#: The ``_FlowPipeline`` methods the counters wrap.
+WRAPPED = ("_closed_form", "_scalar_stretch")
 
 
 #: Why a ``_scalar_stretch`` call ran instead of a closed form, judged
@@ -59,25 +60,32 @@ SCALAR_REGIMES = (
 )
 
 
+def stretch_kind(saturated: bool, producer) -> str:
+    """The closed form a plan runs: throttled with a producer stage,
+    else saturated or vector by Storm's regime."""
+    return "throttled" if producer is not None else "saturated" if saturated else "vector"
+
+
 def scalar_regime(pipeline: _FlowPipeline, span, start: int) -> str:
     """The :data:`SCALAR_REGIMES` entry for a scalar stretch that starts
     at index ``start`` of ``span``.
 
     With the write backlog empty, ``run_span`` runs a scalar stretch
-    only where :meth:`_Span.closed_form_run` finds no closed form; this
-    asks it again, whatever the producer backlog, and raises if it would
-    take over, so the split cannot drift from the dispatch it explains.
+    only where :meth:`_Span.closed_form_run` finds no plan; this asks it
+    again, whatever the producer backlog, and raises if it finds one, so
+    the split cannot drift from the dispatch it explains.
     """
     backlog = pipeline._producer_backlog_records
     backlog_bytes = pipeline._producer_backlog_bytes
     buffer = pipeline.stream._buffer_records
     pending = pipeline.cluster._pending_records
     if not pipeline._write_backlog:
-        run, saturated = span.closed_form_run(start, buffer, pending, backlog, backlog_bytes)
-        if run:
-            kind = "throttled" if backlog else "saturated" if saturated else "vector"
+        plan = span.closed_form_run(start, buffer, pending, backlog, backlog_bytes)
+        if plan is not None:
+            stop, saturated, producer = plan
             raise AssertionError(
-                f"scalar stretch at span index {start} where a {run}-tick {kind} stretch runs"
+                f"scalar stretch at span index {start} where a {stop - start}-tick "
+                f"{stretch_kind(saturated, producer)} stretch runs"
             )
     producer = bool(backlog or backlog_bytes)
     if producer and backlog < 2 * span.record_cap:
@@ -100,7 +108,7 @@ def scalar_regime(pipeline: _FlowPipeline, span, start: int) -> str:
 
 
 def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
-    """Wrap every stretch method with a call and tick counter.
+    """Wrap :data:`WRAPPED` with call and tick counters per stretch kind.
 
     Returns the live counters (the throttled stretch's also split into
     ``drained`` and ``saturated`` ticks by Storm's regime) and the
@@ -110,22 +118,28 @@ def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
     counts = {kind: {"calls": 0, "ticks": 0} for kind in STRETCHES}
     counts["throttled"].update(drained=0, saturated=0)
     why = dict.fromkeys(SCALAR_REGIMES, 0)
-    for kind, name in STRETCHES.items():
-        method = getattr(_FlowPipeline, name)
-        scalar = kind == "scalar"
+    closed_form = _FlowPipeline._closed_form
+    scalar = _FlowPipeline._scalar_stretch
 
-        def counted(self, span, start, *stop, _method=method, _count=counts[kind], _scalar=scalar):
-            regime = scalar_regime(self, span, start) if _scalar else None
-            reached, columns = _method(self, span, start, *stop)
-            _count["calls"] += 1
-            _count["ticks"] += reached - start
-            if regime is not None:
-                why[regime] += reached - start
-            if len(stop) == 2:  # throttled: (stop, saturated)
-                _count["saturated" if stop[1] else "drained"] += reached - start
-            return reached, columns
+    def counted_closed_form(self, span, start, stop, saturated, producer):
+        reached, columns = closed_form(self, span, start, stop, saturated, producer)
+        count = counts[stretch_kind(saturated, producer)]
+        count["calls"] += 1
+        count["ticks"] += reached - start
+        if producer is not None:
+            count["saturated" if saturated else "drained"] += reached - start
+        return reached, columns
 
-        setattr(_FlowPipeline, name, counted)
+    def counted_scalar(self, span, start):
+        regime = scalar_regime(self, span, start)
+        reached, plan, columns = scalar(self, span, start)
+        counts["scalar"]["calls"] += 1
+        counts["scalar"]["ticks"] += reached - start
+        why[regime] += reached - start
+        return reached, plan, columns
+
+    _FlowPipeline._closed_form = counted_closed_form
+    _FlowPipeline._scalar_stretch = counted_scalar
     return counts, why
 
 

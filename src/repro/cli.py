@@ -69,6 +69,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for simulated times; argparse names the flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _ensure_writable(path: str) -> None:
     """Fail fast on an unwritable trace path — before simulating hours."""
     try:
@@ -140,6 +148,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    if None not in (args.from_tick, args.to_tick) and args.from_tick > args.to_tick:
+        raise SystemExit(
+            "trace: --from-tick must not exceed --to-tick "
+            f"(given --from-tick={args.from_tick} --to-tick={args.to_tick})"
+        )
     if args.out:
         _ensure_writable(args.out)
     if args.chrome:
@@ -616,9 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print only events from this layer/loop")
     trace.add_argument("--kind", default=None,
                        help="print only events of this kind (prefix match on dots)")
-    trace.add_argument("--from-tick", type=int, default=None, metavar="T",
+    trace.add_argument("--from-tick", type=non_negative_int, default=None, metavar="T",
                        help="print only events at simulated second >= T")
-    trace.add_argument("--to-tick", type=int, default=None, metavar="T",
+    trace.add_argument("--to-tick", type=non_negative_int, default=None, metavar="T",
                        help="print only events at simulated second <= T")
     trace.add_argument("--causal", default=None, metavar="TRACE_ID",
                        help="print one reconstructed causal chain "

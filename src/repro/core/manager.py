@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Callable
 
 import numpy as np
 
@@ -124,10 +125,10 @@ class _Span:
     __slots__ = (
         "now", "dt", "count", "records", "payload", "distinct", "reads",
         "record_cap", "byte_cap", "shards", "stream_read_cap", "vms",
-        "analytics_cap", "poll_limit", "provisioned_vms", "billable_vms",
+        "analytics_cap", "poll_limit", "drained_limit", "provisioned_vms", "billable_vms",
         "write_units", "write_cap", "read_units", "read_cap",
         "write_bucket_cap", "read_bucket_cap", "max_backlog", "_records", "_read_capped",
-        "_capped", "_violations", "_surplus", "_producer", "_throttled",
+        "_capped", "_violations", "_surplus", "_producer",
     )
 
     def __init__(self, pipeline: "_FlowPipeline", now: int, dt: int, count: int) -> None:
@@ -150,6 +151,8 @@ class _Span:
         self.vms = fleet.running_count(first_tick)
         self.analytics_cap = cluster._capacity_this_tick(self.vms, first_tick) * dt
         self.poll_limit = int(self.analytics_cap * cluster.config.poll_factor)
+        # The most records a tick can bring that Storm takes whole.
+        self.drained_limit = min(self.stream_read_cap, self.poll_limit, self.analytics_cap)
         self.provisioned_vms = fleet.provisioned_count(first_tick)
         self.billable_vms = fleet.billable_count(first_tick)
         # Provisioned units drive metrics, burst-bucket sizing and cost;
@@ -168,30 +171,94 @@ class _Span:
         self._violations: list[int] | None = None
         self._surplus: np.ndarray | None = None
         self._producer: tuple | None = None
-        self._throttled: tuple | None = None
 
     def closed_form_run(
         self, i: int, buffer: int, pending: int, backlog: int, backlog_bytes: int
-    ) -> tuple[int, bool]:
-        """The closed-form stretch that can take over at span index ``i``.
+    ) -> tuple[int, bool, tuple | None] | None:
+        """The closed form that can take over at span index ``i``: the
+        plan ``(stop, saturated, producer)`` :meth:`_FlowPipeline._closed_form`
+        runs, or ``None`` where none runs :data:`_CLOSED_FORM_MIN_TICKS`
+        ticks. The caller guarantees that the write backlog is empty.
 
-        Returns ``(ticks, saturated)``. With a producer backlog of
-        ``backlog`` records (``backlog_bytes`` bytes) only a throttled
-        run can (:meth:`throttled_run`). Without one: a vector run when
-        the stream buffer and Storm's queue are empty and the run is
-        long enough, else a saturated one. ``ticks`` is 0 when none runs
-        :data:`_CLOSED_FORM_MIN_TICKS` ticks. The caller guarantees that
-        the write backlog is empty.
+        Every closed form is one queue: an inflow, what Kinesis accepts
+        each tick, feeds a Storm that runs drained or saturated from
+        ``buffer`` records and ``pending`` queued tuples (:meth:`_storm_run`).
+        With no producer backlog the inflow is the drawn records, which
+        stop at a Kinesis write cap or the read capacity. From a producer
+        backlog of ``backlog`` records, at least two record caps, it is
+        :meth:`_producer_columns`' ``accepted``, which stops where the
+        backlog leaves the two-cap/``max_backlog`` band or the reads the
+        read capacity. Its byte split runs last, on a run long enough: a
+        Python loop over the ``backlog_bytes`` byte backlog, which also
+        stops where the byte cap binds. ``producer`` is then what Kinesis
+        accepts over the run, in records and bytes.
         """
         if self.count - i < _CLOSED_FORM_MIN_TICKS:
-            return 0, False
-        if backlog or backlog_bytes:
-            return self.throttled_run(i, buffer, pending, backlog, backlog_bytes)
+            return None
+        if not (backlog or backlog_bytes):
+            run, saturated = self._storm_run(
+                i, buffer, pending, self._capped_mask()[i:],
+                lambda: self._drained_run(i), self._drawn_surplus,
+            )
+            return (i + run, saturated, None) if run else None
+        two_caps = 2 * self.record_cap
+        if self.record_cap <= 0 or backlog < two_caps:
+            return None
+        accepted, fraction, rise, surplus = self._producer_columns()
+        base = backlog - int(rise[i])
+        stops = (
+            (rise[i:-1] < two_caps - base)
+            | (rise[i + 1 :] > self.max_backlog - base)
+            | self._read_capped_mask()[i:]
+        )
+        run, saturated = self._storm_run(
+            i, buffer, pending, stops,
+            lambda: _run_length(stops | (accepted[i:] > self.drained_limit)), lambda: surplus,
+        )
+        if not run:
+            return None
+        # The byte split, tick by tick: the retry takes its share of the
+        # byte backlog, and the byte cap must not bind.
+        byte_cap = self.byte_cap
+        held = backlog_bytes
+        accepted_bytes: list[int] = []
+        append = accepted_bytes.append
+        for opening, share, payload in zip(
+            (rise[i : i + run] + base).tolist(),
+            fraction[i : i + run].tolist(),
+            self.payload[i : i + run],
+        ):
+            offered = payload + int(held * two_caps / opening)
+            if offered and byte_cap / offered < share:
+                break
+            took = int(offered * share)
+            append(took)
+            held += payload - took
+        run = len(accepted_bytes)
+        if run < _CLOSED_FORM_MIN_TICKS:
+            return None
+        return i + run, saturated, (accepted[i : i + run], accepted_bytes)
+
+    def _storm_run(
+        self, i: int, buffer: int, pending: int, stops: np.ndarray,
+        drained: Callable[[], int], surplus: Callable[[], np.ndarray],
+    ) -> tuple[int, bool]:
+        """``(ticks, saturated)``: how long Storm runs one closed-form
+        regime from span index ``i`` on an inflow whose stops from ``i``
+        are ``stops``; ``(0, False)`` where neither regime lasts
+        :data:`_CLOSED_FORM_MIN_TICKS` ticks. Drained is tried first, from
+        an empty buffer and queue: ``drained()`` is how many ticks the
+        inflow runs before a stop or a tick above ``drained_limit``. Then
+        saturated (:meth:`_saturated_exits` over ``surplus()``, the
+        inflow's prefix sum less ``analytics_cap``). Each callable is
+        called only when its regime is tried.
+        """
         if not (buffer or pending):
-            run = self.viable_run(i)
+            run = drained()
             if run >= _CLOSED_FORM_MIN_TICKS:
                 return run, False
-        run = self.saturated_run(i, buffer, pending)
+        exits = self._saturated_exits(i, buffer, pending, surplus())
+        run = 0 if exits is None else _run_length(stops | exits)
         return (run, True) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
 
     def _record_column(self) -> np.ndarray:
@@ -215,9 +282,8 @@ class _Span:
 
     def _capped_mask(self) -> np.ndarray:
         """The ticks whose draws exceed a Kinesis write cap or whose
-        dashboard reads exceed the read capacity: neither closed form
-        from an empty producer backlog runs them. Built once per span,
-        on first use."""
+        dashboard reads exceed the read capacity: the drawn inflow's
+        stops. Built once per span, on first use."""
         capped = self._capped
         if capped is None:
             capped = self._capped = (
@@ -227,47 +293,37 @@ class _Span:
             )
         return capped
 
-    def viable_run(self, i: int) -> int:
-        """How many ticks from span index ``i`` a vector stretch can run.
-
-        A tick can run closed-form from drained state when its draws
-        clear every hoisted cap, so nothing throttles, buffers or queues
-        anywhere in the chain, and when its dashboard reads stay within
-        the read capacity.
-        """
+    def _drained_run(self, i: int) -> int:
+        """How many ticks from span index ``i`` the drawn records run
+        with Storm drained: up to the first tick that is a stop of the
+        drawn inflow or brings more than ``drained_limit``. A bisect into
+        those ticks, found once per span, on first use."""
         violations = self._violations
         if violations is None:
-            limit = min(self.stream_read_cap, self.poll_limit, self.analytics_cap)
             violations = self._violations = np.flatnonzero(
-                self._capped_mask() | (self._record_column() > limit)
+                self._capped_mask() | (self._record_column() > self.drained_limit)
             ).tolist()
         j = bisect_left(violations, i)
         return (violations[j] if j < len(violations) else self.count) - i
 
-    def saturated_run(self, i: int, buffer: int, pending: int) -> int:
-        """How many ticks from span index ``i`` a saturated stretch can run.
-
-        From a stream buffer of ``buffer`` records and ``pending``
-        queued tuples, with no producer or write backlog. Storm's poll
-        tops its queue up to ``poll_limit`` and it processes its full
-        capacity each tick, so the buffer after tick ``k`` is
-        ``buffer + sum(records[i..k]) - (poll_limit - pending) - (k - i)
-        * cap``. The run ends before the first tick where that would go
-        negative or whose draws break a cap (:meth:`_saturated_exits`).
-        """
+    def _drawn_surplus(self) -> np.ndarray:
+        """Storm's saturated surplus over the drawn records,
+        ``surplus[k] = sum(records[..k]) - (k + 1) * analytics_cap`` in
+        int64. Built once per span, on first use."""
         surplus = self._surplus
         if surplus is None:
-            # surplus[k] = sum(records[..k]) - (k + 1) * cap, in int64.
             surplus = self._surplus = np.cumsum(self._record_column() - self.analytics_cap)
-        exits = self._saturated_exits(i, buffer, pending, surplus)
-        return 0 if exits is None else _run_length(exits | self._capped_mask()[i:])
+        return surplus
 
     def _saturated_exits(
         self, i: int, buffer: int, pending: int, surplus: np.ndarray
     ) -> np.ndarray | None:
         """The ticks from span index ``i`` where a saturated Storm would
         find the stream buffer short of its poll, ``surplus`` being the
-        prefix sum of what Kinesis accepts less ``analytics_cap``.
+        prefix sum of what Kinesis accepts less ``analytics_cap``: Storm
+        processes its full capacity each tick and its poll tops the queue
+        up to ``poll_limit``, so the buffer after tick ``k`` is ``buffer +
+        sum(accepted[i..k]) - (poll_limit - pending) - (k - i) * cap``.
         ``None`` where saturation cannot start: it needs the stream's
         read cap to cover every poll, and ``pending <= poll_limit``.
         """
@@ -301,77 +357,6 @@ class _Span:
             surplus = np.cumsum(accepted - self.analytics_cap)
             producer = self._producer = (accepted, fraction, rise, surplus)
         return producer
-
-    def throttled_run(
-        self, i: int, buffer: int, pending: int, backlog: int, backlog_bytes: int
-    ) -> tuple[int, bool]:
-        """How many ticks from span index ``i`` a throttled stretch can
-        run, and whether Storm runs it saturated.
-
-        From a producer backlog of ``backlog`` records, at least two
-        record caps, every tick retries exactly ``2 * record_cap``, so
-        what Kinesis accepts does not depend on the backlog
-        (:meth:`_producer_columns`) and the backlog after tick ``k`` is
-        ``backlog + sum(records[i..k] - accepted[i..k])``. The run ends
-        before the first tick that opens under two record caps, would
-        close above ``max_backlog``, reads above the read capacity, or
-        takes Storm out of its drained regime (tried first, from an
-        empty buffer and queue) or saturated one. Only if that leaves
-        :data:`_CLOSED_FORM_MIN_TICKS` ticks does the byte split run:
-        ``int(bytes * retry / records)`` is sequential in floats, so it
-        is a Python loop, and the run also ends before the first tick
-        where the byte cap binds. The split's accepted bytes are kept
-        for :meth:`producer_stage`, and the answer for a repeated
-        question, since the scalar stretch and ``run_span`` both ask at
-        a hand-over.
-        """
-        key = (i, buffer, pending, backlog, backlog_bytes)
-        if self._throttled is not None and self._throttled[0] == key:
-            return self._throttled[1]
-        run, saturated, accepted_bytes = 0, False, []
-        two_caps = 2 * self.record_cap
-        if self.record_cap > 0 and backlog >= two_caps:
-            accepted, fraction, rise, surplus = self._producer_columns()
-            base = backlog - int(rise[i])
-            stops = (
-                (rise[i:-1] < two_caps - base)
-                | (rise[i + 1 :] > self.max_backlog - base)
-                | self._read_capped_mask()[i:]
-            )
-            if not (buffer or pending):
-                limit = min(self.stream_read_cap, self.poll_limit, self.analytics_cap)
-                run = _run_length(stops | (accepted[i:] > limit))
-            if run < _CLOSED_FORM_MIN_TICKS:
-                saturated = True
-                exits = self._saturated_exits(i, buffer, pending, surplus)
-                run = 0 if exits is None else _run_length(stops | exits)
-            if run >= _CLOSED_FORM_MIN_TICKS:
-                # The byte split, tick by tick: the retry takes its share
-                # of the byte backlog, and the byte cap must not bind.
-                byte_cap = self.byte_cap
-                held = backlog_bytes
-                append = accepted_bytes.append
-                for opening, share, payload in zip(
-                    (rise[i : i + run] + base).tolist(),
-                    fraction[i : i + run].tolist(),
-                    self.payload[i : i + run],
-                ):
-                    offered = payload + int(held * two_caps / opening)
-                    if offered and byte_cap / offered < share:
-                        break
-                    took = int(offered * share)
-                    append(took)
-                    held += payload - took
-                run = len(accepted_bytes)
-        result = (run, saturated) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
-        self._throttled = (key, result, accepted_bytes)
-        return result
-
-    def producer_stage(self, start: int, stop: int) -> tuple[np.ndarray, list[int]]:
-        """What Kinesis accepts, in records and bytes, over the throttled
-        run :meth:`throttled_run` last found from ``start``, up to
-        ``stop``."""
-        return self._producer[0][start:stop], self._throttled[2][: stop - start]
 
 
 class _FlowPipeline:
@@ -528,18 +513,14 @@ class _FlowPipeline:
         execution contract, DESIGN.md). A :class:`_Span` draws the
         workload and dashboard-read columns once and hoists the capacity
         coefficients once — :meth:`span_horizon` guarantees they are
-        constant across the span. Execution then alternates four
-        stretches over those columns. Where the write backlog is empty
-        and :meth:`_Span.closed_form_run` finds at least
-        :data:`_CLOSED_FORM_MIN_TICKS` ticks, a closed form runs:
-        :meth:`_throttled_stretch` when the producer re-offers a full
-        retry of its backlog; otherwise :meth:`_vector_stretch` when the
-        stream buffer and Storm's queue are empty too, and
-        :meth:`_saturated_stretch` when Storm runs at capacity off a
-        backlogged stream. The bit-exact :meth:`_scalar_stretch`
-        recurrence runs everywhere else. The metric columns land as one
-        frame append per service, and the costs accrue once, at the end
-        of the span.
+        constant across the span. Execution then alternates stretches
+        over those columns. Where the write backlog is empty and
+        :meth:`_Span.closed_form_run` finds a plan, :meth:`_closed_form`
+        runs it; the bit-exact :meth:`_scalar_stretch` recurrence runs
+        everywhere else, and hands back the plan it stopped for, so no
+        question is asked twice. The metric columns land as one frame
+        append per service, and the costs accrue once, at the end of the
+        span.
         """
         dt = clock.tick_seconds
         count = (span_end - clock.now) // dt
@@ -548,23 +529,19 @@ class _FlowPipeline:
         cluster = self.cluster
         accepted_before = stream.total_accepted_records
         parts = []
+        plan = None
         i = 0
         while i < count:
-            backlog = self._producer_backlog_records
-            run, saturated = 0, False
-            if not self._write_backlog:
-                run, saturated = span.closed_form_run(
+            if plan is None and not self._write_backlog:
+                plan = span.closed_form_run(
                     i, stream._buffer_records, cluster._pending_records,
-                    backlog, self._producer_backlog_bytes,
+                    self._producer_backlog_records, self._producer_backlog_bytes,
                 )
-            if not run:
-                i, columns = self._scalar_stretch(span, i)
-            elif backlog:
-                i, columns = self._throttled_stretch(span, i, i + run, saturated)
-            elif saturated:
-                i, columns = self._saturated_stretch(span, i, i + run)
+            if plan is None:
+                i, plan, columns = self._scalar_stretch(span, i)
             else:
-                i, columns = self._vector_stretch(span, i, i + run)
+                i, columns = self._closed_form(span, i, *plan)
+                plan = None
             parts.append(columns)
         if len(parts) == 1:
             columns = parts[0]
@@ -637,7 +614,7 @@ class _FlowPipeline:
             index = 0
         return reads[index : index + count]
 
-    def _scalar_stretch(self, span: "_Span", start: int) -> tuple[int, tuple]:
+    def _scalar_stretch(self, span: "_Span", start: int) -> tuple[int, tuple | None, tuple]:
         """The bit-exact per-tick recurrence, from span index ``start``.
 
         Runs to the end of the span, or stops at a window boundary where
@@ -645,7 +622,8 @@ class _FlowPipeline:
         (:meth:`_Span.closed_form_run`). It stops only where its
         CPU-noise buffer is used up, so the closed-form stretch that
         follows draws from the right bitstream position. Returns the
-        stop index and the stretch's metric columns.
+        stop index, the closed-form plan found there (``None`` at the
+        span's end) and the stretch's metric columns.
         """
         dt = span.dt
         count = span.count
@@ -750,18 +728,17 @@ class _FlowPipeline:
         writes = cluster._tick_writes_emitted
         t = span.now + start * dt
         stop = count
+        plan = None
         for i in range(start, count):
             if noise_idx == noise_end:
                 # A window boundary: the one place a closed-form
                 # stretch may take over, since no drawn normal is left
                 # unused.
-                if (
-                    i > start
-                    and not write_backlog
-                    and closed_form_run(i, buffer_records, pending, backlog_records, backlog_bytes)[0]
-                ):
-                    stop = i
-                    break
+                if i > start and not write_backlog:
+                    plan = closed_form_run(i, buffer_records, pending, backlog_records, backlog_bytes)
+                    if plan:
+                        stop = i
+                        break
                 # Refill up to (and including) the next flush tick;
                 # window_elapsed has not yet counted this tick.
                 seg = -(-(window_seconds - window_elapsed) // dt)
@@ -928,73 +905,39 @@ class _FlowPipeline:
         cluster._tick_writes_emitted = writes
         table._burst_bucket = burst
         table._read_burst_bucket = read_burst
-        return stop, (
+        return stop, plan, (
             times, k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
             k_lag, s_cpu, s_processed, s_pending, s_writes, d_consumed, d_throttled,
             d_util, d_burst, d_read_consumed, d_read_throttled, d_read_util,
         )
 
-    def _vector_stretch(self, span: "_Span", start: int, stop: int) -> tuple[int, tuple]:
-        """Closed-form columns for the span indices ``start`` .. ``stop - 1``
-        from drained state.
-
-        The caller guarantees that every backlog, buffer and queue is
-        empty at ``start`` and that each tick's draws clear every
-        hoisted cap (:meth:`_Span.viable_run`). The recurrence then
-        degenerates: accepted = handed = processed = records, and
-        nothing buffers or throttles (see :meth:`_closed_form`).
-        """
-        return self._closed_form(span, start, stop, saturated=False)
-
-    def _saturated_stretch(self, span: "_Span", start: int, stop: int) -> tuple[int, tuple]:
-        """Closed-form columns for the span indices ``start`` .. ``stop - 1``
-        with Storm at capacity.
-
-        The caller guarantees that the producer and write backlogs are
-        empty at ``start``, and that Storm's queue is at most
-        ``poll_limit``, the stream's buffer and read cap cover every
-        tick's poll, and each tick's draws clear the Kinesis write caps
-        and the read capacity (:meth:`_Span.saturated_run`). Kinesis then
-        accepts every record, and the poll tops Storm's queue back up to
-        ``poll_limit``: it hands over ``poll_limit - pending`` on the
-        first tick and ``analytics_cap`` after, Storm processes
-        ``analytics_cap`` and leaves ``poll_limit - analytics_cap``
-        pending, so CPU is ``clip(100 + noise)``. The buffer is
-        ``B0 + cumsum(records - handed)``, Lindley's queue recursion
-        while the buffer stays non-empty (see :meth:`_closed_form`).
-        """
-        return self._closed_form(span, start, stop, saturated=True)
-
-    def _throttled_stretch(
-        self, span: "_Span", start: int, stop: int, saturated: bool
-    ) -> tuple[int, tuple]:
-        """Closed-form columns for the span indices ``start`` .. ``stop - 1``
-        with Kinesis throttling a full retry of the producer backlog.
-
-        The caller guarantees the run :meth:`_Span.throttled_run` found
-        from ``start``. Each tick then re-offers ``2 * record_cap`` of
-        backlog with its draws, Kinesis accepts
-        :meth:`_Span.producer_stage`'s records and bytes, the backlogs
-        take the rest, and Storm, DynamoDB and the metric columns run
-        the drained or (with ``saturated``) saturated closed form on
-        what Kinesis accepted (see :meth:`_closed_form`).
-        """
-        return self._closed_form(span, start, stop, saturated, span.producer_stage(start, stop))
-
     def _closed_form(
         self, span: "_Span", start: int, stop: int, saturated: bool,
-        producer: tuple[np.ndarray, list[int]] | None = None,
+        producer: tuple[np.ndarray, list[int]] | None,
     ) -> tuple[int, tuple]:
-        """The closed-form stretches' shared columns and state.
+        """A closed-form stretch over the span indices ``start`` ..
+        ``stop - 1``: the plan :meth:`_Span.closed_form_run` found from
+        ``start``, which guarantees that the write backlog is empty there
+        and that no tick of the run breaks its regime.
 
         Kinesis accepts every drawn record and byte, or, given
-        ``producer``, its accepted records and bytes, throttling the
-        rest into the producer backlog. Dashboard reads never dip into
-        the burst bucket: the run tests hold them within the read
-        capacity. Only storage can still go live, when a window flush's
-        writes overflow the write burst bucket: the stretch then ends on
-        that flush tick and a scalar stretch retries the write backlog.
-        Returns the stop index and the stretch's metric columns.
+        ``producer``, its accepted records and bytes: each tick then
+        re-offers ``2 * record_cap`` of producer backlog with its draws,
+        and the producer backlogs take what Kinesis throttles. Storm
+        runs on what Kinesis accepted. Drained, the recurrence
+        degenerates: handed = processed = accepted, and nothing buffers
+        or queues. With ``saturated``, Storm runs at capacity: the poll
+        tops its queue back up to ``poll_limit``, so it hands over
+        ``poll_limit - pending`` on the first tick and ``analytics_cap``
+        after, Storm processes ``analytics_cap`` and leaves ``poll_limit
+        - analytics_cap`` pending, CPU is ``clip(100 + noise)``, and the
+        stream buffer is ``B0 + cumsum(accepted - handed)``, Lindley's
+        queue recursion while the buffer stays non-empty. Dashboard reads
+        never dip into the burst bucket: the run test holds them within
+        the read capacity. Only storage can still go live, when a window
+        flush's writes overflow the write burst bucket: the stretch then
+        ends on that flush tick and a scalar stretch retries the write
+        backlog. Returns the stop index and the stretch's metric columns.
         """
         dt = span.dt
         # What Kinesis accepts, tick by tick, from span index start.

@@ -556,14 +556,15 @@ class TestInvariantChecker:
             dropped_bytes, report = run(spans)
             assert dropped_bytes > 0 and report.ok
 
-        throttled = _FlowPipeline._throttled_stretch
+        closed_form = _FlowPipeline._closed_form
 
-        def one_byte_off(self, *args):
-            reached, columns = throttled(self, *args)
-            self._producer_backlog_bytes += 1
+        def one_byte_off(self, span, start, stop, saturated, producer):
+            reached, columns = closed_form(self, span, start, stop, saturated, producer)
+            if producer is not None:  # a throttled stretch
+                self._producer_backlog_bytes += 1
             return reached, columns
 
-        monkeypatch.setattr(_FlowPipeline, "_throttled_stretch", one_byte_off)
+        monkeypatch.setattr(_FlowPipeline, "_closed_form", one_byte_off)
         with pytest.raises(SimulationError, match="conservation.ingestion_bytes"):
             run(True)
 

@@ -27,6 +27,10 @@ BAD_FLAGS = [
     (["fleet", "--seed", "-1"], "seed"),
     (["fleet", "--reference", "150"], "--reference"),
     (["fleet", "--reference", "0"], "--reference"),
+    (["trace", "--duration", "60", "--from-tick", "50", "--to-tick", "10"],
+     "--from-tick=50 --to-tick=10"),
+    (["trace", "--from-tick", "-5"], "--from-tick"),
+    (["trace", "--to-tick", "-1"], "--to-tick"),
 ]
 
 

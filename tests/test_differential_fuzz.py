@@ -13,7 +13,10 @@ also logs what ``_FlowPipeline.run_span`` did on every spanned run and
 asserts, across the corpus, that each stretch and each hand-over was
 reached: vector ↔ scalar, saturated ↔ scalar, throttled ↔ scalar, a
 flush overflow that ends each closed-form stretch, a producer backlog,
-and an injection of every chaos fault kind.
+and an injection of every chaos fault kind. Every closed-form stop is
+judged by an exit oracle independent of the run test
+(``test_span_equivalence._closed_form_exits``): one the next tick does
+not explain fails the example.
 
 The tier-1 profile is derandomized, so its corpus is fixed. A longer
 random run is opt-in::
@@ -36,7 +39,7 @@ from repro.scenarios.spec import PatternSpec
 from repro.workload.clickstream import ClickStreamConfig
 
 from tests.test_scenarios_property import chaos_schedules, pattern_trees
-from tests.test_span_equivalence import _log_stretches, assert_equivalent
+from tests.test_span_equivalence import _closed_form_exits, _log_stretches, assert_equivalent
 
 settings.register_profile(
     "fuzz-tier1", max_examples=40, derandomize=True, deadline=None, database=None,
@@ -201,6 +204,7 @@ EDGE_FLOWS = [
 
 def test_span_execution_matches_per_tick_loop(monkeypatch):
     calls = _log_stretches(monkeypatch)
+    _closed_form_exits(monkeypatch)
     reached = Counter()
 
     @PROFILE

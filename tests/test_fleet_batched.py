@@ -195,12 +195,13 @@ class TestBatchedEquivalence:
         closed form, and every flow stays bit-identical."""
         in_executor = []  # one entry per saturated stretch
         inside = []
-        saturated = _FlowPipeline._saturated_stretch
+        closed_form = _FlowPipeline._closed_form
         run_span = FleetSpanExecutor.run_span
 
-        def logged_saturated(self, span, start, stop):
-            in_executor.append(bool(inside))
-            return saturated(self, span, start, stop)
+        def logged_closed_form(self, span, start, stop, saturated, producer):
+            if saturated and producer is None:  # a saturated stretch
+                in_executor.append(bool(inside))
+            return closed_form(self, span, start, stop, saturated, producer)
 
         def logged_run_span(self, clock, span_end):
             inside.append(True)
@@ -209,7 +210,7 @@ class TestBatchedEquivalence:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(_FlowPipeline, "_saturated_stretch", logged_saturated)
+        monkeypatch.setattr(_FlowPipeline, "_closed_form", logged_closed_form)
         monkeypatch.setattr(FleetSpanExecutor, "run_span", logged_run_span)
         _assert_equivalent(3, exact=False, tight=True)
         assert in_executor, "no saturated stretch ran"

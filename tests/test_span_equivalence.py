@@ -26,7 +26,7 @@ from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.storm import BoltSpec, StormConfig, TopologyConfig
 from repro.core.builder import FlowBuilder
 from repro.core.flow import LayerKind
-from repro.core.manager import FlowElasticityManager, ServiceCapacities, _FlowPipeline
+from repro.core.manager import FlowElasticityManager, ServiceCapacities, _FlowPipeline, _Span
 from repro.workload.clickstream import ClickStreamConfig
 from repro.workload.generators import (
     ConstantRate,
@@ -252,22 +252,43 @@ class TestControlledFlowEquivalence:
         assert_equivalent(reference, spanned)
 
 
-def _log_stretches(monkeypatch):
+def _kind(saturated, producer):
+    """The closed form a plan runs: throttled with a producer stage,
+    else saturated or vector by Storm's regime."""
+    return "throttled" if producer is not None else "saturated" if saturated else "vector"
+
+
+def _log_stretches(monkeypatch, asked=None):
     """Record every stretch ``run_span`` runs: (span start, kind, stop
     asked for, stop reached). A span's kinds, in order, show which
-    stretches executed it."""
+    stretches executed it. Given a list ``asked``, also append to it
+    every question ``_Span.closed_form_run`` is asked: (span start, its
+    arguments)."""
     calls = []
-    for kind in ("vector", "saturated", "throttled", "scalar"):
-        method = getattr(_FlowPipeline, f"_{kind}_stretch")
+    closed_form = _FlowPipeline._closed_form
+    scalar = _FlowPipeline._scalar_stretch
 
-        # A scalar stretch is asked for the rest of the span; a
-        # throttled one is also told Storm's regime.
-        def logged(self, span, start, *stop, _method=method, _kind=kind):
-            reached, columns = _method(self, span, start, *stop)
-            calls.append((span.now, _kind, stop[0] if stop else span.count, reached))
-            return reached, columns
+    def logged_closed_form(self, span, start, stop, saturated, producer):
+        reached, columns = closed_form(self, span, start, stop, saturated, producer)
+        calls.append((span.now, _kind(saturated, producer), stop, reached))
+        return reached, columns
 
-        monkeypatch.setattr(_FlowPipeline, f"_{kind}_stretch", logged)
+    # A scalar stretch is asked for the rest of the span.
+    def logged_scalar(self, span, start):
+        result = scalar(self, span, start)
+        calls.append((span.now, "scalar", span.count, result[0]))
+        return result
+
+    monkeypatch.setattr(_FlowPipeline, "_closed_form", logged_closed_form)
+    monkeypatch.setattr(_FlowPipeline, "_scalar_stretch", logged_scalar)
+    if asked is not None:
+        question = _Span.closed_form_run
+
+        def logged_question(span, *args):
+            asked.append((span.now, *args))
+            return question(span, *args)
+
+        monkeypatch.setattr(_Span, "closed_form_run", logged_question)
     return calls
 
 
@@ -278,42 +299,73 @@ def _kinds_by_span(calls):
     return spans
 
 
-def _throttled_exits(monkeypatch):
-    """Record why each throttled stretch stopped, judged independently
-    of the run test from the state it leaves and the next tick's draws:
-    ``overflow`` (a flush overflowed the write bucket), ``span-end``,
-    ``two-caps`` (the backlog opens under two record caps),
-    ``max-backlog`` (it would close above ``MAX_BACKLOG``), ``byte-cap``
-    (the byte cap binds), else ``other`` (reads or Storm)."""
-    exits = []
-    method = _FlowPipeline._throttled_stretch
+def _closed_form_exits(monkeypatch):
+    """Record why each closed-form stretch stopped, by kind, judged
+    independently of the run test from the state it leaves and the next
+    tick's draws (:func:`_closed_form_exit`); a stop that breaks nothing
+    fails the run."""
+    exits = {"vector": [], "saturated": [], "throttled": []}
+    method = _FlowPipeline._closed_form
 
-    def logged(self, span, start, stop, saturated):
-        reached, columns = method(self, span, start, stop, saturated)
-        exits.append(_throttled_exit(self, span, stop, reached))
+    def judged(self, span, start, stop, saturated, producer):
+        reached, columns = method(self, span, start, stop, saturated, producer)
+        kind = _kind(saturated, producer)
+        why = _closed_form_exit(self, span, stop, reached, saturated, producer is not None)
+        assert why != "unexplained", (
+            f"a {kind} stretch from span index {start} stopped at {reached} "
+            "where the next tick breaks none of its regime's exits"
+        )
+        exits[kind].append(why)
         return reached, columns
 
-    monkeypatch.setattr(_FlowPipeline, "_throttled_stretch", logged)
+    monkeypatch.setattr(_FlowPipeline, "_closed_form", judged)
     return exits
 
 
-def _throttled_exit(pipeline, span, stop, reached):
+def _closed_form_exit(pipeline, span, stop, reached, saturated, throttled):
+    """Why a closed-form stretch stopped at span index ``reached``:
+    ``overflow`` (a flush overflowed the write bucket), ``span-end``, or
+    the first exit of its regime the next tick takes. The inflow's:
+    ``write-cap`` (the draws exceed a Kinesis write cap), or, throttled,
+    ``two-caps`` (the producer backlog opens under two record caps),
+    ``max-backlog`` (it would close above ``MAX_BACKLOG``) and
+    ``byte-cap`` (the byte cap binds); then ``read-cap`` (the reads
+    exceed the read capacity). Storm's: drained, ``drained-limit`` (the
+    inflow exceeds ``min(stream_read_cap, poll_limit, analytics_cap)``);
+    saturated, ``short-poll`` (the poll would come up short, or the
+    queue is above ``poll_limit``). Else ``unexplained``."""
     if reached < stop:
         return "overflow"
     if reached == span.count:
         return "span-end"
-    backlog = pipeline._producer_backlog_records
-    cap = span.record_cap
-    if backlog < 2 * cap:
-        return "two-caps"
     records = span.records[reached]
-    offered = records + 2 * cap
-    if backlog + records - int(offered * (cap / offered)) > pipeline.MAX_BACKLOG:
-        return "max-backlog"
-    retry_bytes = int(pipeline._producer_backlog_bytes * 2 * cap / backlog)
-    if span.byte_cap / (span.payload[reached] + retry_bytes) < cap / offered:
-        return "byte-cap"
-    return "other"
+    payload = span.payload[reached]
+    cap = span.record_cap
+    inflow = records
+    if throttled:
+        backlog = pipeline._producer_backlog_records
+        if backlog < 2 * cap:
+            return "two-caps"
+        offered = records + 2 * cap
+        inflow = int(offered * (cap / offered))
+        if backlog + records - inflow > pipeline.MAX_BACKLOG:
+            return "max-backlog"
+        offered_bytes = payload + int(pipeline._producer_backlog_bytes * 2 * cap / backlog)
+        if offered_bytes and span.byte_cap / offered_bytes < cap / offered:
+            return "byte-cap"
+    elif records > cap or payload > span.byte_cap:
+        return "write-cap"
+    if span.reads is not None and span.reads[reached] > span.read_cap:
+        return "read-cap"
+    if not saturated:
+        if inflow > min(span.stream_read_cap, span.poll_limit, span.analytics_cap):
+            return "drained-limit"
+        return "unexplained"
+    pending = pipeline.cluster._pending_records
+    poll = span.poll_limit - pending
+    if poll < 0 or pipeline.stream._buffer_records + inflow < poll:
+        return "short-poll"
+    return "unexplained"
 
 
 def _pending_at(result):
@@ -327,8 +379,13 @@ class TestSpanStretches:
 
     Uncontrolled flows with a 600 s snapshot period give spans long
     enough to hold several stretches; every case checks span ≡ tick
-    and that the stretches it targets actually ran.
+    and that the stretches it targets actually ran, and the exit oracle
+    judges every closed-form stop.
     """
+
+    @pytest.fixture(autouse=True)
+    def closed_form_exits(self, monkeypatch):
+        return _closed_form_exits(monkeypatch)
 
     @staticmethod
     def _pair(make_manager, horizon):
@@ -342,8 +399,12 @@ class TestSpanStretches:
         """A flash crowd throttles one shard mid-span: the producer
         backlog builds under a scalar stretch, a throttled stretch runs
         while it is two record caps or more, the scalar stretch retries
-        the last of it, and the same span returns to the vector path."""
-        calls = _log_stretches(monkeypatch)
+        the last of it, and the same span returns to the vector path.
+        Each scalar stretch hands over the plan it found, so no span
+        asks the closed-form run test the same question twice in a
+        row."""
+        asked = []
+        calls = _log_stretches(monkeypatch, asked)
 
         def build(spans):
             return FlowElasticityManager(
@@ -362,6 +423,7 @@ class TestSpanStretches:
         assert ["vector", "scalar", "throttled", "scalar", "vector"] in _kinds_by_span(
             calls
         ).values()
+        assert not [a for a, b in zip(asked, asked[1:]) if a == b], "a question was asked twice"
 
     def test_flush_overflows_into_write_backlog_in_vector_stretch(self, monkeypatch):
         """With no burst credit, a window flush's writes exceed the
@@ -539,13 +601,13 @@ class TestSpanStretches:
         pending = _pending_at(spanned)
         assert all(pending[t] == 1.5 * 800 - 800 for t in range(11, 1201))
 
-    def test_throttled_run_ends_under_two_record_caps(self, monkeypatch):
+    def test_throttled_run_ends_under_two_record_caps(self, monkeypatch, closed_form_exits):
         """A 150 s surge builds the backlog; once the load falls it
         drains by about 500 records a tick. The throttled run ends where
         the backlog would open under two record caps, a scalar stretch
         retries the rest, and the span goes back to the vector path."""
         calls = _log_stretches(monkeypatch)
-        exits = _throttled_exits(monkeypatch)
+        exits = closed_form_exits["throttled"]
         reference, spanned = self._pair(
             lambda spans: self._throttled_flow(
                 spans, workload=StepRate(base=500, level=1500, at=100, until=250), seed=47
@@ -556,13 +618,13 @@ class TestSpanStretches:
         assert _kinds_by_span(calls)[0] == ["vector", "scalar", "throttled", "scalar", "vector"]
         assert exits == ["two-caps"]
 
-    def test_throttled_run_ends_before_max_backlog(self, monkeypatch):
+    def test_throttled_run_ends_before_max_backlog(self, monkeypatch, closed_form_exits):
         """With the backlog capped at 25,000 records the throttled run
         ends on the tick before the cap would be passed; the scalar
         stretch drops what overflows."""
         monkeypatch.setattr(_FlowPipeline, "MAX_BACKLOG", 25_000)
         calls = _log_stretches(monkeypatch)
-        exits = _throttled_exits(monkeypatch)
+        exits = closed_form_exits["throttled"]
         reference, spanned = self._pair(
             lambda spans: self._throttled_flow(spans, seed=53), 1200
         )
@@ -571,12 +633,12 @@ class TestSpanStretches:
         assert _kinds_by_span(calls)[0] == ["scalar", "throttled", "scalar"]
         assert exits == ["max-backlog"]
 
-    def test_throttled_run_ends_at_byte_bound_tick(self, monkeypatch):
+    def test_throttled_run_ends_at_byte_bound_tick(self, monkeypatch, closed_form_exits):
         """1040-byte records sit near the shard's 1048-byte-per-record
         boundary: on some ticks the retried bytes make the byte cap
         bind first, which ends the throttled run there."""
         calls = _log_stretches(monkeypatch)
-        exits = _throttled_exits(monkeypatch)
+        exits = closed_form_exits["throttled"]
         reference, spanned = self._pair(
             lambda spans: self._throttled_flow(
                 spans, clickstream=ClickStreamConfig(mean_record_bytes=1040), seed=59
@@ -590,12 +652,12 @@ class TestSpanStretches:
         assert exits.count("byte-cap") >= 5
         assert set(exits) <= {"byte-cap", "span-end"}
 
-    def test_flush_overflows_into_write_backlog_in_throttled_stretch(self, monkeypatch):
+    def test_flush_overflows_into_write_backlog_in_throttled_stretch(self, monkeypatch, closed_form_exits):
         """With no burst credit and write capacity near a flush's
         writes, a flush overflows inside the throttled stretch: it ends
         on that flush tick and a scalar stretch retries the writes."""
         calls = _log_stretches(monkeypatch)
-        exits = _throttled_exits(monkeypatch)
+        exits = closed_form_exits["throttled"]
         reference, spanned = self._pair(
             lambda spans: self._throttled_flow(
                 spans, dynamodb=DynamoDBConfig(burst_seconds=0), write_units=470, seed=61

@@ -3,7 +3,7 @@
 The split files each scalar stretch's ticks under the state the stretch
 started in, and asks ``_Span.closed_form_run`` at every scalar stretch
 that starts with an empty write backlog whether a closed form would
-have taken over; a yes raises. Running the two CI canaries here
+have taken over; a plan raises. Running the two CI canaries here
 (fleet-16 and flow-congested) keeps that cross-check against
 ``run_span``'s dispatch in tier 1.
 """
@@ -25,7 +25,8 @@ from repro.core.manager import _FlowPipeline
         # The closed-form cross-check runs on each short-run regime,
         # with and without a producer backlog.
         pytest.param(
-            ["fleet-16", "--seconds", "1800", "--require", "saturated"],
+            ["fleet-16", "--seconds", "1800", "--require", "saturated",
+             "--require", "vector", "--require", "throttled"],
             ("span-remainder", "drained-short-viable-run", "backlogged-short-saturated-run"),
             id="fleet-16",
         ),
@@ -38,7 +39,7 @@ from repro.core.manager import _FlowPipeline
     ],
 )
 def test_split_files_every_scalar_tick(monkeypatch, capsys, argv, reached):
-    for name in split.STRETCHES.values():
+    for name in split.WRAPPED:
         # Re-setting each method records it, so teardown removes the
         # counters the split installs over it.
         monkeypatch.setattr(_FlowPipeline, name, getattr(_FlowPipeline, name))
