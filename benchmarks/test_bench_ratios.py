@@ -3,15 +3,14 @@
 Absolute speed is the pinned benchmark's job (``bench/``,
 ``BENCHMARK.json``). This file checks only ratios between two legs
 timed in one process, which hold on any host. Each row runs its two
-legs interleaved, best of N, so drift in machine load hits both alike,
+legs interleaved, best of 2, so drift in machine load hits both alike,
 and asserts ``best(numerator) / best(denominator) >= bound``.
 
 Flow rows build ``bench.workloads.WORKLOADS[name].build(SEED, horizon)``;
 a per-tick leg turns span execution off as ``bench/rep.py`` does. Fleet
 rows use the fingerprint fleet (``_fleet_fingerprint.build_fleet``),
-because its width can vary and ``fleet-16``'s cannot. The telemetry
-rows build their own flow, because the pinned builders have no
-telemetry switch. ``bench/`` is imported, never changed.
+because its width can vary and ``fleet-16``'s cannot. ``bench/`` is
+imported, never changed.
 
 Usage::
 
@@ -33,13 +32,11 @@ from bench.oracle import flow_digest
 from bench.workloads import WORKLOADS
 from benchmarks._fleet_fingerprint import build_fleet
 
-from repro import FlowBuilder
 from repro.cloud import MetricAlarm
 from repro.cloud.dynamodb import NAMESPACE as DDB_NS
 from repro.cloud.kinesis import NAMESPACE as KINESIS_NS
 from repro.cloud.storm import NAMESPACE as STORM_NS
 from repro.scenarios import run_catalog
-from repro.workload import SinusoidalRate
 
 SEED = 7
 
@@ -76,21 +73,6 @@ def fleet(flows: int, duration: int, *, span: bool = True) -> float:
     return _timed(partial(build_fleet(flows, span=span).run, duration), flows * duration)
 
 
-def telemetry(enabled: bool, horizon: int) -> float:
-    """One run of a managed flow with the telemetry registry on or off."""
-    manager = (
-        FlowBuilder(f"telemetry-{'on' if enabled else 'off'}", seed=SEED)
-        .ingestion(shards=2)
-        .analytics(vms=2)
-        .storage(write_units=300)
-        .workload(SinusoidalRate(mean=1500.0, amplitude=900.0, period=horizon))
-        .control_all(style="adaptive", reference=60.0, period=60)
-        .telemetry(enabled)
-        .build()
-    )
-    return _timed(partial(manager.run, horizon), horizon)
-
-
 def sweep(jobs: int) -> float:
     """One ``run_catalog`` of ``catalog-smoke`` on ``jobs`` worker processes."""
     workload = WORKLOADS["catalog-smoke"]
@@ -100,7 +82,7 @@ def sweep(jobs: int) -> float:
 
 @dataclass(frozen=True)
 class Row:
-    """``best(numerator) / best(denominator) >= bound`` over ``repeats``
+    """``best(numerator) / best(denominator) >= bound`` over two
     interleaved runs of each leg, on hosts with at least ``cores`` CPUs."""
 
     name: str
@@ -108,7 +90,6 @@ class Row:
     numerator: Callable[[], float]
     denominator: Callable[[], float]
     bound: float
-    repeats: int = 2
     cores: int = 1
 
 
@@ -137,12 +118,6 @@ ROWS = [
     Row("fleet", "smoke", partial(fleet, 4, 1_800), partial(fleet, 4, 1_800, span=False), 2.0),
     Row("fleet", "full", partial(fleet, 16, 3_600), partial(fleet, 16, 3_600, span=False), 5.0),
     Row("fleet-width", "full", partial(fleet, 16, 3_600), partial(fleet, 1, 3_600), 0.8),
-    # Telemetry costs under 10% (smoke) or 2% (full): the flow keeps
-    # 1/1.1 or 1/1.02 of its untelemetered throughput, best of 7.
-    Row("telemetry", "smoke", partial(telemetry, True, 14_400),
-        partial(telemetry, False, 14_400), 1 / 1.10, repeats=7),
-    Row("telemetry", "full", partial(telemetry, True, 14_400),
-        partial(telemetry, False, 14_400), 1 / 1.02, repeats=7),
     # Process-parallel scenario runs scale where the host has the cores.
     Row("sweep", "full", partial(sweep, 4), partial(sweep, 1), 1.5, cores=4),
 ]
@@ -153,7 +128,7 @@ def test_ratio(row: Row):
     if (os.cpu_count() or 1) < row.cores:
         pytest.skip(f"needs {row.cores} cores to show a speed-up")
     numerator = denominator = 0.0
-    for _ in range(row.repeats):
+    for _ in range(2):
         numerator = max(numerator, row.numerator())
         denominator = max(denominator, row.denominator())
     ratio = numerator / denominator

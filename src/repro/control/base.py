@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from repro.core.errors import ControlError
 from repro.observability.decisions import ControlDecision, DecisionLog
 from repro.observability.events import EventBus
-from repro.observability.telemetry import Telemetry
 
 
 class Sensor(ABC):
@@ -109,6 +108,8 @@ class ControlRecord:
     capacity_before: float
     capacity_requested: float
     capacity_applied: float
+    #: Whether the sensor held an old reading (a monitoring fault).
+    stale: bool = False
 
     @property
     def acted(self) -> bool:
@@ -121,7 +122,9 @@ class ControlLoop:
 
     The loop tolerates missing sensor data (e.g. the first window of a
     run) by skipping the invocation — controllers never see synthetic
-    zeros.
+    zeros — and counts the skips in :attr:`skipped`. Its records and
+    that count are everything the run's telemetry reads about it, after
+    the run.
 
     **Integrator state.** Real actuators are quantized (you cannot run
     1.75 VMs), so integrating on the *applied* capacity would deadlock
@@ -144,9 +147,8 @@ class ControlLoop:
     #: events whenever the applied capacity changes.
     decision_log: DecisionLog | None = None
     event_bus: EventBus | None = None
-    #: Always-on telemetry registry (counters sampled once per control
-    #: boundary; ``None`` disables the sampling entirely).
-    telemetry: Telemetry | None = None
+    #: Invocations skipped for want of sensor data.
+    skipped: int = field(default=0, init=False)
     _integrator: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -175,8 +177,7 @@ class ControlLoop:
     def _step(self, now: int) -> ControlRecord | None:
         measurement = self.sensor.measure(now)
         if measurement is None:
-            if self.telemetry is not None:
-                self.telemetry.inc(f"control.{self.name}.skipped")
+            self.skipped += 1
             return None
         current = self.actuator.get(now)
         if self._integrator is None or abs(self._integrator - current) > 1.0:
@@ -191,30 +192,12 @@ class ControlLoop:
             capacity_before=current,
             capacity_requested=requested,
             capacity_applied=applied,
+            stale=getattr(self.sensor, "last_stale", False),
         )
         self.records.append(record)
-        if self.telemetry is not None:
-            self._record_telemetry(record)
         if self.decision_log is not None or self.event_bus is not None:
             self._record_decision(now, measurement, state_before, current, requested, applied)
         return record
-
-    def _record_telemetry(self, record: ControlRecord) -> None:
-        """Per-boundary counters: one dict increment each, no hot-path
-        cost (control boundaries are tens of simulated seconds apart)."""
-        telemetry = self.telemetry
-        name = self.name
-        telemetry.inc(f"control.{name}.decisions")
-        if record.acted:
-            telemetry.inc(f"control.{name}.actions")
-            telemetry.observe(
-                f"control.{name}.step_size",
-                abs(record.capacity_applied - record.capacity_before),
-            )
-        if record.capacity_applied != record.capacity_requested:
-            telemetry.inc(f"control.{name}.clamps")
-        if getattr(self.sensor, "last_stale", False):
-            telemetry.inc(f"control.{name}.stale_reads")
 
     def _record_decision(
         self,

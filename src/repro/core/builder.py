@@ -68,7 +68,6 @@ class FlowBuilder:
         self._span_execution = True
         self._chaos = None
         self._invariants = True
-        self._telemetry = True
         self._exact = True
 
     # ------------------------------------------------------------------
@@ -273,15 +272,6 @@ class FlowBuilder:
         self._chaos = schedule
         return self
 
-    def telemetry(self, enabled: bool = True) -> "FlowBuilder":
-        """Enable or disable the always-on telemetry registry (on by
-        default). Counters, gauges and histograms are sampled only at
-        control boundaries (<2% overhead); the run result's
-        ``telemetry`` carries them, and scorecards and the dashboard's
-        telemetry section read from it."""
-        self._telemetry = enabled
-        return self
-
     def invariants(self, enabled: bool = True) -> "FlowBuilder":
         """Enable or disable the always-on invariant checker (on by
         default). It audits conservation, capacity bounds and cost
@@ -326,6 +316,5 @@ class FlowBuilder:
             span_execution=self._span_execution,
             chaos=self._chaos,
             invariants=self._invariants,
-            telemetry=self._telemetry,
             exact=self._exact,
         )

@@ -210,19 +210,13 @@ class FleetCoordinator:
                 floors.append(self._floor(manager, kind))
                 weights.setdefault(flow_id, {})[kind] = weight
             total = sum(demand)
-            for (flow_id, manager, actuator), weight, floor in zip(flows, demand, floors):
+            for (flow_id, _manager, actuator), weight, floor in zip(flows, demand, floors):
                 cap = max(floor, int(limit * weight / total))
                 grants.setdefault(flow_id, {})[kind] = cap
                 new_cap = float(cap)
                 if actuator.cap != new_cap:
                     actuator.cap = new_cap
                     self.retargets += 1
-                telemetry = manager.telemetry
-                if telemetry is not None:
-                    telemetry.set_gauge(f"fleet.bound.{kind.name.lower()}", new_cap)
-        for manager in self.managers.values():
-            if manager.telemetry is not None:
-                manager.telemetry.inc("fleet.coordinations")
         self.records.append(CoordinationRecord(time=now, grants=grants, weights=weights))
 
     # ------------------------------------------------------------------
@@ -416,7 +410,9 @@ class RegionFleetManager:
         return FleetRunResult(
             duration_seconds=self.engine.clock.now,
             flows={
-                flow_id: manager._build_result()
+                flow_id: manager._build_result(
+                    coordination=self.coordinator.records if self.coordinator else ()
+                )
                 for flow_id, manager in self.managers.items()
             },
             region=self.region,

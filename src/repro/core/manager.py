@@ -5,8 +5,9 @@ generator feeds the ingestion layer, the analytics layer pulls from it
 and emits aggregates to the storage layer; every service pushes its
 measurements to the simulated CloudWatch; per-layer control loops read
 their sensor through a monitoring window and command their actuator;
-the cross-platform collector snapshots the whole flow; cost meters
-integrate spend per resource.
+cost meters integrate spend per resource. The run loop does nothing
+else: the cross-platform collector's snapshots and the run's telemetry
+are read from the finished run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -1163,8 +1164,8 @@ class FlowRunResult:
     recorder: FlightRecorder | None = None
     chaos_events: list[ChaosEvent] = field(default_factory=list)
     invariants: InvariantReport | None = None
-    #: Always-on counters/gauges/histograms (None only when disabled).
-    telemetry: Telemetry | None = None
+    #: Counters, gauges and histograms read from the finished run.
+    telemetry: Telemetry = field(default_factory=Telemetry)
     #: Wall-clock seconds the engine run took (real time, not simulated).
     wall_seconds: float = 0.0
     #: Whether the run used the bit-exact workload path. ``False`` marks
@@ -1255,7 +1256,6 @@ class FlowElasticityManager:
         span_execution: bool = True,
         chaos: ChaosSchedule | None = None,
         invariants: bool = True,
-        telemetry: bool = True,
         engine: SimulationEngine | None = None,
         region=None,
         flow_id: str | None = None,
@@ -1288,9 +1288,8 @@ class FlowElasticityManager:
         self.price_book = price_book or PriceBook()
         self.seed = seed
         self.snapshot_period = snapshot_period
-        # Always-on telemetry (unlike the opt-in recorder): written only
-        # at control boundaries, so it stays inside the <2% budget.
-        self.telemetry: Telemetry | None = Telemetry() if telemetry else None
+        #: The finished run's telemetry, rebuilt with each run result.
+        self.telemetry = Telemetry()
 
         self.cloudwatch = SimCloudWatch()
         # Flow-scoped service names carry the flow id into every metric
@@ -1416,7 +1415,6 @@ class FlowElasticityManager:
                 period=read_control.period,
                 decision_log=self.recorder.decisions if self.recorder else None,
                 event_bus=self.recorder.bus if self.recorder else None,
-                telemetry=self.telemetry,
             )
             self.engine.every(
                 self.read_loop.period, self.read_loop.step, name=f"{prefix}control.reads"
@@ -1427,15 +1425,20 @@ class FlowElasticityManager:
             self.engine.every(
                 loop.period, loop.step, name=f"{prefix}control.{kind.name.lower()}"
             )
+        # The collector's snapshot grid must land on ticks. Checked after
+        # the engine has checked the loops' periods, so theirs fail first.
+        tick = self.engine.clock.tick_seconds
+        if snapshot_period <= 0 or snapshot_period % tick:
+            raise ConfigurationError(
+                f"snapshot_period must be a positive multiple of the tick "
+                f"length {tick}s, got {snapshot_period}"
+            )
         if self.share_schedule is not None and self.loops:
             self.engine.every(
                 snapshot_period, self._apply_scheduled_bounds, name=f"{prefix}share-schedule"
             )
 
         self.collector = self._build_collector()
-        # Keep the task name the tests and profiler reports know; the
-        # wrapper adds the telemetry gauge sample at the same boundary.
-        self.engine.every(snapshot_period, self._snapshot, name=f"{prefix}snapshots")
 
         # Component order matters: pipeline → invariant checker → chaos
         # injector. The checker audits each boundary's *pre-injection*
@@ -1513,7 +1516,6 @@ class FlowElasticityManager:
                 period=config.period,
                 decision_log=self.recorder.decisions if self.recorder else None,
                 event_bus=self.recorder.bus if self.recorder else None,
-                telemetry=self.telemetry,
             )
         return loops
 
@@ -1527,21 +1529,15 @@ class FlowElasticityManager:
             if isinstance(actuator, BoundedActuator) and kind in bounds:
                 actuator.cap = float(bounds[kind])
 
-    def _snapshot(self, now: int) -> None:
-        """Snapshot-boundary work: collect metrics, sample telemetry."""
-        self.collector.collect(now)
-        if self.telemetry is not None:
-            self._sample_telemetry(now)
+    def _run_telemetry(self, now: int, coordination: Sequence = ()) -> Telemetry:
+        """The run's telemetry, read from what the run kept.
 
-    def _sample_telemetry(self, now: int) -> None:
-        """Refresh the telemetry gauges from live state.
-
-        Strictly read-only: every source here is a plain attribute or a
-        pure query, so sampling can never perturb the simulation — the
-        bit-exactness contract is untouched and span/per-tick runs stay
-        identical with telemetry on or off.
+        Counters and step-size histograms come from each loop's records
+        and skip count, gauges from the pipeline, cost meters, actuators
+        and sensors at ``now``, and the fleet gauges from the region
+        coordinator's ``coordination`` records, if any.
         """
-        telemetry = self.telemetry
+        telemetry = Telemetry()
         pipeline = self._pipeline
         telemetry.set_gauge("pipeline.producer_backlog", pipeline._producer_backlog_records)
         telemetry.set_gauge("pipeline.write_backlog", pipeline._write_backlog)
@@ -1553,27 +1549,41 @@ class FlowElasticityManager:
         if self.read_loop is not None:
             loops.append(self.read_loop)
         for loop in loops:
+            name = loop.name
+            records = loop.records
+            for counter, count in (
+                ("skipped", loop.skipped),
+                ("decisions", len(records)),
+                ("actions", sum(r.acted for r in records)),
+                ("clamps", sum(r.capacity_applied != r.capacity_requested for r in records)),
+                ("stale_reads", sum(r.stale for r in records)),
+            ):
+                if count:
+                    telemetry.inc(f"control.{name}.{counter}", count)
+            for r in records:
+                if r.acted:
+                    telemetry.observe(
+                        f"control.{name}.step_size", abs(r.capacity_applied - r.capacity_before)
+                    )
             actuator = loop.actuator
             if isinstance(actuator, BoundedActuator):
-                telemetry.set_gauge(
-                    f"actuator.{loop.name}.share_clamps", actuator.clamped_requests
-                )
+                telemetry.set_gauge(f"actuator.{name}.share_clamps", actuator.clamped_requests)
                 actuator = actuator.inner
             if isinstance(actuator, RetryingActuator):
+                telemetry.set_gauge(f"actuator.{name}.failed_attempts", actuator.failed_attempts)
+                telemetry.set_gauge(f"actuator.{name}.breaker_openings", actuator.total_openings)
                 telemetry.set_gauge(
-                    f"actuator.{loop.name}.failed_attempts", actuator.failed_attempts
-                )
-                telemetry.set_gauge(
-                    f"actuator.{loop.name}.breaker_openings", actuator.total_openings
-                )
-                telemetry.set_gauge(
-                    f"actuator.{loop.name}.circuit_open",
+                    f"actuator.{name}.circuit_open",
                     1.0 if now < actuator.circuit_open_until else 0.0,
                 )
             telemetry.set_gauge(
-                f"sensor.{loop.name}.stale",
-                1.0 if getattr(loop.sensor, "last_stale", False) else 0.0,
+                f"sensor.{name}.stale", 1.0 if getattr(loop.sensor, "last_stale", False) else 0.0
             )
+        if coordination:
+            telemetry.inc("fleet.coordinations", len(coordination))
+            for kind, cap in coordination[-1].grants.get(self.flow_id, {}).items():
+                telemetry.set_gauge(f"fleet.bound.{kind.name.lower()}", float(cap))
+        return telemetry
 
     def _dimensions_for(self, kind: LayerKind) -> dict[str, str]:
         return self._layer_dims[kind]
@@ -1637,14 +1647,18 @@ class FlowElasticityManager:
         self.engine.run(duration_seconds)
         return self._build_result(perf_counter() - started)
 
-    def _build_result(self, wall_seconds: float = 0.0) -> FlowRunResult:
+    def _build_result(self, wall_seconds: float = 0.0, coordination: Sequence = ()) -> FlowRunResult:
         """Assemble the run result from current state.
 
         Split out of :meth:`run` so a region fleet manager can run the
-        *shared* engine once and then collect each flow's result.
+        *shared* engine once and then collect each flow's result, with
+        its coordinator's records as ``coordination``.
         """
+        now = self.engine.clock.now
+        self.collector.read_until(now)
+        self.telemetry = self._run_telemetry(now, coordination)
         return FlowRunResult(
-            duration_seconds=self.engine.clock.now,
+            duration_seconds=now,
             flow=self.flow,
             cloudwatch=self.cloudwatch,
             collector=self.collector,

@@ -5,6 +5,12 @@ Storm, and consolidates diverse performance measures in an integrated
 user interface" (Sec. 3.4). The :class:`MetricCollector` is the data
 half of that: a set of labelled metric specs spanning any number of
 namespaces, sampled together into :class:`FlowSnapshot` rows.
+
+A managed flow's collector reads its store after the run: the manager
+passes the run's end to :meth:`~MetricCollector.read_until`, and the
+first read of the snapshots collects the grid ``window``, ``2·window``,
+… up to it. Later appends all carry later times, so a finished window
+``(t − window, t]`` holds exactly what it held at ``t``.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ class MetricCollector:
         self.window = window
         self._specs: list[MetricSpec] = []
         self._snapshots: list[FlowSnapshot] = []
+        # The snapshot grid: collected up to ``_collected``, due up to
+        # ``_until`` (both multiples of the window).
+        self._collected = 0
+        self._until = 0
 
     def add(self, spec: MetricSpec) -> None:
         """Register a measure; duplicate labels are rejected."""
@@ -86,11 +96,9 @@ class MetricCollector:
         reads as zero rather than failing the whole snapshot, matching
         how monitoring dashboards behave on cold start.)
 
-        Each read is O(log n + window) against the store, and specs that
-        share a (series, window, statistic) with a sensor or alarm — the
-        usual case, since dashboards watch the controlled variables —
-        reuse that aggregation via the store's per-version read memo
-        instead of re-scanning.
+        Each read is O(log n + window) against the store. Specs on one
+        emitter's frame share its located window, so one ``collect``
+        locates each window once per frame.
         """
         if not self._specs:
             raise MonitoringError("no metrics registered; call add() first")
@@ -110,14 +118,26 @@ class MetricCollector:
         self._snapshots.append(snapshot)
         return snapshot
 
+    def read_until(self, end: int) -> None:
+        """Mark the store complete up to ``end``: the next read collects
+        every grid time ``k · window`` up to ``end`` not yet collected."""
+        self._until = end - end % self.window
+
+    def _collect_grid(self) -> None:
+        while self._collected < self._until:
+            self._collected += self.window
+            self.collect(self._collected)
+
     @property
     def snapshots(self) -> list[FlowSnapshot]:
+        self._collect_grid()
         return list(self._snapshots)
 
     def series(self, label: str) -> Trace:
         """The history of one measure as a trace."""
         if label not in self.labels:
             raise MonitoringError(f"unknown measure {label!r}; have: {self.labels}")
+        self._collect_grid()
         trace = Trace(label)
         for snapshot in self._snapshots:
             trace.append(snapshot.time, snapshot.values[label])

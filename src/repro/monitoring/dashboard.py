@@ -99,6 +99,8 @@ class Dashboard:
 
         ``history`` caps how many trailing snapshots feed the sparkline.
         """
+        if history < 1:
+            raise MonitoringError(f"history must be positive, got {history}")
         snapshots = self._collector.snapshots
         if not snapshots:
             raise MonitoringError("no snapshots collected yet")

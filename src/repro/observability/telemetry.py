@@ -1,21 +1,14 @@
-"""Always-on lightweight telemetry: counters, gauges, histograms.
+"""Run telemetry: counters, gauges, histograms.
 
-The flight recorder is opt-in and heavyweight (it stores every event);
-production flows still need *some* numbers to be watchable at all
-times. The :class:`Telemetry` registry is that layer: a handful of
-plain-dict counters, last-value gauges and log-bucketed histograms that
-are touched **only at control boundaries** — control-loop invocations
-and snapshot collections, tens of simulated seconds apart — never
-inside the per-tick or span data path. That is what keeps it inside
-the <2 % overhead budget (the ``telemetry`` rows of
-``benchmarks/test_bench_ratios.py`` check it) and what keeps
-span-batched execution and the bit-exactness contract untouched: the
-registry only ever *reads* simulation state, at times where every
-pending capacity transition has already settled.
-
-Unlike the recorder, telemetry is on by default for every managed flow
-(``FlowBuilder.telemetry(False)`` disables it) and is exported on the
-run result, the dashboard's telemetry row, and the run scorecard.
+The flight recorder is opt-in and heavyweight (it stores every event).
+The :class:`Telemetry` registry is the small summary every managed run
+has: a handful of plain-dict counters, last-value gauges and
+log-bucketed histograms. The run loop never writes it. The manager
+builds it when the run result is built, from state the run keeps anyway
+(the control loops' records, the actuators, the pipeline, the cost
+meters and the fleet coordinator's records), so it cannot perturb the
+run and span and per-tick execution build the same registry. It is on
+the run result and in the dashboard's telemetry panel.
 """
 
 from __future__ import annotations
@@ -73,7 +66,7 @@ class Telemetry:
         self.histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
-    # Writing (control boundaries only — never the per-tick data path)
+    # Writing (after the run, never inside it)
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: float = 1) -> None:
         """Add ``amount`` (default 1) to counter ``name``."""

@@ -113,6 +113,25 @@ class TestDashboard:
         # Should not raise with a tiny history.
         assert dashboard.render(history=2)
 
+    def test_history_must_be_positive(self):
+        """Ten snapshots of the ramp 1..600: the last reads 570.5 and
+        all ten average 300.5. A history of 0 would read all ten, and a
+        negative one would drop the oldest."""
+        cw = SimCloudWatch()
+        for t in range(1, 601):
+            cw.put_metric_data("NS", "M", float(t), t)
+        collector = MetricCollector(cw, window=60)
+        collector.add_metric("ramp", "NS", "M")
+        for t in range(60, 601, 60):
+            collector.collect(t)
+        dashboard = Dashboard(collector)
+        assert "300.5" in dashboard.render(history=10)
+        row = dashboard.render(history=1).splitlines()[-1]
+        assert row.split()[-4:] == ["570.5"] * 4
+        for history in (0, -2):
+            with pytest.raises(MonitoringError, match="history"):
+                dashboard.render(history=history)
+
     def test_recorder_sections_render(self):
         from repro.monitoring.dashboard import render_events
         from repro.observability import ControlDecision, FlightRecorder

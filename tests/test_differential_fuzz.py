@@ -12,11 +12,11 @@ The property could pass by never reaching the closed forms, so the test
 also logs what ``_FlowPipeline.run_span`` did on every spanned run and
 asserts, across the corpus, that each stretch and each hand-over was
 reached: vector ↔ scalar, saturated ↔ scalar, throttled ↔ scalar, a
-flush overflow that ends each closed-form stretch, a producer backlog,
-and an injection of every chaos fault kind. Every closed-form stop is
-judged by an exit oracle independent of the run test
-(``test_span_equivalence._closed_form_exits``): one the next tick does
-not explain fails the example.
+flush overflow and a regime exit that end each closed-form stretch, a
+producer backlog, and an injection of every chaos fault kind. Every
+closed-form stop is judged by an exit oracle independent of the run
+test (``test_span_equivalence._closed_form_exits``): one the next tick
+does not explain fails the example.
 
 The tier-1 profile is derandomized, so its corpus is fixed. A longer
 random run is opt-in::
@@ -57,7 +57,8 @@ RECORDS_PER_UNIT = 1000
 CATALOG_PAGES = ClickStreamConfig().catalog_pages
 
 #: Paths the corpus must reach: stretch hand-overs inside one span
-#: (``a->b``), closed-form stretches a flush overflow cut short, a
+#: (``a->b``), closed-form stretches a flush overflow cut short, each
+#: closed form ending on an exit of its regime (``<kind>-exit``), a
 #: throttled producer, and an injected fault of every kind
 #: (``inject:<kind>``).
 REQUIRED_PATHS = frozenset({
@@ -65,6 +66,7 @@ REQUIRED_PATHS = frozenset({
     "saturated->scalar", "scalar->saturated",
     "throttled->scalar", "scalar->throttled",
     "vector-overflow", "saturated-overflow", "throttled-overflow",
+    "vector-exit", "saturated-exit", "throttled-exit",
     "producer-backlog",
 }) | frozenset(f"inject:{kind.value}" for kind in FaultKind)
 
@@ -144,7 +146,9 @@ def _paths(calls: list, result) -> set[str]:
 #: profile, so each required path is reached whatever the generator
 #: draws. A flow whose flushes ride the write bucket's edge (46 units
 #: against about 500 writes per flush): Storm-bound with a lull, then
-#: idle with a flash crowd that throttles its one shard; and one whose
+#: idle with a flash crowd that throttles its one shard. An idle flow
+#: with room for its flushes whose load steps over its one shard's
+#: write cap, so the vector stretch ends on that cap. One whose
 #: shard throttles a 500 s surge, so throttled stretches run while its
 #: flushes (50 units) overflow the bucket now and then. Then a
 #: controlled flow that injects every fault kind once. Then two deep VM
@@ -167,6 +171,11 @@ EDGE_FLOWS = [
             PatternSpec("flash_crowd", {"peak": 2500.0, "at": 400, "rise_seconds": 5,
                                         "decay_seconds": 15}),
         )),
+    ),
+    Scenario(
+        name="vector-write-cap", duration=1200, seed=5, controller="fixed",
+        control_period=600, shards=1, vms=2, write_units=300, key_skew=0.5, exact=False,
+        workload=PatternSpec("step", {"base": 600.0, "level": 1400.0, "at": 400, "until": 500}),
     ),
     Scenario(
         name="throttled-flush-edge", duration=1200, seed=5, controller="fixed",
@@ -204,7 +213,7 @@ EDGE_FLOWS = [
 
 def test_span_execution_matches_per_tick_loop(monkeypatch):
     calls = _log_stretches(monkeypatch)
-    _closed_form_exits(monkeypatch)
+    exits = _closed_form_exits(monkeypatch)
     reached = Counter()
 
     @PROFILE
@@ -214,6 +223,7 @@ def test_span_execution_matches_per_tick_loop(monkeypatch):
     @example(scenario=EDGE_FLOWS[2])
     @example(scenario=EDGE_FLOWS[3])
     @example(scenario=EDGE_FLOWS[4])
+    @example(scenario=EDGE_FLOWS[5])
     def check(scenario):
         results = []
         for spans in (False, True):
@@ -228,5 +238,13 @@ def test_span_execution_matches_per_tick_loop(monkeypatch):
         reached.update(_paths(calls, spanned))
 
     check()
+    # A stop the exit oracle names as neither the span end nor a flush
+    # overflow is an exit of the closed form's regime.
+    reached.update(
+        f"{kind}-exit"
+        for kind, stops in exits.items()
+        for why in stops
+        if why not in ("span-end", "overflow")
+    )
     missing = sorted(REQUIRED_PATHS - set(reached))
     assert not missing, f"the corpus never reached {missing}; reached {dict(reached)}"

@@ -123,6 +123,10 @@ class TestFleetValidation:
         with pytest.raises(ConfigurationError, match="share a controller"):
             RegionFleetManager(specs)
 
+    def test_snapshot_period_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="snapshot_period .* got 0"):
+            RegionFleetManager(_flow_specs(2), snapshot_period=0)
+
     def test_empty_flow_name_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
             FleetFlowSpec(

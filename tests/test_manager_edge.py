@@ -5,6 +5,7 @@ import pytest
 from repro import FlowBuilder, LayerKind
 from repro.cloud import DynamoDBConfig, KinesisConfig
 from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.manager import FlowElasticityManager
 from repro.workload import ConstantRate, StepRate
 
 
@@ -49,6 +50,15 @@ class TestCoarseTicks:
         )
         with pytest.raises(SimulationError):
             builder.build()
+
+    @pytest.mark.parametrize("tick, period, message", [
+        (1, 0, "snapshot_period .* got 0"),
+        (1, -60, "snapshot_period .* got -60"),
+        (5, 7, "snapshot_period .* tick length 5s, got 7"),
+    ])
+    def test_snapshot_period_must_be_positive_and_on_ticks(self, tick, period, message):
+        with pytest.raises(ConfigurationError, match=message):
+            FlowElasticityManager(ConstantRate(100), tick_seconds=tick, snapshot_period=period)
 
 
 class TestReshardingUnderLoad:

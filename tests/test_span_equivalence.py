@@ -374,13 +374,20 @@ def _pending_at(result):
     return dict(zip(pending.times, pending.values))
 
 
+def _every(period, manager):
+    """``manager`` with an engine task that does nothing every
+    ``period`` seconds, so a span ends at each multiple of ``period``."""
+    manager.engine.every(period, lambda now: None, name="span-boundary")
+    return manager
+
+
 class TestSpanStretches:
     """Single flows run every stretch of ``run_span``, bit-exactly.
 
-    Uncontrolled flows with a 600 s snapshot period give spans long
-    enough to hold several stretches; every case checks span ≡ tick
-    and that the stretches it targets actually ran, and the exit oracle
-    judges every closed-form stop.
+    Uncontrolled flows register no engine task, so a span runs to the
+    horizon or the next capacity event and holds several stretches;
+    every case checks span ≡ tick and that the stretches it targets
+    actually ran, and the exit oracle judges every closed-form stop.
     """
 
     @pytest.fixture(autouse=True)
@@ -529,9 +536,9 @@ class TestSpanStretches:
         poll limit (1.5 x 200 records) at the next span's start. The
         poll then hands over nothing until the queue drains, which the
         saturated closed form does not model, so that span stays scalar
-        and the next one is saturated again. With 40 s snapshots that
-        span is 39 ticks: long enough for a closed form at its start,
-        too short for one at its first window boundary."""
+        and the next one is saturated again. With a span boundary every
+        40 s that span is 39 ticks: long enough for a closed form at its
+        start, too short for one at its first window boundary."""
         calls = _log_stretches(monkeypatch)
         crash = ChaosSchedule(faults=(
             FaultSpec(kind=FaultKind.WORKER_CRASH, start=280, intensity=7),
@@ -544,11 +551,10 @@ class TestSpanStretches:
                 storm=StormConfig(records_per_vm_per_second=200),
                 chaos=crash,
                 seed=31,
-                snapshot_period=40,
                 span_execution=spans,
             )
 
-        reference, spanned = self._pair(build, 600)
+        reference, spanned = self._pair(lambda spans: _every(40, build(spans)), 600)
         assert_equivalent(reference, spanned)
         pending = spanned.throttle_trace(LayerKind.ANALYTICS, period=1)
         # The crash tick (280) runs as its own span; the next starts at 281.
@@ -580,7 +586,9 @@ class TestSpanStretches:
         the producer re-offers two record caps every tick, Kinesis
         passes 1000 records/s and Storm (16,000/s) drains them."""
         calls = _log_stretches(monkeypatch)
-        reference, spanned = self._pair(self._throttled_flow, 1200)
+        reference, spanned = self._pair(
+            lambda spans: _every(600, self._throttled_flow(spans)), 1200
+        )
         assert_equivalent(reference, spanned)
         assert _kinds_by_span(calls) == {0: ["scalar", "throttled"], 600: ["throttled"]}
         pending = _pending_at(spanned)
@@ -591,9 +599,9 @@ class TestSpanStretches:
         stream buffers what Kinesis passes and Storm runs at capacity."""
         calls = _log_stretches(monkeypatch)
         reference, spanned = self._pair(
-            lambda spans: self._throttled_flow(
+            lambda spans: _every(600, self._throttled_flow(
                 spans, storm=StormConfig(records_per_vm_per_second=400), seed=43
-            ),
+            )),
             1200,
         )
         assert_equivalent(reference, spanned)

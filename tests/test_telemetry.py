@@ -1,19 +1,21 @@
-"""Always-on telemetry: registry semantics, control-boundary sampling,
+"""Telemetry: registry semantics, the registry a finished run builds,
 execution-mode parity, and the dashboard/profiler surfaces."""
 
 import pytest
 
 from repro import FlowBuilder
 from repro.core.errors import MonitoringError
+from repro.monitoring import MetricCollector
 from repro.observability import Telemetry, TickProfiler
 from repro.observability.telemetry import HISTOGRAM_BOUNDS, Histogram
+from repro.simulation.engine import SimulationEngine
 from repro.workload import SinusoidalRate
 
 DURATION = 1800
 SEED = 7
 
 
-def _managed_builder(telemetry=True, spans=True, observe=False):
+def _managed_builder(spans=True, observe=False):
     builder = (
         FlowBuilder("telemetry", seed=SEED)
         .ingestion(shards=2)
@@ -21,7 +23,6 @@ def _managed_builder(telemetry=True, spans=True, observe=False):
         .storage(write_units=300)
         .workload(SinusoidalRate(mean=1500.0, amplitude=900.0, period=DURATION))
         .control_all(style="adaptive", reference=60.0, period=60)
-        .telemetry(telemetry)
         .spans(spans)
     )
     if observe:
@@ -105,7 +106,7 @@ class TestManagedFlowTelemetry:
         # One decision counter tick per control pass per loop.
         assert t.counter("control.ingestion.decisions") == DURATION // 60
         assert t.counter("control.storage.decisions") == DURATION // 60
-        # Gauges sampled at snapshot boundaries.
+        # Gauges read at the end of the run.
         assert "pipeline.producer_backlog" in t.gauges
         assert "cost.storage" in t.gauges
         assert "actuator.storage.failed_attempts" in t.gauges
@@ -118,13 +119,9 @@ class TestManagedFlowTelemetry:
         recorded = sum(h.count for h in t.histograms.values())
         assert recorded == acted
 
-    def test_disabled_flow_has_no_registry(self):
-        result = _managed_builder(telemetry=False).build().run(DURATION)
-        assert result.telemetry is None
-
     def test_span_and_per_tick_runs_sample_identically(self):
-        """Sampling reads settled state at control boundaries, so both
-        execution modes must see bit-identical telemetry."""
+        """Telemetry reads the finished run's state, which span and
+        per-tick execution leave bit-identical."""
         spans = _managed_builder(spans=True).build().run(DURATION)
         ticks = _managed_builder(spans=False).build().run(DURATION)
         assert spans.telemetry.as_dict() == ticks.telemetry.as_dict()
@@ -139,6 +136,60 @@ class TestManagedFlowTelemetry:
         assert "telemetry" in text
         assert "control.storage.decisions" in text
         assert "actuator.ingestion.breaker_openings" in text
+
+
+class TestRunLoopDoesNoMonitoring:
+    """The engine runs the flow, its controllers and its audits only:
+    the collector's snapshots and the telemetry registry are read from
+    the finished run."""
+
+    @pytest.mark.parametrize("tick, duration", [(1, DURATION), (10, DURATION), (1, DURATION + 30)])
+    def test_snapshots_and_telemetry_are_read_after_the_run(self, monkeypatch, tick, duration):
+        running = []
+        engine_run = SimulationEngine.run
+
+        def tracked_run(engine, *args):
+            running.append(engine)
+            try:
+                return engine_run(engine, *args)
+            finally:
+                running.pop()
+
+        calls = []
+
+        def tracked(name, method):
+            def call(*args, **kwargs):
+                calls.append((name, bool(running)))
+                return method(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(SimulationEngine, "run", tracked_run)
+        for name in ("inc", "set_gauge", "observe"):
+            monkeypatch.setattr(Telemetry, name, tracked(name, getattr(Telemetry, name)))
+        manager = _managed_builder().tick(tick).build()
+        collector = manager.collector
+        monkeypatch.setattr(collector, "collect", tracked("collect", collector.collect))
+        # The same specs, collected by an engine task at the snapshot period.
+        period = manager.snapshot_period
+        in_run = MetricCollector(manager.cloudwatch, window=period)
+        for spec in collector._specs:
+            in_run.add(spec)
+        manager.engine.every(period, in_run.collect, name="in-run-snapshots")
+
+        result = manager.run(duration)
+        snapshots = result.collector.snapshots
+        assert {name for name, _ in calls} == {"collect", "inc", "set_gauge", "observe"}
+        assert not [name for name, inside in calls if inside], "monitoring ran inside the run"
+        assert result.telemetry is manager.telemetry
+
+        def exact(snapshots):
+            return [(s.time, [(k, repr(v)) for k, v in s.values.items()]) for s in snapshots]
+
+        assert [s.time for s in in_run.snapshots] == list(range(period, duration + 1, period))
+        assert exact(snapshots) == exact(in_run.snapshots)
+        assert result.collector.series("analytics.cpu%").values == [
+            s["analytics.cpu%"] for s in in_run.snapshots
+        ]
 
 
 # ----------------------------------------------------------------------
