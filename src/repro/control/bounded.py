@@ -14,25 +14,41 @@ when the user supplies resource shares.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.control.base import Actuator
 from repro.core.errors import ControlError
 
 
 class BoundedActuator(Actuator):
-    """Clamps another actuator's commands to ``[floor, cap]``."""
+    """Clamps another actuator's commands to ``[floor, cap]``.
 
-    def __init__(self, inner: Actuator, cap: float, floor: float = 1.0) -> None:
+    With a ``schedule`` (a time-windowed share, Sec. 2), each
+    :meth:`apply` first sets ``cap`` to ``schedule(now)``, so a window's
+    bound holds from the first control step at or after its start.
+    """
+
+    def __init__(
+        self,
+        inner: Actuator,
+        cap: float,
+        floor: float = 1.0,
+        schedule: Callable[[int], float] | None = None,
+    ) -> None:
         if cap < floor:
             raise ControlError(f"cap {cap} is below floor {floor}")
         self.inner = inner
         self.cap = float(cap)
         self.floor = float(floor)
+        self.schedule = schedule
         self._clamped_requests = 0
 
     def get(self, now: int) -> float:
         return self.inner.get(now)
 
     def apply(self, target: float, now: int) -> float:
+        if self.schedule is not None:
+            self.cap = float(self.schedule(now))
         clamped = max(self.floor, min(self.cap, target))
         if clamped != target:
             self._clamped_requests += 1

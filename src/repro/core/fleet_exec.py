@@ -75,9 +75,10 @@ class FleetSpanExecutor:
         # the executor audits each flow at its own sub-span boundaries.
         self._checkers = dict(checkers or {})
         # Same-class, same-distinct-law generators pool their
-        # expected-distinct memos: the fill values are pure functions
-        # of the record count, so whichever flow computes one first
-        # saves every other flow the occupancy sum.
+        # expected-distinct memos (the exact path's dict, the fast
+        # path's dense table): the values are pure functions of the
+        # record count, so whichever flow computes one first saves
+        # every other flow the occupancy sum.
         for i, (_, pipeline) in enumerate(self._flows):
             for _, other in self._flows[:i]:
                 if pipeline.generator.adopt_distinct_cache(other.generator):

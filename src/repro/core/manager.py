@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -1229,6 +1230,12 @@ class FlowRunResult:
         ).render()
 
 
+def _scheduled_bound(schedule, kind: LayerKind, now: int) -> int:
+    """``kind``'s bound in the share-schedule window in force at ``now``
+    (Sec. 2's arbitrary-time-window resource shares)."""
+    return schedule.bounds_at(now)[kind]
+
+
 class FlowElasticityManager:
     """Builds and runs one managed data analytics flow."""
 
@@ -1282,8 +1289,8 @@ class FlowElasticityManager:
                 "pass either static share_bounds or a share_schedule, not both"
             )
         if share_schedule is not None:
-            # The schedule's first window seeds the static bounds; a
-            # periodic task keeps them tracking the active window.
+            # The schedule's first window seeds the bounds; each bounded
+            # actuator then reads the window in force at every step.
             self.share_bounds = dict(share_schedule.bounds_at(0))
         self.price_book = price_book or PriceBook()
         self.seed = seed
@@ -1433,10 +1440,6 @@ class FlowElasticityManager:
                 f"snapshot_period must be a positive multiple of the tick "
                 f"length {tick}s, got {snapshot_period}"
             )
-        if self.share_schedule is not None and self.loops:
-            self.engine.every(
-                snapshot_period, self._apply_scheduled_bounds, name=f"{prefix}share-schedule"
-            )
 
         self.collector = self._build_collector()
 
@@ -1504,7 +1507,10 @@ class FlowElasticityManager:
             if kind in self.share_bounds:
                 # Sec. 2: controllers act freely *within* the layer's
                 # resource share from the share analyzer, never beyond.
-                actuator = BoundedActuator(actuator, cap=self.share_bounds[kind])
+                schedule = None
+                if self.share_schedule is not None:
+                    schedule = partial(_scheduled_bound, self.share_schedule, kind)
+                actuator = BoundedActuator(actuator, cap=self.share_bounds[kind], schedule=schedule)
             if self.recorder is not None:
                 actuator.instrument(self.recorder.bus, kind.name.lower())
                 sensor.instrument(self.recorder.bus, kind.name.lower())
@@ -1518,16 +1524,6 @@ class FlowElasticityManager:
                 event_bus=self.recorder.bus if self.recorder else None,
             )
         return loops
-
-    def _apply_scheduled_bounds(self, now: int) -> None:
-        """Track the share schedule: retarget every bounded actuator to
-        the window in force at ``now`` (Sec. 2's arbitrary-time-window
-        resource shares)."""
-        bounds = self.share_schedule.bounds_at(now)
-        for kind, loop in self.loops.items():
-            actuator = loop.actuator
-            if isinstance(actuator, BoundedActuator) and kind in bounds:
-                actuator.cap = float(bounds[kind])
 
     def _run_telemetry(self, now: int, coordination: Sequence = ()) -> Telemetry:
         """The run's telemetry, read from what the run kept.

@@ -41,6 +41,16 @@ from repro.core.errors import ConfigurationError
 from repro.simulation.clock import SimClock
 from repro.workload.generators import RateGrid, RatePattern
 
+#: Entries the fast generator's occupancy table may hold: 2^20 float64
+#: values, 8 MiB. The table grows by doubling to the largest record
+#: count it has seen and stops here; a count at or above the cap is
+#: summed on every call and never stored.
+DISTINCT_TABLE_CAP = 1 << 20
+
+#: Survival factors one table fill computes at a time (2 MiB of
+#: float64), so a fill's temporary stays bounded for any catalog size.
+_FILL_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ClickBatch:
@@ -122,7 +132,8 @@ class ClickStreamGenerator:
         self._distinct_cache: dict[int, float] = {}
 
     def adopt_distinct_cache(self, other: "ClickStreamGenerator") -> bool:
-        """Pool the expected-distinct memo with ``other``'s.
+        """Pool the expected-distinct memo (the fast class's table) with
+        ``other``'s.
 
         The occupancy sum is a pure function of the record count and
         the (class-specific) popularity-law formula, so generators of
@@ -269,6 +280,76 @@ class ClickStreamGenerator:
         return self._total_bytes
 
 
+class _OccupancyTable:
+    """The fast path's occupancy expectation, one float64 per record count.
+
+    ``values[n]`` holds ``sum_k 1 - exp(n * log1p(-p_k))`` once a fill
+    has reached ``n``, and NaN before; ``values[0]`` is 0. Every entry
+    is reduced from its own contiguous survival row with numpy's
+    pairwise sum, so :meth:`fill` and :meth:`gather` store the same
+    bits for a count whichever of them reaches it first.
+    """
+
+    def __init__(self, log_survival: np.ndarray) -> None:
+        self.log_survival = log_survival
+        self.values = np.zeros(1)
+
+    def fill(self, n: int) -> float:
+        """The expectation for one count the table misses, stored there
+        if ``n`` is below the cap."""
+        self._grow(n)
+        value = float(np.sum(1.0 - np.exp(n * self.log_survival)))
+        if n < len(self.values):
+            self.values[n] = value
+        return value
+
+    def gather(self, records: np.ndarray) -> np.ndarray:
+        """The expectations for a block of counts: one gather, plus one
+        fill of the distinct counts it misses."""
+        top = int(records.max())
+        self._grow(top)
+        values = self.values
+        if top < len(values):
+            out = values[records]
+        else:
+            out = np.full(len(records), np.nan)
+            below = records < len(values)
+            out[below] = values[records[below]]
+        missing = np.isnan(out)
+        if missing.any():
+            counts, inverse = np.unique(records[missing], return_inverse=True)
+            sums = self._sums(counts)
+            out[missing] = sums[inverse]
+            stored = counts < len(values)
+            values[counts[stored]] = sums[stored]
+        return out
+
+    def update(self, other: "_OccupancyTable") -> None:
+        """Take every entry ``other`` holds, as ``dict.update`` does."""
+        theirs = other.values
+        self._grow(len(theirs) - 1)
+        filled = ~np.isnan(theirs)
+        self.values[: len(theirs)][filled] = theirs[filled]
+
+    def _sums(self, counts: np.ndarray) -> np.ndarray:
+        """The expectations for ``counts``, a bounded chunk of rows at a time."""
+        log_survival = self.log_survival
+        rows = max(1, _FILL_ELEMENTS // len(log_survival))
+        sums = np.empty(len(counts))
+        for lo in range(0, len(counts), rows):
+            survival = np.exp(counts[lo : lo + rows, None] * log_survival)
+            sums[lo : lo + rows] = np.add.reduce(1.0 - survival, axis=1)
+        return sums
+
+    def _grow(self, top: int) -> None:
+        """Double the table past ``top`` if it is shorter, never past the cap."""
+        size = len(self.values)
+        if size <= top and size < DISTINCT_TABLE_CAP:
+            grown = np.full(min(DISTINCT_TABLE_CAP, 1 << int(top).bit_length()), np.nan)
+            grown[:size] = self.values
+            self.values = grown
+
+
 class FastClickStreamGenerator(ClickStreamGenerator):
     """Block-vectorized approximate click source — the ``exact=False`` path.
 
@@ -286,10 +367,17 @@ class FastClickStreamGenerator(ClickStreamGenerator):
       the CLT limit the exact path converges to. The reference path's
       deterministic summaries are mirrored exactly (``sigma == 0`` and
       ``records > LARGE_BATCH`` ticks get ``records * mean``);
-    * **distinct pages** — the occupancy expectation evaluated for all
-      of the block's unique record counts in one matrix operation
-      (sharing the memoization cache), then one block ``poisson``
-      jitter draw clipped to the catalogue size.
+    * **distinct pages** — the occupancy expectation read for the
+      whole block from a dense table indexed by record count (one
+      gather, plus one matrix fill of the counts it misses), then one
+      block ``poisson`` jitter draw clipped to the catalogue size.
+
+    The table replaces the reference's dict memo. It doubles up to the
+    largest count it has seen and never past :data:`DISTINCT_TABLE_CAP`
+    entries (8 MiB); a count at or above the cap is summed on each call
+    and not stored. Memory is therefore bounded whatever the rate and
+    tick length, and no option is needed: every stored value is the
+    per-count sum itself, so the cap changes speed, never results.
 
     The approximation contract (see DESIGN.md):
 
@@ -330,11 +418,10 @@ class FastClickStreamGenerator(ClickStreamGenerator):
             self.config.mean_record_bytes * math.sqrt(math.expm1(sigma * sigma))
         )
         # log(1 - p_k) per page: occupancy survival factors become one
-        # exp() instead of the reference's np.power — cheaper, and both
-        # the scalar and block fills below use it so the shared
-        # memoization cache stays bit-consistent within a fast run no
-        # matter which fill path reaches a count first.
-        self._log_survival = np.log1p(-self._page_probs)
+        # exp() instead of the reference's np.power. The table (pooled
+        # like the reference's memo, by adopt_distinct_cache) serves
+        # both the block fill and the Storm cluster's flush lookups.
+        self._distinct_cache = _OccupancyTable(np.log1p(-self._page_probs))
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._blocks_drawn = 0
         self._block_step: int | None = None
@@ -447,7 +534,7 @@ class FastClickStreamGenerator(ClickStreamGenerator):
                 # Mirror the reference path's deterministic summary for
                 # very large batches.
                 payload[large] = records[large] * mean
-        expected_pages = self._expected_distinct_block(records)
+        expected_pages = self._distinct_cache.gather(records)
         jitter = self._rng.poisson(expected_pages)
         distinct = np.minimum(jitter, self.config.catalog_pages)
         return records, payload, distinct
@@ -456,44 +543,20 @@ class FastClickStreamGenerator(ClickStreamGenerator):
         """The occupancy expectation via ``exp(n * log(1 - p))``.
 
         Same quantity as the reference's ``(1 - p) ** n`` form up to
-        floating-point association, evaluated the same way the block
-        fill evaluates it: the scalar path (the Storm cluster's
-        distinct estimator probes it at control boundaries) and
-        :meth:`_expected_distinct_block` may reach a given count in
-        either order depending on span scheduling, and the shared cache
-        must hold the same bits regardless — that is what keeps fast
-        span runs bit-identical to fast per-tick runs.
+        floating-point association, read from the same table the block
+        fill writes: the Storm cluster's distinct estimator probes it
+        at every window flush (every ``window_seconds``), and a count
+        may reach the table first from either side depending on span
+        scheduling. Both sides store the per-count sum bit for bit —
+        that is what keeps fast span runs bit-identical to fast
+        per-tick runs.
         """
+        table = self._distinct_cache
+        values = table.values
+        if 0 <= records < len(values):
+            value = values.item(records)
+            if value == value:  # not NaN: filled
+                return value
         if records < 0:
             raise ConfigurationError("records must be non-negative")
-        if records == 0:
-            return 0.0
-        cached = self._distinct_cache.get(records)
-        if cached is None:
-            cached = float(np.sum(1.0 - np.exp(records * self._log_survival)))
-            self._distinct_cache[records] = cached
-        return cached
-
-    def _expected_distinct_block(self, records: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`expected_distinct` over a block of counts.
-
-        All of the block's unique counts missing from the memoization
-        cache are filled from one broadcasted survival matrix; each
-        cache entry is reduced from its own contiguous row with the
-        exact expression the scalar path uses, so both fills produce
-        identical bits for identical counts.
-        """
-        cache = self._distinct_cache
-        uniques = np.unique(records)
-        missing = [n for n in map(int, uniques) if n > 0 and n not in cache]
-        if missing:
-            counts = np.asarray(missing, dtype=float)
-            survival = np.exp(counts[:, None] * self._log_survival[None, :])
-            for n, row in zip(missing, survival):
-                cache[n] = float(np.sum(1.0 - row))
-        # Gather through the sorted uniques: one cache probe per
-        # distinct count instead of one per tick.
-        lut = np.asarray(
-            [cache[n] if n > 0 else 0.0 for n in map(int, uniques)], dtype=float
-        )
-        return lut[np.searchsorted(uniques, records)]
+        return table.fill(records)

@@ -25,8 +25,13 @@ random run is opt-in::
 
 A failure found there is shrunk by hypothesis; commit it as an
 ``@example`` on :func:`test_span_execution_matches_per_tick_loop`.
+
+A second, smaller property holds the scenario runner to jobs=1 ≡
+jobs=N: a batch of three generated scenarios, one fast, one exact and
+one as drawn, gives the same scorecards serially and on two workers.
 """
 
+import dataclasses
 import os
 from collections import Counter
 
@@ -35,6 +40,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
 from repro.core.flow import LayerKind
 from repro.scenarios import Scenario
+from repro.scenarios.runner import run_catalog
 from repro.scenarios.spec import PatternSpec
 from repro.workload.clickstream import ClickStreamConfig
 
@@ -248,3 +254,24 @@ def test_span_execution_matches_per_tick_loop(monkeypatch):
     )
     missing = sorted(REQUIRED_PATHS - set(reached))
     assert not missing, f"the corpus never reached {missing}; reached {dict(reached)}"
+
+
+@st.composite
+def scenario_batches(draw):
+    """Three generated scenarios under their own names: one fast, one
+    exact and one as drawn."""
+    fast, exact, drawn = (draw(runnable_scenarios()) for _ in range(3))
+    return [
+        dataclasses.replace(fast, name="fuzz-fast", exact=False),
+        dataclasses.replace(exact, name="fuzz-exact", exact=True),
+        dataclasses.replace(drawn, name="fuzz-drawn"),
+    ]
+
+
+@settings(PROFILE, max_examples=4)
+@given(batch=scenario_batches())
+def test_scenario_runner_jobs_one_matches_jobs_two(batch):
+    serial = run_catalog(batch, jobs=1)
+    parallel = run_catalog(batch, jobs=2)
+    assert [e.card.exact for e in serial.entries.values()][:2] == [False, True]
+    assert repr(serial.entries) == repr(parallel.entries)

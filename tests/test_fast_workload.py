@@ -14,7 +14,10 @@ The approximation contract (DESIGN.md) in executable form:
 * **exactness flagging end-to-end** — the flag rides from
   ``FlowBuilder.exact()`` through results to scorecards, fast cards
   refuse to compare against exact baselines, and fleet sweeps stay
-  byte-identical across jobs counts.
+  byte-identical across jobs counts;
+* **a bounded occupancy table** — every entry of the fast path's
+  expected-distinct table is the per-count sum bit for bit, whichever
+  fill reaches it first, and the table never grows past its cap.
 """
 
 import dataclasses
@@ -39,6 +42,7 @@ from repro.workload import (
     FastClickStreamGenerator,
     SinusoidalRate,
 )
+from repro.workload.clickstream import DISTINCT_TABLE_CAP
 
 #: The fixed seed grid every distributional test runs on (>= 3 seeds,
 #: per the acceptance criteria).
@@ -393,3 +397,101 @@ class TestFleetFastPath:
                 self._strip_wall(parallel[name])
             )
             assert serial[name].exact is False
+
+
+def fast_generator(pages=500, skew=1.0, seed=9, rate=1500.0):
+    config = ClickStreamConfig(catalog_pages=pages, zipf_exponent=skew)
+    with np.errstate(divide="ignore"):  # one page: log1p(-1) is -inf
+        return FastClickStreamGenerator(
+            ConstantRate(rate), rng=derive_rng(seed, "fast"), config=config
+        )
+
+
+def reference_distinct(generator, counts):
+    """The per-count sum each table entry must equal, bit for bit."""
+    with np.errstate(divide="ignore"):
+        log_survival = np.log1p(-generator._page_probs)
+    return np.array(
+        [float(np.sum(1.0 - np.exp(int(n) * log_survival))) if n else 0.0 for n in counts]
+    )
+
+
+class TestOccupancyTable:
+    @pytest.mark.parametrize("pages, skew", [(1, 1.0), (500, 1.0), (2000, 0.0), (9000, 1.2)])
+    def test_both_fill_orders_store_the_per_count_sum(self, pages, skew):
+        counts = np.random.default_rng(pages).integers(0, 70_000, size=2048)
+        counts[:8] = 0
+        reference = reference_distinct(fast_generator(pages, skew), counts).tobytes()
+        # Flush lookups reach half the counts first, then the block fill.
+        scalar_first = fast_generator(pages, skew)
+        looked_up = [scalar_first.expected_distinct(int(n)) for n in counts[::2]]
+        gathered = scalar_first._distinct_cache.gather(counts)
+        assert np.array(looked_up).tobytes() == reference_distinct(
+            scalar_first, counts[::2]
+        ).tobytes()
+        assert gathered.tobytes() == reference
+        # The block fill reaches half first, then the flush lookups.
+        block_first = fast_generator(pages, skew)
+        block_first._distinct_cache.gather(counts[::2])
+        looked_up = [block_first.expected_distinct(int(n)) for n in counts]
+        assert np.array(looked_up).tobytes() == reference
+
+    def test_block_draws_fill_the_per_count_sum(self):
+        fast = fast_generator(rate=2500.0)
+        fast.generate_span(1, 3000, 1)
+        values = fast._distinct_cache.values
+        filled = np.flatnonzero(~np.isnan(values))
+        assert len(filled) > 100
+        assert values[filled].tobytes() == reference_distinct(fast, filled).tobytes()
+
+    def test_table_grows_to_the_largest_count_seen(self):
+        fast = fast_generator()
+        fast.expected_distinct(5000)
+        assert len(fast._distinct_cache.values) == 8192
+        fast._distinct_cache.gather(np.array([3, 9000, 40]))
+        assert len(fast._distinct_cache.values) == 16384
+
+    def test_counts_at_or_above_the_cap_are_summed_not_stored(self):
+        fast = fast_generator()
+        table = fast._distinct_cache
+        # A first count far past the cap still stops the table at the cap.
+        beyond = np.array([4 * DISTINCT_TABLE_CAP, 7])
+        assert table.gather(beyond).tobytes() == reference_distinct(fast, beyond).tobytes()
+        assert len(table.values) == DISTINCT_TABLE_CAP
+        counts = [DISTINCT_TABLE_CAP - 1, DISTINCT_TABLE_CAP, DISTINCT_TABLE_CAP + 1,
+                  3 * DISTINCT_TABLE_CAP]
+        looked_up = [fast.expected_distinct(n) for n in counts]
+        assert np.array(looked_up).tobytes() == reference_distinct(fast, counts).tobytes()
+        block = np.array(counts * 2 + [0, 12])
+        assert table.gather(block).tobytes() == reference_distinct(fast, block).tobytes()
+        assert len(table.values) == DISTINCT_TABLE_CAP
+        assert np.isnan(table.values[DISTINCT_TABLE_CAP - 2])
+        assert table.values[DISTINCT_TABLE_CAP - 1] == looked_up[0]
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            fast_generator().expected_distinct(-1)
+
+    def test_adopting_generators_share_one_table(self):
+        first, second = fast_generator(seed=1), fast_generator(seed=2)
+        first.expected_distinct(300)
+        second._distinct_cache.gather(np.array([40, 70_000]))
+        assert second.adopt_distinct_cache(first)
+        table = first._distinct_cache
+        assert second._distinct_cache is table
+        # The pooled table keeps what either filled.
+        counts = [40, 300, 70_000]
+        assert table.values[counts].tobytes() == reference_distinct(first, counts).tobytes()
+        other_catalog = fast_generator(pages=800)
+        assert not other_catalog.adopt_distinct_cache(first)
+        assert other_catalog._distinct_cache is not table
+
+    def test_fleet_flows_pool_one_table(self):
+        fleet = RegionFleetManager(
+            list(_fleet_specs(n_flows=3, duration=600)),
+            limits=_fleet_limits(),
+            seed=7,
+            exact=False,
+        )
+        tables = {id(m.generator._distinct_cache) for m in fleet.managers.values()}
+        assert len(tables) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import FlowBuilder, LayerKind
+from repro.control.base import Controller
 from repro.core.errors import ConfigurationError, OptimizationError
 from repro.core.flow import FlowSpec, LayerSpec, clickstream_flow_spec
 from repro.optimization import (
@@ -133,7 +134,37 @@ class TestAnalyzeWindows:
             assert [s.shares for s in a.result.solutions] == [s.shares for s in b.result.solutions]
 
 
+class _Greedy(Controller):
+    """Asks for more VMs than any window's share allows."""
+
+    def compute(self, u_current, y_measured, now):
+        return 50.0
+
+
 class TestManagerIntegration:
+    @pytest.mark.parametrize("period, switch", [(30, 90), (60, 120)])
+    def test_window_applies_from_its_first_step(self, period, switch):
+        """Every control step clamps to the window in force at its own
+        time, whatever the loop's period and wherever the window starts."""
+        schedule = ShareSchedule([
+            entry(0, switch, 0.5, share(2, 2, 300)),
+            entry(switch, 7200, 2.0, share(2, 6, 300)),
+        ])
+        manager = (
+            FlowBuilder("on-time", seed=3)
+            .workload(ConstantRate(1500))
+            .control(LayerKind.ANALYTICS, controller=_Greedy(), period=period)
+            .share_schedule(schedule)
+            .build()
+        )
+        manager.run(switch + 2 * period)
+        applied = {
+            record.time: record.capacity_applied
+            for record in manager.loops[LayerKind.ANALYTICS].records
+        }
+        assert {switch - period, switch, switch + period} <= set(applied)
+        assert applied == {t: 2.0 if t < switch else 6.0 for t in applied}
+
     def test_scheduled_bounds_switch_at_window_boundary(self):
         schedule = ShareSchedule([
             entry(0, 1800, 0.5, share(2, 2, 300)),
