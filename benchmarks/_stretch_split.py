@@ -17,12 +17,14 @@ then the scalar ticks split by why no closed form took them
 Usage, from the repository root::
 
     PYTHONPATH=src python -m benchmarks._stretch_split fleet-16 [--seed 7]
-        [--seconds S] [--require KIND ...]
+        [--seconds S] [--require KIND ...] [--max-share KIND=RATIO ...]
 
 ``--seconds`` overrides the workload's pinned horizon. ``--require
 KIND`` exits 1 when stretch ``KIND`` ran no ticks, so a change that
-silently disables a stretch fails loudly. The last line of standard
-output is the split as one JSON object.
+silently disables a stretch fails loudly. ``--max-share KIND=RATIO``
+exits 1 when stretch ``KIND`` ran more than ``RATIO`` of the ticks, so
+a change that sends ticks back to the scalar loop fails too. The last
+line of standard output is the split as one JSON object.
 """
 
 from __future__ import annotations
@@ -143,6 +145,20 @@ def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
     return counts, why
 
 
+def share_bound(text: str) -> tuple[str, float]:
+    """Parse a ``--max-share`` value, ``KIND=RATIO``."""
+    kind, _, ratio = text.partition("=")
+    if kind not in STRETCHES:
+        raise argparse.ArgumentTypeError(f"unknown stretch {kind!r} (choose from {STRETCHES})")
+    try:
+        bound = float(ratio)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not KIND=RATIO") from None
+    if not 0.0 <= bound <= 1.0:
+        raise argparse.ArgumentTypeError(f"ratio {bound} is outside [0, 1]")
+    return kind, bound
+
+
 def run_workload(name: str, seed: int, seconds: int | None) -> int:
     """Run workload ``name`` once; returns the flow-ticks it executed."""
     workload = WORKLOADS[name]
@@ -166,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="simulated horizon (default: the workload's pinned one)")
     parser.add_argument("--require", action="append", default=[], choices=sorted(STRETCHES),
                         help="exit 1 if this stretch ran no ticks (repeatable)")
+    parser.add_argument("--max-share", action="append", default=[], type=share_bound,
+                        metavar="KIND=RATIO",
+                        help="exit 1 if this stretch ran more than RATIO of the ticks (repeatable)")
     args = parser.parse_args(argv)
 
     counts, why = count_stretches()
@@ -187,12 +206,18 @@ def main(argv: list[str] | None = None) -> int:
     for regime, ticks in why.items():
         print(f"{regime:<32} {ticks:>10} {ticks / scalar if scalar else 0.0:>7.3f}")
     missing = [kind for kind in args.require if counts[kind]["ticks"] == 0]
+    over = [
+        f"{kind} {counts[kind]['ticks'] / ran:.3f} > {bound}"
+        for kind, bound in args.max_share
+        if ran and counts[kind]["ticks"] / ran > bound
+    ]
     print(json.dumps({"workload": args.workload, "seed": args.seed, "flow_ticks": flow_ticks,
                       "wall_s": round(wall_s, 3), "stretches": counts, "why": why}))
     if missing:
         print(f"FAIL: stretch(es) {', '.join(missing)} ran 0 ticks", file=sys.stderr)
-        return 1
-    return 0
+    if over:
+        print(f"FAIL: tick share above its bound: {', '.join(over)}", file=sys.stderr)
+    return 1 if missing or over else 0
 
 
 if __name__ == "__main__":

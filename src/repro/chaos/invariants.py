@@ -310,12 +310,16 @@ class InvariantChecker:
                 continue
             records = loop.records
             start = self._record_index[kind]
-            cap = max(actuator.cap, actuator.floor)
+            schedule = actuator.schedule
             for record in records[start:]:
+                # A share schedule's cap is the one in force at the record's time.
+                cap = actuator.cap if schedule is None else float(schedule(record.time))
+                cap = max(cap, actuator.floor)
                 if record.capacity_applied > cap + 1e-9:
                     self._violate(
                         now, "bounds.controller",
-                        f"{loop.name}: applied {record.capacity_applied} above cap {cap}",
+                        f"{loop.name}: applied {record.capacity_applied} above cap {cap} "
+                        f"at t={record.time}",
                     )
             self._record_index[kind] = len(records)
 

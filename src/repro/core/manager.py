@@ -97,10 +97,13 @@ class ServiceCapacities:
 
 
 #: Fewest ticks in a row that :meth:`_FlowPipeline.run_span` hands to a
-#: closed-form (vector, saturated or throttled) stretch: on shorter runs
-#: the closed form's fixed numpy cost exceeds what it saves over the
-#: scalar loop.
-_CLOSED_FORM_MIN_TICKS = 32
+#: closed-form (vector, saturated or throttled) stretch. A closed form
+#: pays a fixed numpy cost per call and saves per tick: timed on a
+#: 2-vCPU host, it costs about 45-50 µs plus 0.6-0.8 µs a tick and a
+#: scalar stretch 20-27 µs plus 3.9-4.5 µs a tick, so they break even
+#: near 7 ticks. At 16 the 29- and 31-tick spans a capacity event
+#: leaves inside a 60 s control period run in closed form.
+_CLOSED_FORM_MIN_TICKS = 16
 
 #: Ticks of dashboard reads :meth:`_FlowPipeline._draw_reads` draws at a
 #: time: one rate grid and one Poisson array per block.
@@ -199,7 +202,7 @@ class _Span:
             return None
         if not (backlog or backlog_bytes):
             run, saturated = self._storm_run(
-                i, buffer, pending, self._capped_mask()[i:],
+                i, buffer, pending, lambda: self._capped_mask()[i:],
                 lambda: self._drained_run(i), self._drawn_surplus,
             )
             return (i + run, saturated, None) if run else None
@@ -214,7 +217,7 @@ class _Span:
             | self._read_capped_mask()[i:]
         )
         run, saturated = self._storm_run(
-            i, buffer, pending, stops,
+            i, buffer, pending, lambda: stops,
             lambda: _run_length(stops | (accepted[i:] > self.drained_limit)), lambda: surplus,
         )
         if not run:
@@ -242,12 +245,12 @@ class _Span:
         return i + run, saturated, (accepted[i : i + run], accepted_bytes)
 
     def _storm_run(
-        self, i: int, buffer: int, pending: int, stops: np.ndarray,
+        self, i: int, buffer: int, pending: int, stops: Callable[[], np.ndarray],
         drained: Callable[[], int], surplus: Callable[[], np.ndarray],
     ) -> tuple[int, bool]:
         """``(ticks, saturated)``: how long Storm runs one closed-form
         regime from span index ``i`` on an inflow whose stops from ``i``
-        are ``stops``; ``(0, False)`` where neither regime lasts
+        are ``stops()``; ``(0, False)`` where neither regime lasts
         :data:`_CLOSED_FORM_MIN_TICKS` ticks. Drained is tried first, from
         an empty buffer and queue: ``drained()`` is how many ticks the
         inflow runs before a stop or a tick above ``drained_limit``. Then
@@ -260,7 +263,7 @@ class _Span:
             if run >= _CLOSED_FORM_MIN_TICKS:
                 return run, False
         exits = self._saturated_exits(i, buffer, pending, surplus())
-        run = 0 if exits is None else _run_length(stops | exits)
+        run = 0 if exits is None else _run_length(stops() | exits)
         return (run, True) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
 
     def _record_column(self) -> np.ndarray:
@@ -299,14 +302,29 @@ class _Span:
         """How many ticks from span index ``i`` the drawn records run
         with Storm drained: up to the first tick that is a stop of the
         drawn inflow or brings more than ``drained_limit``. A bisect into
-        those ticks, found once per span, on first use."""
+        those ticks, found once per span, on first use; until then a run
+        that reaches the span's end (:meth:`_drains_to_end`) builds no
+        mask."""
         violations = self._violations
         if violations is None:
+            if self._drains_to_end(i):
+                return self.count - i
             violations = self._violations = np.flatnonzero(
                 self._capped_mask() | (self._record_column() > self.drained_limit)
             ).tolist()
         j = bisect_left(violations, i)
         return (violations[j] if j < len(violations) else self.count) - i
+
+    def _drains_to_end(self, i: int) -> bool:
+        """Whether no tick from span index ``i`` on is a stop of the drawn
+        inflow or brings more than ``drained_limit``: the maxima of the
+        span's remaining records, payload and reads are within the
+        limits."""
+        return (
+            max(self.records[i:]) <= min(self.drained_limit, self.record_cap)
+            and max(self.payload[i:]) <= self.byte_cap
+            and (self.reads is None or max(self.reads[i:]) <= self.read_cap)
+        )
 
     def _drawn_surplus(self) -> np.ndarray:
         """Storm's saturated surplus over the drawn records,
@@ -1459,9 +1477,10 @@ class FlowElasticityManager:
                 table=self.table,
                 cost_meters=self.cost_meters,
                 loops=self.loops,
-                # Runtime-retargeted bounds (a share schedule or a fleet
-                # coordinator) make the static bound check meaningless.
-                check_controller_bounds=self.share_schedule is None and not coordinated,
+                # A share schedule's caps are audited at each record's
+                # time; a fleet coordinator retargets caps at run time,
+                # so its flows' bounds go unaudited.
+                check_controller_bounds=not coordinated,
                 bus=recorder.bus if recorder is not None else None,
             )
             self.engine.add_component(self.invariant_checker)

@@ -293,12 +293,18 @@ class _OccupancyTable:
     def __init__(self, log_survival: np.ndarray) -> None:
         self.log_survival = log_survival
         self.values = np.zeros(1)
+        # fill's working row: each miss is computed in place, no temporaries.
+        self._row = np.empty_like(log_survival)
 
     def fill(self, n: int) -> float:
         """The expectation for one count the table misses, stored there
         if ``n`` is below the cap."""
         self._grow(n)
-        value = float(np.sum(1.0 - np.exp(n * self.log_survival)))
+        row = self._row
+        np.multiply(self.log_survival, n, out=row)
+        np.exp(row, out=row)
+        np.subtract(1.0, row, out=row)
+        value = float(np.add.reduce(row))
         if n < len(self.values):
             self.values[n] = value
         return value
@@ -420,8 +426,12 @@ class FastClickStreamGenerator(ClickStreamGenerator):
         # log(1 - p_k) per page: occupancy survival factors become one
         # exp() instead of the reference's np.power. The table (pooled
         # like the reference's memo, by adopt_distinct_cache) serves
-        # both the block fill and the Storm cluster's flush lookups.
-        self._distinct_cache = _OccupancyTable(np.log1p(-self._page_probs))
+        # both the block fill and the Storm cluster's flush lookups. A
+        # one-page catalog's log1p(-1) is -inf, and exp(n * -inf) = 0
+        # gives every count above 0 its one distinct page.
+        with np.errstate(divide="ignore"):
+            log_survival = np.log1p(-self._page_probs)
+        self._distinct_cache = _OccupancyTable(log_survival)
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._blocks_drawn = 0
         self._block_step: int | None = None

@@ -23,6 +23,7 @@ The approximation contract (DESIGN.md) in executable form:
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -401,16 +402,14 @@ class TestFleetFastPath:
 
 def fast_generator(pages=500, skew=1.0, seed=9, rate=1500.0):
     config = ClickStreamConfig(catalog_pages=pages, zipf_exponent=skew)
-    with np.errstate(divide="ignore"):  # one page: log1p(-1) is -inf
-        return FastClickStreamGenerator(
-            ConstantRate(rate), rng=derive_rng(seed, "fast"), config=config
-        )
+    return FastClickStreamGenerator(
+        ConstantRate(rate), rng=derive_rng(seed, "fast"), config=config
+    )
 
 
 def reference_distinct(generator, counts):
     """The per-count sum each table entry must equal, bit for bit."""
-    with np.errstate(divide="ignore"):
-        log_survival = np.log1p(-generator._page_probs)
+    log_survival = generator._distinct_cache.log_survival
     return np.array(
         [float(np.sum(1.0 - np.exp(int(n) * log_survival))) if n else 0.0 for n in counts]
     )
@@ -435,6 +434,31 @@ class TestOccupancyTable:
         block_first._distinct_cache.gather(counts[::2])
         looked_up = [block_first.expected_distinct(int(n)) for n in counts]
         assert np.array(looked_up).tobytes() == reference
+
+    @pytest.mark.parametrize("pages, skew", [(1, 1.0), (500, 1.0), (2000, 0.0), (9000, 1.2)])
+    def test_fill_is_the_per_count_sum(self, pages, skew):
+        """Each miss is computed in place in one working row, then
+        summed: every value it returns or stores is the per-count sum
+        bit for bit, also once later misses have reused the row."""
+        table = fast_generator(pages, skew)._distinct_cache
+        counts = [1, 2, 3, 17, 255, 4096, 70_000, DISTINCT_TABLE_CAP + 5]
+        counts += np.random.default_rng(pages).integers(1, 200_000, size=200).tolist()
+        filled = np.array([table.fill(n) for n in counts])
+        log_survival = table.log_survival
+        reference = np.array([float(np.sum(1.0 - np.exp(n * log_survival))) for n in counts])
+        assert filled.tobytes() == reference.tobytes()
+        stored = [k for k, n in enumerate(counts) if n < DISTINCT_TABLE_CAP]
+        assert table.values[[counts[k] for k in stored]].tobytes() == reference[stored].tobytes()
+
+    def test_one_page_catalog_builds_without_warnings(self):
+        """With one page, p = 1 and log1p(-p) is -inf; building the
+        generator, drawing a block and reading the table stay silent."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = fast_generator(pages=1, rate=3.0)
+            fast.generate_span(1, 50, 1)
+            assert fast.expected_distinct(7) == 1.0
+            assert fast.expected_distinct(0) == 0.0
 
     def test_block_draws_fill_the_per_count_sum(self):
         fast = fast_generator(rate=2500.0)

@@ -196,3 +196,46 @@ class TestManagerIntegration:
                 .share_schedule(schedule)
                 .build()
             )
+
+
+def _overstepping_run(schedule, inner):
+    """A 600 s run whose analytics steps (every 60 s, greedy) reach the
+    fleet as ``inner(clamped target)``: the share bound is broken
+    behind the bounded actuator's back, and the invariant checker's
+    ``bounds.controller`` audit must catch it."""
+    manager = (
+        FlowBuilder("audited", seed=3)
+        .workload(ConstantRate(1500))
+        .control(LayerKind.ANALYTICS, controller=_Greedy(), period=60)
+        .share_schedule(schedule)
+        .build()
+    )
+    fleet_side = manager.loops[LayerKind.ANALYTICS].actuator.inner
+    apply = fleet_side.apply
+    fleet_side.apply = lambda target, now: apply(inner(target), now)
+    report = manager.run(600).invariants
+    details = [v.detail for v in report.samples if v.invariant == "bounds.controller"]
+    return report.counts.get("bounds.controller", 0), details
+
+
+class TestScheduledBoundsAudit:
+    def test_one_window_cap_is_audited(self):
+        """Three VMs past a one-window cap of 2 at each of the nine
+        audited steps: nine violations, as with static share bounds."""
+        schedule = ShareSchedule([entry(0, 7200, 0.5, share(2, 2, 300))])
+        violations, details = _overstepping_run(schedule, lambda target: target + 3)
+        assert violations == 9
+        assert details[0] == "analytics: applied 5.0 above cap 2.0 at t=60"
+
+    def test_each_step_is_judged_by_its_own_window(self):
+        """Four VMs are inside the first window's cap of 6 and above the
+        second window's cap of 2: only the steps from t=300 break it."""
+        schedule = ShareSchedule([
+            entry(0, 300, 2.0, share(2, 6, 300)),
+            entry(300, 7200, 0.5, share(2, 2, 300)),
+        ])
+        violations, details = _overstepping_run(schedule, lambda target: 4.0)
+        assert violations == 5
+        assert details == [
+            f"analytics: applied 4.0 above cap 2.0 at t={t}" for t in range(300, 600, 60)
+        ]

@@ -18,8 +18,10 @@ flushes, and MAX_BACKLOG crossings.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
 from repro.cloud.dynamodb import DynamoDBConfig
@@ -537,8 +539,9 @@ class TestSpanStretches:
         poll then hands over nothing until the queue drains, which the
         saturated closed form does not model, so that span stays scalar
         and the next one is saturated again. With a span boundary every
-        40 s that span is 39 ticks: long enough for a closed form at its
-        start, too short for one at its first window boundary."""
+        20 s that span is 19 ticks: long enough for a closed form at its
+        start, too short for one at its first window boundary, 9 ticks
+        in."""
         calls = _log_stretches(monkeypatch)
         crash = ChaosSchedule(faults=(
             FaultSpec(kind=FaultKind.WORKER_CRASH, start=280, intensity=7),
@@ -554,7 +557,7 @@ class TestSpanStretches:
                 span_execution=spans,
             )
 
-        reference, spanned = self._pair(lambda spans: _every(40, build(spans)), 600)
+        reference, spanned = self._pair(lambda spans: _every(20, build(spans)), 600)
         assert_equivalent(reference, spanned)
         pending = spanned.throttle_trace(LayerKind.ANALYTICS, period=1)
         # The crash tick (280) runs as its own span; the next starts at 281.
@@ -563,6 +566,38 @@ class TestSpanStretches:
         assert kinds[240] == ["saturated"]
         assert kinds[281] == ["scalar"]
         assert kinds[320] == ["saturated"]
+
+    def test_capacity_update_splits_a_period_into_two_vector_spans(self, monkeypatch):
+        """A storage step every 60 s orders a write-capacity update that
+        lands 30 s later, so each period runs as a 29-tick span up to the
+        update and a 31-tick span from it. Both are long enough for a
+        closed form, so each runs as one vector stretch."""
+        calls = _log_stretches(monkeypatch)
+
+        def build(spans):
+            manager = FlowElasticityManager(
+                workload=ConstantRate(800),
+                capacities=ServiceCapacities(shards=2, vms=2, write_units=300),
+                seed=37,
+                snapshot_period=600,
+                span_execution=spans,
+            )
+            table = manager.table
+            manager.engine.every(
+                60, lambda now: table.update_write_capacity(300 + 10 * (now // 60 % 2), now),
+                name="storage-step",
+            )
+            return manager
+
+        reference, spanned = self._pair(build, 1200)
+        assert_equivalent(reference, spanned)
+        capacity = spanned.capacity_trace(LayerKind.STORAGE, period=1)
+        assert {300.0, 310.0} <= set(capacity.values)
+        kinds = _kinds_by_span(calls)
+        lengths = {now: stop for now, _kind, stop, _reached in calls}
+        for period in range(60, 1200, 60):
+            assert lengths[period] == 29 and lengths[period + 29] == 31
+            assert kinds[period] == kinds[period + 29] == ["vector"]
 
     @staticmethod
     def _throttled_flow(spans, workload=None, storm=None, clickstream=None, dynamodb=None,
@@ -680,6 +715,105 @@ class TestSpanStretches:
         throttled = dict(zip(throttle.times, throttle.values))
         for now, _, _, reached in cut_short:
             assert throttled[now + reached] > 0, "the stretch ran past its overflow"
+
+
+@st.composite
+def _span_questions(draw):
+    """A bare :class:`_Span` (its columns and capacities) and the
+    ``closed_form_run`` questions to ask it, in span order. Half the
+    spans keep every column within its drained limit and cap, so the
+    early exit decides; a spoiled tick then may push one column past
+    its limit by one, so the masks must find the run's end."""
+    count = draw(st.integers(16, 80))
+    analytics_cap = draw(st.integers(0, 50))
+    fields = dict(
+        count=count,
+        record_cap=draw(st.integers(0, 60)),
+        byte_cap=draw(st.integers(0, 3000)),
+        stream_read_cap=draw(st.integers(0, 120)),
+        analytics_cap=analytics_cap,
+        poll_limit=int(analytics_cap * draw(st.sampled_from([1.0, 1.5, 2.0]))),
+        read_cap=draw(st.integers(0, 30)),
+        max_backlog=draw(st.sampled_from([400, 5_000_000])),
+    )
+    fields["drained_limit"] = min(
+        fields["stream_read_cap"], fields["poll_limit"], fields["analytics_cap"]
+    )
+    limits = {
+        "records": min(fields["drained_limit"], fields["record_cap"]),
+        "payload": fields["byte_cap"],
+        "reads": fields["read_cap"],
+    }
+    clean = draw(st.booleans())
+    has_reads = draw(st.booleans())
+    for name, limit in limits.items():
+        top = limit if clean else limit + 2
+        fields[name] = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+        if clean and draw(st.booleans()):
+            fields[name][draw(st.integers(0, count - 1))] = limit + draw(st.integers(0, 1))
+    if not has_reads:
+        fields["reads"] = None
+    starts = draw(st.lists(st.integers(0, count - 16), min_size=1, max_size=3, unique=True))
+    questions = []
+    for i in sorted(starts):
+        # Mostly drained (no buffer, queue or producer backlog), where the early exit runs.
+        buffer, pending = draw(st.sampled_from([(0, 0)] * 4 + [(5, 0), (0, 3), (40, 20)]))
+        backlog = draw(st.sampled_from([0] * 4 + [2 * fields["record_cap"], 300]))
+        questions.append((i, buffer, pending, backlog, 7 * backlog))
+    return fields, questions
+
+
+def _bare_span(fields):
+    """A :class:`_Span` holding ``fields`` (lists copied) and nothing
+    else: no pipeline, no draws, no memos."""
+    span = _Span.__new__(_Span)
+    for name in _Span.__slots__:
+        setattr(span, name, None)
+    for name, value in fields.items():
+        setattr(span, name, list(value) if isinstance(value, list) else value)
+    return span
+
+
+def _plan(plan):
+    """A plan with its producer arrays as lists, for comparison."""
+    if plan is None:
+        return None
+    stop, saturated, producer = plan
+    if producer is not None:
+        producer = ([int(n) for n in producer[0]], list(producer[1]))
+    return stop, saturated, producer
+
+
+class TestDrainedEarlyExit:
+    """The drained run test reads a run to the span's end off the
+    columns' maxima before it builds any mask; that early exit must
+    never change a plan."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(spec=_span_questions())
+    def test_early_exit_keeps_every_plan(self, spec):
+        fields, questions = spec
+        with mock.patch.object(_Span, "_drains_to_end", lambda span, i: False):
+            masked = _bare_span(fields)
+            expected = [_plan(masked.closed_form_run(*q)) for q in questions]
+        early = _bare_span(fields)
+        assert [_plan(early.closed_form_run(*q)) for q in questions] == expected
+
+    def test_columns_at_their_limits_build_no_mask(self):
+        """Records at the drained limit, payload at the byte cap and
+        reads at the read capacity are all within them: the run reaches
+        the span's end and no mask is built."""
+        count = 20
+        span = _bare_span(dict(
+            count=count, record_cap=50, byte_cap=900, stream_read_cap=40, analytics_cap=30,
+            poll_limit=45, drained_limit=30, read_cap=12, max_backlog=5_000_000,
+            records=[30] * count, payload=[900] * count, reads=[12] * count,
+        ))
+        assert span.closed_form_run(2, 0, 0, 0, 0) == (count, False, None)
+        assert span._capped is None and span._violations is None
+        span.reads[5] = 13
+        assert span.closed_form_run(0, 0, 0, 0, 0) is None
+        assert span._violations == [5]
 
 
 #: One scenario per fault kind, sized so the fault actually bites.

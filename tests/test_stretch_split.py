@@ -50,3 +50,20 @@ def test_split_files_every_scalar_tick(monkeypatch, capsys, argv, reached):
     assert sum(why.values()) == record["stretches"]["scalar"]["ticks"]
     for regime in reached:
         assert why[regime] > 0, regime
+
+
+@pytest.mark.parametrize(
+    ("bound", "code"),
+    [
+        # flow-fast's first hour at seed 7: scalar 0.039, vector 0.955.
+        pytest.param("scalar=0.1", 0, id="scalar-under"),
+        pytest.param("vector=0.9", 1, id="vector-over"),
+    ],
+)
+def test_max_share_fails_a_stretch_above_its_bound(monkeypatch, capsys, bound, code):
+    for name in split.WRAPPED:
+        monkeypatch.setattr(_FlowPipeline, name, getattr(_FlowPipeline, name))
+    argv = ["flow-fast", "--seconds", "3600", "--require", "vector", "--max-share", bound]
+    assert split.main(argv) == code
+    err = capsys.readouterr().err
+    assert ("tick share above its bound" in err) == bool(code)
