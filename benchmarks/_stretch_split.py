@@ -12,7 +12,9 @@ from ``bench.workloads`` (imported read-only) with counters wrapped
 around ``_closed_form`` and ``_scalar_stretch``, and prints the calls
 and ticks each kind ran (the throttled ticks also by Storm's regime),
 then the scalar ticks split by why no closed form took them
-(:data:`SCALAR_REGIMES`).
+(:data:`SCALAR_REGIMES`). A counter around ``run_span`` adds the
+flow-spans, the one-tick spans and those of them whose tick a VM boot
+completes at.
 
 Usage, from the repository root::
 
@@ -42,7 +44,7 @@ from repro.core.manager import _CLOSED_FORM_MIN_TICKS, _FlowPipeline
 STRETCHES = ("vector", "saturated", "throttled", "scalar")
 
 #: The ``_FlowPipeline`` methods the counters wrap.
-WRAPPED = ("_closed_form", "_scalar_stretch")
+WRAPPED = ("_closed_form", "_scalar_stretch", "run_span")
 
 
 #: Why a ``_scalar_stretch`` call ran instead of a closed form, judged
@@ -109,19 +111,23 @@ def scalar_regime(pipeline: _FlowPipeline, span, start: int) -> str:
     return "backlogged-short-saturated-run"
 
 
-def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int], dict[str, int]]:
     """Wrap :data:`WRAPPED` with call and tick counters per stretch kind.
 
     Returns the live counters (the throttled stretch's also split into
-    ``drained`` and ``saturated`` ticks by Storm's regime) and the
-    scalar ticks per :data:`SCALAR_REGIMES` entry; the wrappers stay
-    installed for the rest of the process.
+    ``drained`` and ``saturated`` ticks by Storm's regime), the scalar
+    ticks per :data:`SCALAR_REGIMES` entry and the span counts
+    (``flow_spans``, ``one_tick``, ``one_tick_at_boot``: one-tick spans
+    whose tick a VM boot completes at); the wrappers stay installed for
+    the rest of the process.
     """
     counts = {kind: {"calls": 0, "ticks": 0} for kind in STRETCHES}
     counts["throttled"].update(drained=0, saturated=0)
     why = dict.fromkeys(SCALAR_REGIMES, 0)
+    spans = {"flow_spans": 0, "one_tick": 0, "one_tick_at_boot": 0}
     closed_form = _FlowPipeline._closed_form
     scalar = _FlowPipeline._scalar_stretch
+    run_span = _FlowPipeline.run_span
 
     def counted_closed_form(self, span, start, stop, saturated, producer):
         reached, columns = closed_form(self, span, start, stop, saturated, producer)
@@ -140,9 +146,20 @@ def count_stretches() -> tuple[dict[str, dict[str, int]], dict[str, int]]:
         why[regime] += reached - start
         return reached, plan, columns
 
+    def counted_run_span(self, clock, span_end):
+        spans["flow_spans"] += 1
+        first_tick = clock.now + clock.tick_seconds
+        if span_end == first_tick:
+            spans["one_tick"] += 1
+            boot = self.cluster.fleet.next_capacity_event(clock.now)
+            if boot is not None and boot <= first_tick:
+                spans["one_tick_at_boot"] += 1
+        run_span(self, clock, span_end)
+
     _FlowPipeline._closed_form = counted_closed_form
     _FlowPipeline._scalar_stretch = counted_scalar
-    return counts, why
+    _FlowPipeline.run_span = counted_run_span
+    return counts, why, spans
 
 
 def share_bound(text: str) -> tuple[str, float]:
@@ -187,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="exit 1 if this stretch ran more than RATIO of the ticks (repeatable)")
     args = parser.parse_args(argv)
 
-    counts, why = count_stretches()
+    counts, why, spans = count_stretches()
     started = time.perf_counter()
     flow_ticks = run_workload(args.workload, args.seed, args.seconds)
     wall_s = time.perf_counter() - started
@@ -201,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     throttled = counts["throttled"]
     print(f"throttled, by Storm regime: drained {throttled['drained']}, "
           f"saturated {throttled['saturated']}")
+    print(f"spans: {spans['flow_spans']} flow-spans, {spans['one_tick']} of one tick "
+          f"({spans['one_tick_at_boot']} at a VM boot)")
     scalar = counts["scalar"]["ticks"]
     print(f"{'scalar, by entry state':<32} {'ticks':>10} {'share':>7}")
     for regime, ticks in why.items():
@@ -212,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         if ran and counts[kind]["ticks"] / ran > bound
     ]
     print(json.dumps({"workload": args.workload, "seed": args.seed, "flow_ticks": flow_ticks,
-                      "wall_s": round(wall_s, 3), "stretches": counts, "why": why}))
+                      "wall_s": round(wall_s, 3), "stretches": counts, "why": why,
+                      "spans": spans}))
     if missing:
         print(f"FAIL: stretch(es) {', '.join(missing)} ran 0 ticks", file=sys.stderr)
     if over:

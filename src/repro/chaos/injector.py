@@ -6,13 +6,9 @@ infrastructure failing between polling intervals) and it is fully
 span-compatible: each pending transition's due tick bounds the span,
 so a fault lands at precisely the tick the per-tick reference loop
 would apply it — span and tick runs stay bit-identical with chaos
-enabled.
-
-Worker crashes additionally clamp the *next* span to a single tick:
-the fleet's ``next_capacity_event`` does not report past terminations,
-so without the clamp the pipeline's capacity hoist would smear the
-post-crash VM count (and any topology rebalance it triggers) across a
-long span.
+enabled. A worker crash needs nothing more: the next span's capacity
+hoist reads the post-crash VM count, and where that count starts a
+topology rebalance the pipeline's own horizon runs its tick alone.
 """
 
 from __future__ import annotations
@@ -79,7 +75,6 @@ class ChaosInjector:
         transitions.sort(key=lambda t: t[:3])
         self._transitions = transitions
         self._cursor = 0
-        self._clamp_tick: int | None = None
 
     # ------------------------------------------------------------------
     # Engine component protocol (tick + span)
@@ -88,9 +83,6 @@ class ChaosInjector:
         self._apply_due(clock.now)
 
     def span_horizon(self, now: int, limit: int, tick_seconds: int) -> int:
-        if self._clamp_tick == now:
-            # The tick after a worker crash runs alone (see module doc).
-            return now + tick_seconds
         if self._cursor >= len(self._transitions):
             return limit
         t = self._transitions[self._cursor][0]
@@ -211,5 +203,4 @@ class ChaosInjector:
         victims = [order[int(i)].instance_id for i in sorted(int(i) for i in picks)]
         for victim in victims:
             self.fleet.fail_instance(victim, now)
-        self._clamp_tick = now
         return victims

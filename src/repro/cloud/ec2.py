@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,9 +82,14 @@ class SimEC2Fleet:
 
     Queries answer for any ``now``, earlier times included. Beside the
     full launch history the fleet keeps the instances not yet
-    terminated: a query at or after the latest termination reads only
-    those, so its cost follows the live fleet rather than every
-    instance ever launched, and an earlier query scans the history.
+    terminated, and their launch and ready times as sorted columns,
+    rebuilt whenever it launches or retires instances. At or after the
+    latest termination every retired instance reads as terminated, so
+    the counts and :meth:`next_capacity_event` read the columns alone:
+    ``provisioned_count`` is the live count, the others one bisect
+    each, O(log live). :meth:`instances` and :meth:`fail_instance` read
+    the live instances there, O(live). A query before the latest
+    termination scans the whole history.
     """
 
     config: EC2Config = field(default_factory=EC2Config)
@@ -98,6 +104,9 @@ class SimEC2Fleet:
     _instances: list[Instance] = field(default_factory=list, init=False)
     #: The instances not yet terminated, in launch order.
     _live: list[Instance] = field(default_factory=list, init=False)
+    #: The live instances' ``launched_at`` and ``ready_at``, each sorted.
+    _launch_times: list[int] = field(default_factory=list, init=False)
+    _ready_times: list[int] = field(default_factory=list, init=False)
     #: Latest ``terminated_at`` stamped so far (``-inf`` before any).
     _last_termination: float = field(default=-math.inf, init=False)
     _ids: "itertools.count[int]" = field(default_factory=itertools.count, init=False)
@@ -111,21 +120,27 @@ class SimEC2Fleet:
                 f"initial_instances={self.initial_instances} outside "
                 f"[{self.config.min_instances}, {self.config.max_instances}]"
             )
-        for _ in range(self.initial_instances):
-            # Initial instances are ready immediately: the flow starts
-            # from an already-provisioned steady state.
-            self._launch(launched_at=0, ready_at=0)
+        # Initial instances are ready immediately: the flow starts from
+        # an already-provisioned steady state.
+        self._launch(self.initial_instances, launched_at=0, ready_at=0)
 
-    def _launch(self, launched_at: int, ready_at: int) -> None:
-        instance = Instance(f"i-{next(self._ids):06d}", launched_at, ready_at)
-        self._instances.append(instance)
-        self._live.append(instance)
+    def _launch(self, count: int, launched_at: int, ready_at: int) -> None:
+        for _ in range(count):
+            instance = Instance(f"i-{next(self._ids):06d}", launched_at, ready_at)
+            self._instances.append(instance)
+            self._live.append(instance)
+        self._reindex()
 
     def _retire(self, victims: list[Instance], now: int) -> None:
         for victim in victims:
             victim.terminated_at = now
         self._live = [i for i in self._live if i.terminated_at is None]
         self._last_termination = max(self._last_termination, now)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._launch_times = sorted(i.launched_at for i in self._live)
+        self._ready_times = sorted(i.ready_at for i in self._live)
 
     def _scanned(self, now: int) -> list[Instance]:
         """The instances a query at ``now`` must look at. At or after the
@@ -150,27 +165,29 @@ class SimEC2Fleet:
     # ------------------------------------------------------------------
     def instances(self, now: int, state: InstanceState | None = None) -> list[Instance]:
         """Instances not terminated at ``now`` (optionally only those in
-        ``state``), in launch order. O(live) at or after the latest
-        termination."""
+        ``state``), in launch order."""
         live = [i for i in self._scanned(now) if i.state(now) != InstanceState.TERMINATED]
         if state is None:
             return live
         return [i for i in live if i.state(now) == state]
 
     def running_count(self, now: int) -> int:
-        """Instances actually serving load at ``now``. O(live) at or
-        after the latest termination."""
+        """Instances actually serving load at ``now``."""
+        if now >= self._last_termination:
+            return bisect_right(self._ready_times, now)
         return len(self.instances(now, InstanceState.RUNNING))
 
     def provisioned_count(self, now: int) -> int:
-        """Instances launched or booting (the actuator's set-point view).
-        O(live) at or after the latest termination."""
+        """Instances launched or booting (the actuator's set-point view)."""
+        if now >= self._last_termination:
+            return len(self._live)
         return len(self.instances(now))
 
     def billable_count(self, now: int) -> int:
-        """Instances billed at ``now`` (launched, not terminated). O(live)
-        at or after the latest termination."""
-        return sum(1 for i in self._scanned(now) if i.billable(now))
+        """Instances billed at ``now`` (launched, not terminated)."""
+        if now >= self._last_termination:
+            return bisect_right(self._launch_times, now)
+        return sum(1 for i in self._instances if i.billable(now))
 
     def next_capacity_event(self, now: int) -> int | None:
         """Earliest future time the running-instance count will change.
@@ -179,11 +196,15 @@ class SimEC2Fleet:
         (``ready_at``) or, defensively, a termination scheduled in the
         future (the built-in actuators terminate at the current time,
         so in practice only boots appear here). ``None`` when the fleet
-        is stable past ``now``. O(live) at or after the latest
-        termination.
+        is stable past ``now``. At or after the latest termination,
+        the first live ready time after ``now``.
         """
+        if now >= self._last_termination:
+            ready = self._ready_times
+            j = bisect_right(ready, now)
+            return ready[j] if j < len(ready) else None
         best: int | None = None
-        for instance in self._scanned(now):
+        for instance in self._instances:
             terminated_at = instance.terminated_at
             if terminated_at is not None and terminated_at <= now:
                 continue
@@ -230,8 +251,7 @@ class SimEC2Fleet:
                 # All-or-nothing admission: raises RegionCapacityError
                 # (and launches nothing) without account headroom.
                 self._region.admit_instances(self._region_flow_id, self, desired, now)
-            for _ in range(desired - current):
-                self._launch(launched_at=now, ready_at=now + self.config.boot_seconds)
+            self._launch(desired - current, launched_at=now, ready_at=now + self.config.boot_seconds)
             if self._region is not None:
                 self._region.note_capacity_change()
         elif desired < current:

@@ -357,6 +357,18 @@ class SimStormCluster:
         """Whether a (topology or forced) rebalance is in flight at ``now``."""
         return now < self._rebalancing_until
 
+    def rebalances_at(self, now: int) -> bool:
+        """Whether the tick at ``now`` starts a topology rebalance: the
+        cluster has a topology and the running VM count it will see
+        there differs from the one it last saw. The rebalance's end is
+        set only when that tick runs."""
+        last = self._last_running_vms
+        return (
+            self.topology is not None
+            and last is not None
+            and self.fleet.running_count(now) != last
+        )
+
     def next_capacity_event(self, now: int) -> int | None:
         """Earliest future time the cluster's own capacity will change.
 

@@ -204,6 +204,7 @@ class _Span:
             run, saturated = self._storm_run(
                 i, buffer, pending, lambda: self._capped_mask()[i:],
                 lambda: self._drained_run(i), self._drawn_surplus,
+                lambda: self._uncapped_to_end(i, self.record_cap),
             )
             return (i + run, saturated, None) if run else None
         two_caps = 2 * self.record_cap
@@ -219,6 +220,7 @@ class _Span:
         run, saturated = self._storm_run(
             i, buffer, pending, lambda: stops,
             lambda: _run_length(stops | (accepted[i:] > self.drained_limit)), lambda: surplus,
+            lambda: not stops.any(),
         )
         if not run:
             return None
@@ -247,6 +249,7 @@ class _Span:
     def _storm_run(
         self, i: int, buffer: int, pending: int, stops: Callable[[], np.ndarray],
         drained: Callable[[], int], surplus: Callable[[], np.ndarray],
+        unstopped: Callable[[], bool],
     ) -> tuple[int, bool]:
         """``(ticks, saturated)``: how long Storm runs one closed-form
         regime from span index ``i`` on an inflow whose stops from ``i``
@@ -254,17 +257,33 @@ class _Span:
         :data:`_CLOSED_FORM_MIN_TICKS` ticks. Drained is tried first, from
         an empty buffer and queue: ``drained()`` is how many ticks the
         inflow runs before a stop or a tick above ``drained_limit``. Then
-        saturated (:meth:`_saturated_exits` over ``surplus()``, the
-        inflow's prefix sum less ``analytics_cap``). Each callable is
-        called only when its regime is tried.
+        saturated, over ``surplus()``, the inflow's prefix sum less
+        ``analytics_cap``: where its tail stays at or above the
+        :meth:`_saturated_floor` and ``unstopped()`` says the inflow has
+        no stop from ``i``, the run reaches the span's end without a
+        mask (:meth:`_saturates_to_end`). Each callable is called only
+        when its regime is tried.
         """
         if not (buffer or pending):
             run = drained()
             if run >= _CLOSED_FORM_MIN_TICKS:
                 return run, False
-        exits = self._saturated_exits(i, buffer, pending, surplus())
-        run = 0 if exits is None else _run_length(stops() | exits)
+        column = surplus()
+        floor = self._saturated_floor(i, buffer, pending, column)
+        if floor is None:
+            return 0, False
+        if self._saturates_to_end(i, floor, column, unstopped):
+            return self.count - i, True
+        run = _run_length(stops() | (column[i:] < floor))
         return (run, True) if run >= _CLOSED_FORM_MIN_TICKS else (0, False)
+
+    def _saturates_to_end(
+        self, i: int, floor: int, surplus: np.ndarray, unstopped: Callable[[], bool]
+    ) -> bool:
+        """Whether a saturated run from span index ``i`` reaches the
+        span's end: no tail entry of ``surplus`` falls below ``floor``
+        and the inflow has no stop."""
+        return bool(surplus[i:].min() >= floor) and unstopped()
 
     def _record_column(self) -> np.ndarray:
         """The drawn records as int64, converted once per span."""
@@ -317,11 +336,16 @@ class _Span:
 
     def _drains_to_end(self, i: int) -> bool:
         """Whether no tick from span index ``i`` on is a stop of the drawn
-        inflow or brings more than ``drained_limit``: the maxima of the
-        span's remaining records, payload and reads are within the
-        limits."""
+        inflow or brings more than ``drained_limit``."""
+        return self._uncapped_to_end(i, min(self.drained_limit, self.record_cap))
+
+    def _uncapped_to_end(self, i: int, record_limit: int) -> bool:
+        """Whether the maxima of the span's records, payload and reads
+        from index ``i`` on are within ``record_limit``, the byte cap and
+        the read capacity: the drawn inflow has no stop there when
+        ``record_limit`` is the record cap."""
         return (
-            max(self.records[i:]) <= min(self.drained_limit, self.record_cap)
+            max(self.records[i:]) <= record_limit
             and max(self.payload[i:]) <= self.byte_cap
             and (self.reads is None or max(self.reads[i:]) <= self.read_cap)
         )
@@ -335,24 +359,25 @@ class _Span:
             surplus = self._surplus = np.cumsum(self._record_column() - self.analytics_cap)
         return surplus
 
-    def _saturated_exits(
+    def _saturated_floor(
         self, i: int, buffer: int, pending: int, surplus: np.ndarray
-    ) -> np.ndarray | None:
-        """The ticks from span index ``i`` where a saturated Storm would
-        find the stream buffer short of its poll, ``surplus`` being the
-        prefix sum of what Kinesis accepts less ``analytics_cap``: Storm
+    ) -> int | None:
+        """The least ``surplus`` entry from span index ``i`` on that
+        keeps a saturated Storm's poll whole, ``surplus`` being the prefix
+        sum of what Kinesis accepts less ``analytics_cap``: Storm
         processes its full capacity each tick and its poll tops the queue
         up to ``poll_limit``, so the buffer after tick ``k`` is ``buffer +
-        sum(accepted[i..k]) - (poll_limit - pending) - (k - i) * cap``.
-        ``None`` where saturation cannot start: it needs the stream's
-        read cap to cover every poll, and ``pending <= poll_limit``.
+        sum(accepted[i..k]) - (poll_limit - pending) - (k - i) * cap``,
+        and the run exits at the first tick whose entry is below the
+        floor. ``None`` where saturation cannot start: it needs the
+        stream's read cap to cover every poll, and ``pending <=
+        poll_limit``.
         """
         cap = self.analytics_cap
         first = self.poll_limit - pending
         if cap <= 0 or first < 0 or self.stream_read_cap < max(first, cap):
             return None
-        floor = first - cap - buffer + (int(surplus[i - 1]) if i else 0)
-        return surplus[i:] < floor
+        return first - cap - buffer + (int(surplus[i - 1]) if i else 0)
 
     def _producer_columns(self) -> tuple:
         """The span's columns under a full retry of ``2 * record_cap``.
@@ -492,38 +517,38 @@ class _FlowPipeline:
     def span_horizon(self, now: int, limit: int, tick_seconds: int) -> int:
         """Latest span end the data path can accept, at most ``limit``.
 
-        Two kinds of internal events bound a span (aggregation-window
-        flushes do *not*: :meth:`run_span` draws its CPU-noise normals
-        in flush-bounded segments, so a flush's Poisson draw lands at
-        exactly the bitstream position the per-tick loop gives it):
+        :class:`_Span` hoists every capacity change ripe at the span's
+        first tick: a reshard, a table update, a rebalance ending or a
+        boot completing there applies before the span's columns are
+        read. The first change after that tick bounds the span, which
+        ends on the tick before the first tick the change affects: the
+        next ``next_capacity_event`` of the stream, the table, the
+        cluster and the fleet. Aggregation-window flushes do *not*
+        bound a span (:meth:`run_span` draws its CPU-noise normals in
+        flush-bounded segments, so a flush's Poisson draw lands at
+        exactly the bitstream position the per-tick loop gives it).
 
-        * a pending reshard / capacity update / rebalance completing —
-          the span must end on the last tick before the first affected
-          tick, unless that first affected tick is the very next one
-          (then :meth:`run_span`'s capacity hoist applies it);
-        * the running VM count changing (a boot completing or a future
-          termination) — the affected tick always runs as its own
-          single-tick span, because the change can *trigger* a topology
-          rebalance whose end time is unknowable before it happens.
+        One tick runs alone: where the cluster has a topology and the
+        running VM count it will see at the first tick differs from the
+        one it last saw (a boot, a scale-down or a crash), that tick
+        starts a rebalance whose end is set only when the tick runs.
         """
         first_tick = now + tick_seconds
+        cluster = self.cluster
+        if cluster.rebalances_at(first_tick):
+            return first_tick
         horizon = limit
         for event in (
-            self.stream.next_capacity_event(now),
-            self.table.next_capacity_event(now),
-            self.cluster.next_capacity_event(now),
+            self.stream.next_capacity_event(first_tick),
+            self.table.next_capacity_event(first_tick),
+            cluster.next_capacity_event(first_tick),
+            cluster.fleet.next_capacity_event(first_tick),
         ):
-            if event is None or event <= first_tick:
-                continue
-            affected = now + tick_seconds * (-(-(event - now) // tick_seconds))
-            if affected - tick_seconds < horizon:
-                horizon = affected - tick_seconds
-        fleet_event = self.cluster.fleet.next_capacity_event(now)
-        if fleet_event is not None:
-            affected = now + tick_seconds * (-(-(fleet_event - now) // tick_seconds))
-            bound = affected - tick_seconds if affected > first_tick else first_tick
-            if bound < horizon:
-                horizon = bound
+            if event is not None:
+                # The tick before the first tick at or after the event.
+                bound = now + tick_seconds * ((event - now - 1) // tick_seconds)
+                if bound < horizon:
+                    horizon = bound
         return horizon
 
     def run_span(self, clock: SimClock, span_end: int) -> None:

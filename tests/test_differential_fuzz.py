@@ -29,6 +29,12 @@ A failure found there is shrunk by hypothesis; commit it as an
 A second, smaller property holds the scenario runner to jobs=1 ≡
 jobs=N: a batch of three generated scenarios, one fast, one exact and
 one as drawn, gives the same scorecards serially and on two workers.
+
+The fleet leg puts two or three drawn flows into one
+:class:`~repro.core.fleet.RegionFleetManager` whose account limits
+leave little headroom, runs it with ``span_execution`` off and on, and
+requires repr-identical per-flow results; across its corpus some flow's
+sub-span must start on a VM boot, hoisted by ``FleetSpanExecutor``.
 """
 
 import dataclasses
@@ -38,7 +44,13 @@ from collections import Counter
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
+from repro.cloud.dynamodb import DynamoDBConfig
+from repro.cloud.region import RegionLimits
+from repro.cloud.storm import StormConfig
+from repro.core.config import LayerControlConfig, make_controller
+from repro.core.fleet import FleetFlowSpec, FleetScenarioSpec
 from repro.core.flow import LayerKind
+from repro.core.manager import ServiceCapacities, _FlowPipeline
 from repro.scenarios import Scenario
 from repro.scenarios.runner import run_catalog
 from repro.scenarios.spec import PatternSpec
@@ -275,3 +287,102 @@ def test_scenario_runner_jobs_one_matches_jobs_two(batch):
     parallel = run_catalog(batch, jobs=2)
     assert [e.card.exact for e in serial.entries.values()][:2] == [False, True]
     assert repr(serial.entries) == repr(parallel.entries)
+
+
+def _fleet_flow(scenario: Scenario, name: str, duration: int, share_bounds) -> FleetFlowSpec:
+    """``scenario``'s flow as one flow of a region fleet running
+    ``duration`` seconds under ``share_bounds``: its workload,
+    capacities, controllers and chaos, with the same Storm and table
+    calibration."""
+    return FleetFlowSpec(
+        name=name,
+        workload=scenario.workload.build(scenario.seed, duration),
+        capacities=ServiceCapacities(
+            shards=scenario.shards, vms=scenario.vms, write_units=scenario.write_units
+        ),
+        controls={
+            kind: LayerControlConfig(
+                controller=make_controller(scenario.controller, kind, scenario.reference),
+                period=scenario.control_period,
+            )
+            for kind in LayerKind
+        },
+        share_bounds=share_bounds,
+        chaos=scenario.chaos,
+        storm=StormConfig(records_per_vm_per_second=RECORDS_PER_UNIT),
+        dynamodb=DynamoDBConfig(burst_seconds=10),
+    )
+
+
+@st.composite
+def runnable_fleets(draw):
+    """Two or three flows drawn by :func:`runnable_scenarios`, on the
+    fast path, in one region whose account limits leave at most three
+    instances and shards, and 400 write units, above the flows'
+    starting capacities, with contention from half the pool. The flows
+    split the limits (the default share bounds) or each may take all
+    of them, so the region denies what the limits cannot hold."""
+    duration = draw(st.integers(min_value=600, max_value=1800))
+    scenarios = draw(st.lists(runnable_scenarios(), min_size=2, max_size=3))
+    limits = RegionLimits(
+        max_instances=sum(s.vms for s in scenarios) + draw(st.integers(0, 3)),
+        max_total_shards=sum(s.shards for s in scenarios) + draw(st.integers(0, 3)),
+        max_total_write_units=sum(s.write_units for s in scenarios) + draw(st.integers(0, 400)),
+        contention_threshold=0.5,
+        contention_slope=0.4,
+    )
+    overcommitted = {
+        LayerKind.INGESTION: limits.max_total_shards,
+        LayerKind.ANALYTICS: limits.max_instances,
+        LayerKind.STORAGE: limits.max_total_write_units,
+    }
+    share_bounds = draw(st.sampled_from([None, overcommitted]))
+    return FleetScenarioSpec(
+        name="fuzz-fleet",
+        flows=[
+            _fleet_flow(s, f"flow{i}", duration, share_bounds) for i, s in enumerate(scenarios)
+        ],
+        limits=limits,
+        duration=duration,
+        coordinate_period=draw(st.sampled_from([None, 300])),
+        exact=False,
+    )
+
+
+def test_fleet_span_execution_matches_per_tick_loop(monkeypatch):
+    exits = _closed_form_exits(monkeypatch)
+    hoisted = []
+    run_span = _FlowPipeline.run_span
+
+    def logged(pipeline, clock, span_end):
+        # A boot ripe at the sub-span's first tick, hoisted into a span
+        # longer than that tick.
+        boot = pipeline.cluster.fleet.next_capacity_event(clock.now)
+        first_tick = clock.now + clock.tick_seconds
+        if boot is not None and boot <= first_tick < span_end:
+            hoisted.append(clock.now)
+        run_span(pipeline, clock, span_end)
+
+    monkeypatch.setattr(_FlowPipeline, "run_span", logged)
+
+    @settings(PROFILE, max_examples=8)
+    @given(spec=runnable_fleets(), seed=st.integers(min_value=0, max_value=2**16))
+    def check_fleet(spec, seed):
+        results = []
+        for spans in (False, True):
+            fleet = spec.build(seed)
+            fleet.engine.span_execution = spans
+            for manager in fleet.managers.values():
+                manager.invariant_checker._strict = True
+            results.append(fleet.run(spec.duration))
+            assert fleet.engine.last_run_used_spans == spans
+        reference, spanned = results
+        for name in reference.flows:
+            assert_equivalent(reference.flows[name], spanned.flows[name], events=True)
+        assert spanned.region.denial_counts == reference.region.denial_counts
+        if spec.coordinate_period is not None:
+            assert spanned.coordinator.records == reference.coordinator.records
+
+    check_fleet()
+    assert hoisted, "no flow's sub-span started on a VM boot"
+    assert any(exits.values()), "no closed form ran"

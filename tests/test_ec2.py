@@ -238,3 +238,29 @@ class TestLongHistory:
         assert fleet.fail_instance(fleet.instances(now)[-1].instance_id, now + 10)
         assert fleet.running_count(now + 10) == 1
         assert fleet.provisioned_count(now + 10) == 2
+
+    def test_counts_and_events_read_no_instance(self):
+        """At and after the latest termination the counts and the next
+        boot come from the fleet's sorted live columns: with every live
+        instance raising on any attribute read, they still answer."""
+        fleet = SimEC2Fleet(config=EC2Config(boot_seconds=30, max_instances=16),
+                            initial_instances=2)
+        now = 0
+        for cycle in range(20):
+            now += 60
+            fleet.set_desired(6, now)
+            now += 60
+            fleet.set_desired(3, now)
+        fleet.set_desired(5, now)  # two boots ripe at now + 30
+        fleet.fail_instance(fleet.instances(now)[0].instance_id, now)
+        instances = fleet.instances(now)
+        assert len(instances) == 4
+        for instance in instances:
+            instance.__class__ = _Retired
+        for t, running, event in ((now, 2, now + 30), (now + 29, 2, now + 30),
+                                  (now + 30, 4, None), (now + 3600, 4, None)):
+            assert fleet.running_count(t) == running, t
+            assert fleet.provisioned_count(t) == 4, t
+            assert fleet.billable_count(t) == 4, t
+            assert fleet.next_capacity_event(t) == event, t
+

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
 from repro.cloud.dynamodb import DynamoDBConfig
+from repro.cloud.ec2 import EC2Config
 from repro.cloud.storm import BoltSpec, StormConfig, TopologyConfig
 from repro.core.builder import FlowBuilder
 from repro.core.flow import LayerKind
@@ -171,6 +172,80 @@ class TestControlledFlowEquivalence:
         assert_equivalent(reference, spanned, events=True)
         rebalances = spanned.recorder.bus.of_kind("rebalance")
         assert rebalances, "scenario never rebalanced"
+
+    def test_table_update_ripe_at_span_start_keeps_a_later_one(self, monkeypatch):
+        """A write update ripe at a span's first tick must not hide a
+        read update that ripens later in the same span: the span that
+        hoists the write update ends before the read update's tick (one
+        that hid it ran the old read capacity, 100, to t=400)."""
+        spans_run = []
+        run_span = _FlowPipeline.run_span
+
+        def logged(pipeline, clock, span_end):
+            spans_run.append((clock.now, span_end))
+            run_span(pipeline, clock, span_end)
+
+        def run(spans):
+            manager = (
+                FlowBuilder("span-eq-late-read", seed=4)
+                .ingestion(shards=2)
+                .analytics(vms=2)
+                .storage(write_units=300)
+                .workload(ConstantRate(1200))
+                .reads(ConstantRate(150), read_units=100)
+                .spans(spans)
+                .build()
+            )
+            manager.run(100)
+            manager.table.update_write_capacity(400, 100)  # ripe at 130
+            manager.run(10)
+            manager.table.update_read_capacity(200, 110)  # ripe at 140
+            spans_run.clear()
+            return manager.run(290)
+
+        reference = run(False)
+        monkeypatch.setattr(_FlowPipeline, "run_span", logged)
+        spanned = run(True)
+        assert_equivalent(reference, spanned)
+        assert spans_run == [(110, 129), (129, 139), (139, 400)]
+        (times, values), = (
+            series for (_, metric, _), series in _raw_metrics(spanned).items()
+            if metric == "ProvisionedReadCapacityUnits"
+        )
+        assert dict(zip(times, values))[140] == "200.0"
+
+    def test_boot_at_span_start_is_hoisted(self, monkeypatch):
+        """Without a topology a VM boot changes nothing but the running
+        count, which the span's capacity hoist reads: a boot ripe at a
+        span's first tick starts a long span, not a one-tick one. Boots
+        take 45 s under a 60 s loop, so each ripens mid-period."""
+        boot_spans = []
+        run_span = _FlowPipeline.run_span
+
+        def logged(pipeline, clock, span_end):
+            boot = pipeline.cluster.fleet.next_capacity_event(clock.now)
+            if boot is not None and boot <= clock.now + clock.tick_seconds:
+                boot_spans.append((span_end - clock.now) // clock.tick_seconds)
+            run_span(pipeline, clock, span_end)
+
+        def build():
+            return (
+                FlowBuilder("span-eq-boot", seed=11)
+                .ingestion(shards=3)
+                .analytics(vms=1, storm=StormConfig(records_per_vm_per_second=1000),
+                           ec2=EC2Config(boot_seconds=45))
+                .storage(write_units=300)
+                .workload(SinusoidalRate(mean=1500, amplitude=1100, period=600))
+                .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0, period=60)
+            )
+
+        reference = build().spans(False).build().run(1800)
+        monkeypatch.setattr(_FlowPipeline, "run_span", logged)
+        spanned = build().build().run(1800)
+        assert_equivalent(reference, spanned)
+        # Launched at a control step, ripe 45 s later: 16 ticks remain
+        # to the next step.
+        assert boot_spans and set(boot_spans) == {16}, boot_spans
 
     def test_read_workload_and_read_control(self):
         def build():
@@ -539,8 +614,8 @@ class TestSpanStretches:
         poll then hands over nothing until the queue drains, which the
         saturated closed form does not model, so that span stays scalar
         and the next one is saturated again. With a span boundary every
-        20 s that span is 19 ticks: long enough for a closed form at its
-        start, too short for one at its first window boundary, 9 ticks
+        20 s that span is 20 ticks: long enough for a closed form at its
+        start, too short for one at its first window boundary, 10 ticks
         in."""
         calls = _log_stretches(monkeypatch)
         crash = ChaosSchedule(faults=(
@@ -560,11 +635,11 @@ class TestSpanStretches:
         reference, spanned = self._pair(lambda spans: _every(20, build(spans)), 600)
         assert_equivalent(reference, spanned)
         pending = spanned.throttle_trace(LayerKind.ANALYTICS, period=1)
-        # The crash tick (280) runs as its own span; the next starts at 281.
+        # The crash lands at the boundary at 280; the next span starts there.
         assert dict(zip(pending.times, pending.values))[281] > 1.5 * 200
         kinds = _kinds_by_span(calls)
         assert kinds[240] == ["saturated"]
-        assert kinds[281] == ["scalar"]
+        assert kinds[280] == ["scalar"]
         assert kinds[320] == ["saturated"]
 
     def test_capacity_update_splits_a_period_into_two_vector_spans(self, monkeypatch):
@@ -816,6 +891,91 @@ class TestDrainedEarlyExit:
         assert span._violations == [5]
 
 
+@st.composite
+def _saturated_questions(draw):
+    """A bare :class:`_Span` whose records run near Storm's capacity,
+    and ``closed_form_run`` questions from a buffer or a queue (with or
+    without a producer backlog), in span order. Half the spans keep
+    every column within its cap, so the inflow has no stop and the
+    saturated early exit decides; whether the buffer falls short of a
+    poll before the span's end is left to the draws."""
+    count = draw(st.integers(16, 80))
+    analytics_cap = draw(st.integers(1, 50))
+    poll_limit = int(analytics_cap * draw(st.sampled_from([1.0, 1.5, 2.0])))
+    record_cap = draw(st.integers(analytics_cap, 2 * analytics_cap + 10))
+    fields = dict(
+        count=count,
+        record_cap=record_cap,
+        byte_cap=draw(st.integers(0, 3000)),
+        stream_read_cap=draw(st.integers(max(0, poll_limit - 2), 3 * poll_limit + 2)),
+        analytics_cap=analytics_cap,
+        poll_limit=poll_limit,
+        read_cap=draw(st.integers(0, 30)),
+        max_backlog=draw(st.sampled_from([400, 5_000_000])),
+    )
+    fields["drained_limit"] = min(fields["stream_read_cap"], poll_limit, analytics_cap)
+    clean = draw(st.booleans())
+    spread = draw(st.integers(0, analytics_cap))
+    top = record_cap if clean else record_cap + 2
+    fields["records"] = draw(st.lists(
+        st.integers(max(0, analytics_cap - spread), min(top, analytics_cap + spread)),
+        min_size=count, max_size=count,
+    ))
+    for name, limit in (("payload", fields["byte_cap"]), ("reads", fields["read_cap"])):
+        fields[name] = draw(st.lists(st.integers(0, limit if clean else limit + 2),
+                                     min_size=count, max_size=count))
+    if not draw(st.booleans()):
+        fields["reads"] = None
+    starts = draw(st.lists(st.integers(0, count - 16), min_size=1, max_size=3, unique=True))
+    questions = []
+    for i in sorted(starts):
+        buffer = draw(st.sampled_from([0, 1, analytics_cap, 5 * analytics_cap + 7]))
+        pending = draw(st.sampled_from([0, 1, poll_limit]))
+        if not (buffer or pending):
+            buffer = 1
+        backlog = draw(st.sampled_from([0] * 3 + [2 * record_cap, 2 * record_cap + 5, 300]))
+        questions.append((i, buffer, pending, backlog, 7 * backlog))
+    return fields, questions
+
+
+class TestSaturatedEarlyExit:
+    """The saturated run test reads a run to the span's end off the
+    surplus tail's minimum and the inflow's stops before it builds the
+    exit mask; that early exit must never change a plan."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(spec=_saturated_questions())
+    def test_early_exit_keeps_every_plan(self, spec):
+        fields, questions = spec
+        with mock.patch.object(_Span, "_saturates_to_end", lambda *args: False):
+            masked = _bare_span(fields)
+            expected = [_plan(masked.closed_form_run(*q)) for q in questions]
+        early = _bare_span(fields)
+        assert [_plan(early.closed_form_run(*q)) for q in questions] == expected
+
+    def test_run_to_the_span_end_builds_no_mask(self):
+        """Records at the record cap, payload at the byte cap and reads
+        at the read capacity stop nothing, and a surplus tail that stays
+        at its floor keeps every poll whole: the saturated run reaches
+        the span's end and the cap mask is never built."""
+        count = 20
+        span = _bare_span(dict(
+            count=count, record_cap=40, byte_cap=900, stream_read_cap=60, analytics_cap=30,
+            poll_limit=45, drained_limit=30, read_cap=12, max_backlog=5_000_000,
+            records=[30] * count, payload=[900] * count, reads=[12] * count,
+        ))
+        # The floor is poll_limit - pending - cap - buffer = 0, the tail's
+        # entries are all 0.
+        assert span.closed_form_run(2, 15, 0, 0, 0) == (count, True, None)
+        assert span._capped is None
+        # One record short somewhere drains the buffer below the poll.
+        span._surplus = None
+        span._records = None
+        span.records[9] = 29
+        assert span.closed_form_run(2, 15, 0, 0, 0) is None
+        assert span._capped is not None
+
+
 #: One scenario per fault kind, sized so the fault actually bites.
 CHAOS_SCENARIOS = {
     "reshard-stall": ChaosSchedule(faults=(
@@ -848,10 +1008,10 @@ CHAOS_SCENARIOS = {
 class TestChaosEquivalence:
     """Span-vs-tick bit-equivalence under every chaos fault kind.
 
-    The injector bounds spans at each transition's due tick and clamps
-    the tick after a worker crash, so fault effects must land at the
-    exact same ticks in both modes — including retry/backoff decisions,
-    degraded-sensor events, and the invariant checker's audit."""
+    The injector bounds spans at each transition's due tick, so fault
+    effects must land at the exact same ticks in both modes — including
+    retry/backoff decisions, degraded-sensor events, and the invariant
+    checker's audit."""
 
     @staticmethod
     def _build(schedule):
@@ -879,6 +1039,36 @@ class TestChaosEquivalence:
         assert any(e.fault == kind for e in spanned.chaos_events)
         # The always-on checker audited both runs cleanly.
         assert reference.invariants.ok and spanned.invariants.ok
+
+    def test_worker_crash_rebalances_a_topology(self):
+        """A crash between control steps lowers the running VM count at
+        the next tick, which starts a topology rebalance there: the
+        pipeline runs that tick alone, then bounds the span at the
+        rebalance's end."""
+        topology = TopologyConfig(
+            bolts=(BoltSpec("parse", records_per_executor_per_second=500, executors=8),),
+            executor_slots_per_vm=4,
+            rebalance_seconds=20,
+        )
+        schedule = ChaosSchedule(faults=(
+            FaultSpec(kind=FaultKind.WORKER_CRASH, start=317, intensity=1),
+        ), seed=3)
+
+        def build():
+            return (
+                FlowBuilder("span-eq-topo-crash", seed=11)
+                .ingestion(shards=3)
+                .analytics(vms=2, topology=topology)
+                .storage(write_units=300)
+                .workload(ConstantRate(1500))
+                .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0, period=120)
+                .chaos(schedule)
+            )
+
+        reference, spanned = run_pair(build, 900, events=True)
+        assert_equivalent(reference, spanned, events=True)
+        rebalances = [e.time for e in spanned.recorder.bus.of_kind("rebalance")]
+        assert 318 in rebalances, rebalances
 
     def test_combined_multi_layer_scenario(self):
         schedule = ChaosSchedule(faults=(

@@ -17,6 +17,8 @@ from repro.core.errors import ConfigurationError
 from repro.simulation import SimClock
 from repro.workload import StepRate
 
+from tests.test_span_equivalence import assert_equivalent
+
 
 def two_bolt_topology(rebalance=30):
     return TopologyConfig(
@@ -145,7 +147,7 @@ class TestRebalance:
 
 
 class TestManagedTopologyFlow:
-    def _manager(self, period):
+    def _manager(self, period, spans=True):
         topology = TopologyConfig(
             bolts=(
                 BoltSpec("parse", records_per_executor_per_second=250, executors=16),
@@ -162,6 +164,7 @@ class TestManagedTopologyFlow:
             .workload(StepRate(base=800, level=2400, at=1200))
             .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0,
                      period=period)
+            .spans(spans)
             .build()
         )
 
@@ -187,3 +190,19 @@ class TestManagedTopologyFlow:
         assert pending.values[-1] == 0.0
         cpu_tail = result.utilization_trace(LayerKind.ANALYTICS).slice(3600, 4800)
         assert cpu_tail.mean() < 90.0
+
+    @pytest.mark.parametrize("period", [60, 120, 300])
+    def test_span_execution_sees_every_rebalance(self, period):
+        """Every change of the running VM count starts a rebalance: a
+        boot, and a scale-down, which stops VMs at a control boundary so
+        the next tick sees the lower count. Span execution must run that
+        tick alone and pick the rebalance's end up, or the spanned run
+        stays at zero capacity to the span's end (at 60 s it would read
+        no records from t=511). The 60 s and 120 s loops scale down, the
+        300 s one only up."""
+        reference = self._manager(period, spans=False).run(4800)
+        spanned = self._manager(period).run(4800)
+        assert_equivalent(reference, spanned)
+        vms = spanned.capacity_trace(LayerKind.ANALYTICS).values
+        assert any(b < a for a, b in zip(vms, vms[1:])) == (period < 300)
+

@@ -5,7 +5,8 @@ started in, and asks ``_Span.closed_form_run`` at every scalar stretch
 that starts with an empty write backlog whether a closed form would
 have taken over; a plan raises. Running the two CI canaries here
 (fleet-16 and flow-congested) keeps that cross-check against
-``run_span``'s dispatch in tier 1.
+``run_span``'s dispatch in tier 1, and the flow-congested canary also
+holds its flow-spans to no one-tick span at a VM boot.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def test_split_files_every_scalar_tick(monkeypatch, capsys, argv, reached):
     assert sum(why.values()) == record["stretches"]["scalar"]["ticks"]
     for regime in reached:
         assert why[regime] > 0, regime
+    spans = record["spans"]
+    assert 0 < spans["one_tick"] < spans["flow_spans"]
+    if argv[0] == "flow-congested":
+        # Without a topology a boot is hoisted into a span: at seed 7
+        # the first three hours run two one-tick spans, neither at a
+        # boot (eight, five of them at a boot, when each boot ran alone).
+        assert spans["one_tick_at_boot"] == 0
 
 
 @pytest.mark.parametrize(
