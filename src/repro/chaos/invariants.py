@@ -24,11 +24,6 @@ check never applies pending capacity targets or publishes service
 events, keeping span/tick equivalence intact. Violations don't abort
 the run (unless ``strict``); they are counted, sampled, published as
 ``invariant.violation`` events, and surfaced on the run result.
-
-The checker also runs a per-layer **MTTR probe**: each layer is
-"degraded" while its backlog is non-empty (producer backlog, pending
-tuples, write backlog); episodes of degradation are recorded so
-recovery times under injected faults can be read straight off the run.
 """
 
 from __future__ import annotations
@@ -55,29 +50,12 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class DegradedEpisode:
-    """A contiguous window during which a layer's backlog was non-empty.
-
-    ``end`` is ``None`` for an episode still open when the run stopped.
-    """
-
-    layer: str
-    start: int
-    end: int | None
-
-    @property
-    def duration(self) -> int | None:
-        return None if self.end is None else self.end - self.start
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     """Summary surfaced on :class:`~repro.core.manager.FlowRunResult`."""
 
     checks: int
     counts: dict[str, int]
     samples: tuple[Violation, ...]
-    episodes: tuple[DegradedEpisode, ...]
 
     @property
     def total_violations(self) -> int:
@@ -87,24 +65,10 @@ class InvariantReport:
     def ok(self) -> bool:
         return not self.counts
 
-    def mttr_seconds(self, layer: str) -> float | None:
-        """Mean time-to-recover for ``layer``'s closed degradation
-        episodes; ``None`` if the layer never degraded and recovered."""
-        durations = [
-            e.duration for e in self.episodes if e.layer == layer and e.duration is not None
-        ]
-        if not durations:
-            return None
-        return sum(durations) / len(durations)
-
     def describe(self) -> str:
         lines = [f"invariant checks: {self.checks}, violations: {self.total_violations}"]
         for name, count in sorted(self.counts.items()):
             lines.append(f"  {name}: {count}")
-        for layer in ("ingestion", "analytics", "storage"):
-            mttr = self.mttr_seconds(layer)
-            if mttr is not None:
-                lines.append(f"  mttr[{layer}]: {mttr:.0f}s")
         return "\n".join(lines)
 
 
@@ -145,11 +109,6 @@ class InvariantChecker:
         self._last_time = 0
         self._expected_unit_seconds = {name: 0.0 for name in cost_meters}
         self._record_index = {name: 0 for name in self._loops}
-        # MTTR probe state.
-        self._degraded_since: dict[str, int | None] = {
-            "ingestion": None, "analytics": None, "storage": None,
-        }
-        self._episodes: list[DegradedEpisode] = []
 
     # ------------------------------------------------------------------
     # Engine component protocol (tick + span)
@@ -217,7 +176,7 @@ class InvariantChecker:
                 f"read={read} != processed+pending={processed + cluster._pending_records}",
             )
         emitted = cluster.total_writes_emitted
-        stored = table.total_write_accepted + pipeline._write_backlog + pipeline.dropped_writes
+        stored = table.writes.total_accepted + pipeline._write_backlog + pipeline.dropped_writes
         if emitted != stored:
             self._violate(
                 now, "conservation.storage",
@@ -236,11 +195,6 @@ class InvariantChecker:
         if self._check_controller_bounds:
             self._check_bounds(now)
 
-        # MTTR probe: per-layer backlog occupancy transitions.
-        self._probe(now, "ingestion", pipeline._producer_backlog_records > 0)
-        self._probe(now, "analytics", cluster._pending_records > 0)
-        self._probe(now, "storage", pipeline._write_backlog > 0)
-
     def _check_capacity_bounds(self, now: int) -> None:
         stream, table, fleet = self._stream, self._table, self._fleet
         cfg = stream.config
@@ -252,10 +206,10 @@ class InvariantChecker:
                 )
         dcfg = table.config
         for label, value, low, high in (
-            ("write_units", table._write_units, dcfg.min_write_units, dcfg.max_write_units),
-            ("pending_write", table._pending_write_target, dcfg.min_write_units, dcfg.max_write_units),
-            ("read_units", table._read_units, dcfg.min_read_units, dcfg.max_read_units),
-            ("pending_read", table._pending_read_target, dcfg.min_read_units, dcfg.max_read_units),
+            ("write_units", table.writes.units, dcfg.min_write_units, dcfg.max_write_units),
+            ("pending_write", table.writes.target, dcfg.min_write_units, dcfg.max_write_units),
+            ("read_units", table.reads.units, dcfg.min_read_units, dcfg.max_read_units),
+            ("pending_read", table.reads.target, dcfg.min_read_units, dcfg.max_read_units),
         ):
             if value is not None and not low <= value <= high:
                 self._violate(now, "bounds.storage", f"{label}={value} outside [{low}, {high}]")
@@ -278,8 +232,8 @@ class InvariantChecker:
         capacities = {
             "ingestion": self._stream._shards,
             "analytics": self._fleet.billable_count(now),
-            "storage": self._table._write_units,
-            "storage_reads": self._table._read_units,
+            "storage": self._table.writes.units,
+            "storage_reads": self._table.reads.units,
         }
         expected = self._expected_unit_seconds
         for name, meter in self._meters.items():
@@ -323,14 +277,6 @@ class InvariantChecker:
                     )
             self._record_index[kind] = len(records)
 
-    def _probe(self, now: int, layer: str, degraded: bool) -> None:
-        since = self._degraded_since[layer]
-        if degraded and since is None:
-            self._degraded_since[layer] = now
-        elif not degraded and since is not None:
-            self._episodes.append(DegradedEpisode(layer=layer, start=since, end=now))
-            self._degraded_since[layer] = None
-
     def _violate(self, now: int, invariant: str, detail: str) -> None:
         if self._strict:
             raise SimulationError(f"invariant {invariant} violated at t={now}: {detail}")
@@ -347,13 +293,6 @@ class InvariantChecker:
                 )
 
     def report(self) -> InvariantReport:
-        episodes = list(self._episodes)
-        for layer, since in self._degraded_since.items():
-            if since is not None:
-                episodes.append(DegradedEpisode(layer=layer, start=since, end=None))
         return InvariantReport(
-            checks=self.checks,
-            counts=dict(self.counts),
-            samples=tuple(self.samples),
-            episodes=tuple(episodes),
+            checks=self.checks, counts=dict(self.counts), samples=tuple(self.samples)
         )

@@ -6,6 +6,9 @@ burst-credit bucket (unused capacity from the trailing five minutes can
 absorb short spikes, as in the real service), a delay before capacity
 updates take effect, and an optional cooldown between capacity
 *decreases* (the real service historically limited decreases per day).
+The two throughput dimensions behave alike and scale independently,
+as in the real service: each is one :class:`ThroughputDimension`,
+``table.writes`` and ``table.reads``.
 """
 
 from __future__ import annotations
@@ -62,19 +65,163 @@ class DynamoDBConfig:
 
 
 @dataclass(frozen=True)
-class WriteResult:
-    """Outcome of a batched write: accepted vs throttled units."""
+class ThroughputResult:
+    """Outcome of a batched write or read: accepted vs throttled units."""
 
     accepted_units: int
     throttled_units: int
 
 
-@dataclass(frozen=True)
-class ReadResult:
-    """Outcome of a batched read: accepted vs throttled units."""
+class ThroughputDimension:
+    """One provisioned-throughput dimension of a table: writes or reads.
 
-    accepted_units: int
-    throttled_units: int
+    Holds the provisioned units, the in-flight update (its target, ready
+    time and causal trace), the last decrease, the burst bucket and the
+    per-tick counters. The table-wide state it reads — the config, the
+    throttle-storm and update-reject faults, the bus and the region —
+    stays on the table.
+    """
+
+    def __init__(self, table: SimDynamoDBTable, name: str, units: int, low: int, high: int) -> None:
+        if not low <= units <= high:
+            raise CapacityError(f"{name}_units={units} outside [{low}, {high}]")
+        self._table = table
+        #: ``"write"`` or ``"read"``: the dimension in events and errors.
+        self.name = name
+        #: The region resource this dimension's units draw on.
+        self.resource = f"{name}_units"
+        #: The config's bounds for this dimension; targets clamp to them.
+        self.low = low
+        self.high = high
+        self.units = int(units)
+        self.target: int | None = None
+        self.ready_at = 0
+        # Causal trace of the decision that commanded the in-flight
+        # update; pinned onto the eventual capacity.applied event.
+        self.trace: str | None = None
+        self.last_decrease_at: int | None = None
+        #: Unused capacity-units banked for bursts (capped).
+        self.bucket = 0.0
+        # Per-tick counters, reset by the table's metric emission.
+        self.tick_consumed = 0
+        self.tick_throttled = 0
+        #: Lifetime accepted units (never reset; the invariant checker
+        #: audits the writes' against the analytics layer's write stream).
+        self.total_accepted = 0
+
+    def capacity(self, now: int) -> int:
+        """Provisioned units effective at ``now``."""
+        if self.target is not None and now >= self.ready_at:
+            self.units = self.target
+            self.target = None
+            bus = self._table._bus
+            if bus is not None:
+                bus.publish(
+                    now, self._table._bus_layer, "capacity.applied",
+                    {"dimension": self.name, "units": self.units}, trace=self.trace,
+                )
+            self.trace = None
+        return self.units
+
+    def effective(self, now: int) -> int:
+        """Usable units/second at ``now``: provision scaled by any active
+        throttling storm. Equals :meth:`capacity` outside fault windows."""
+        capacity = self.capacity(now)
+        factor = self._table._degradation_factor
+        if factor != 1.0:
+            capacity = int(capacity * factor)
+        return capacity
+
+    def committed(self) -> int:
+        """Units the account has committed to this dimension.
+
+        The pending update target when one exists (a ripe-but-unapplied
+        target becomes the provision on the next capacity query), else
+        the current provision. Pure — never applies pending state or
+        publishes events — so the region can sum it across tables from
+        any flow's admission check.
+        """
+        return self.units if self.target is None else self.target
+
+    def updating(self, now: int) -> bool:
+        return self.target is not None and now < self.ready_at
+
+    def update(self, target: int, now: int) -> int:
+        """Request a new provisioned capacity.
+
+        Returns the target clamped to this dimension's bounds and
+        actually scheduled. Requests while an update is in flight are
+        ignored (the in-flight target is returned); decreases during the
+        decrease cooldown are ignored (current capacity is returned).
+        With a region attached, an increase needs account headroom: it
+        raises :class:`~repro.core.errors.RegionCapacityError` and
+        schedules nothing without it.
+        """
+        table = self._table
+        if table._updates_failing:
+            raise TransientAPIError(
+                f"table {table.name!r}: UpdateTable({self.name}) failed transiently "
+                "(injected fault)"
+            )
+        current = self.capacity(now)
+        target = max(self.low, min(self.high, int(target)))
+        if self.updating(now):
+            return self.target  # type: ignore[return-value]
+        if target == current:
+            return current
+        region = table._region
+        if target < current:
+            cooldown = table.config.decrease_cooldown_seconds
+            if (
+                cooldown
+                and self.last_decrease_at is not None
+                and now - self.last_decrease_at < cooldown
+            ):
+                return current
+            self.last_decrease_at = now
+        elif region is not None:
+            region.admit(self.resource, table._region_flow_id, target, now)
+        self.target = target
+        self.ready_at = now + table.config.update_delay_seconds
+        if region is not None:
+            region.note_capacity_change()
+        bus = table._bus
+        if bus is not None:
+            self.trace = bus.active_trace
+            bus.publish(
+                now, table._bus_layer, "capacity.update",
+                {"dimension": self.name, "from": current, "to": target,
+                 "ready_at": self.ready_at},
+            )
+        return target
+
+    def consume(self, units: int, clock: SimClock) -> ThroughputResult:
+        """Consume ``units`` of this dimension's capacity this tick.
+
+        Up to the effective rate is always accepted; excess draws from
+        the burst bucket; anything beyond that is throttled. Unused
+        effective capacity refills the bucket, capped at
+        ``burst_seconds`` worth of the current provision: banked
+        credits are a property of what was paid for.
+        """
+        if units < 0:
+            raise ConfigurationError("units must be non-negative")
+        now = clock.now
+        provisioned = self.effective(now) * clock.tick_seconds
+        accepted = min(units, provisioned)
+        excess = units - accepted
+        if excess > 0 and self.bucket > 0:
+            from_burst = int(min(excess, self.bucket))
+            accepted += from_burst
+            excess -= from_burst
+            self.bucket -= from_burst
+        unused = max(0, provisioned - units)
+        bucket_cap = self._table.config.burst_seconds * self.capacity(now)
+        self.bucket = min(bucket_cap, self.bucket + unused)
+        self.tick_consumed += accepted
+        self.tick_throttled += excess
+        self.total_accepted += accepted
+        return ThroughputResult(accepted_units=accepted, throttled_units=excess)
 
 
 class SimDynamoDBTable:
@@ -90,43 +237,14 @@ class SimDynamoDBTable:
         self.name = name
         # Metric dimensions are immutable for the table's lifetime;
         # built once instead of per emit call.
-        self._dims = {"TableName": name}
         self._dims_key = (("TableName", name),)
-        self.config = config or DynamoDBConfig()
-        if not self.config.min_write_units <= write_units <= self.config.max_write_units:
-            raise CapacityError(
-                f"write_units={write_units} outside "
-                f"[{self.config.min_write_units}, {self.config.max_write_units}]"
-            )
-        if not self.config.min_read_units <= read_units <= self.config.max_read_units:
-            raise CapacityError(
-                f"read_units={read_units} outside "
-                f"[{self.config.min_read_units}, {self.config.max_read_units}]"
-            )
-        self._write_units = int(write_units)
-        self._read_units = int(read_units)
-        self._pending_write_target: int | None = None
-        self._pending_ready_at = 0
-        # Causal traces of the decisions that commanded the in-flight
-        # updates; pinned onto the eventual capacity.applied events.
-        self._pending_write_trace: str | None = None
-        self._pending_read_trace: str | None = None
-        self._last_decrease_at: int | None = None
-        self._pending_read_target: int | None = None
-        self._pending_read_ready_at = 0
-        self._last_read_decrease_at: int | None = None
-        # Burst buckets hold unused capacity-units (capped), one per
-        # throughput dimension, as in the real service.
-        self._burst_bucket = 0.0
-        self._read_burst_bucket = 0.0
-        # Per-tick counters.
-        self._tick_consumed = 0
-        self._tick_throttled = 0
-        self._tick_read_consumed = 0
-        self._tick_read_throttled = 0
-        # Lifetime conservation counter (never reset; audited by the
-        # invariant checker against the analytics layer's write stream).
-        self.total_write_accepted = 0
+        self.config = config = config or DynamoDBConfig()
+        self.writes = ThroughputDimension(
+            self, "write", write_units, config.min_write_units, config.max_write_units
+        )
+        self.reads = ThroughputDimension(
+            self, "read", read_units, config.min_read_units, config.max_read_units
+        )
         # Fault-injection state (chaos harness). A throttle storm scales
         # down the *usable* capacity while provision — and billing —
         # stay unchanged; an update-reject window makes capacity-update
@@ -150,37 +268,15 @@ class SimDynamoDBTable:
 
     def attach_region(self, region, flow_id: str) -> None:
         """Draw this table's provisioned throughput from a shared
-        account limit.
+        account limit, one region resource per dimension.
 
-        Capacity *increases* then require account headroom:
-        :meth:`update_write_capacity` / :meth:`update_read_capacity`
-        raise :class:`~repro.core.errors.RegionCapacityError` when the
-        target would exceed the region's total for that dimension.
-        Decreases are never gated.
+        Capacity *increases* then require account headroom (see
+        :meth:`ThroughputDimension.update`). Decreases are never gated.
         """
-        region.register_table(flow_id, self)
+        for dimension in (self.writes, self.reads):
+            region.register(dimension.resource, flow_id, lambda _now, d=dimension: d.committed())
         self._region = region
         self._region_flow_id = flow_id
-
-    def committed_write_units(self) -> int:
-        """Write units the account has committed to this table.
-
-        The pending update target when one exists (a ripe-but-unapplied
-        target becomes the provision on the next capacity query), else
-        the current provision. Pure — never applies pending state or
-        publishes events — so the region can sum it across tables from
-        any flow's admission check.
-        """
-        if self._pending_write_target is not None:
-            return self._pending_write_target
-        return self._write_units
-
-    def committed_read_units(self) -> int:
-        """Read units the account has committed to this table (see
-        :meth:`committed_write_units`)."""
-        if self._pending_read_target is not None:
-            return self._pending_read_target
-        return self._read_units
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -208,54 +304,6 @@ class SimDynamoDBTable:
     def restore_updates(self) -> None:
         self._updates_failing = False
 
-    # ------------------------------------------------------------------
-    # Capacity
-    # ------------------------------------------------------------------
-    def write_capacity(self, now: int) -> int:
-        """Provisioned write units effective at ``now``."""
-        if self._pending_write_target is not None and now >= self._pending_ready_at:
-            self._write_units = self._pending_write_target
-            self._pending_write_target = None
-            if self._bus is not None:
-                self._bus.publish(
-                    now, self._bus_layer, "capacity.applied",
-                    {"dimension": "write", "units": self._write_units},
-                    trace=self._pending_write_trace,
-                )
-            self._pending_write_trace = None
-        return self._write_units
-
-    def read_capacity(self, now: int) -> int:
-        """Provisioned read units effective at ``now``."""
-        if self._pending_read_target is not None and now >= self._pending_read_ready_at:
-            self._read_units = self._pending_read_target
-            self._pending_read_target = None
-            if self._bus is not None:
-                self._bus.publish(
-                    now, self._bus_layer, "capacity.applied",
-                    {"dimension": "read", "units": self._read_units},
-                    trace=self._pending_read_trace,
-                )
-            self._pending_read_trace = None
-        return self._read_units
-
-    def effective_write_capacity(self, now: int) -> int:
-        """Usable write units/second at ``now``: provision scaled by any
-        active throttling storm. Equals :meth:`write_capacity` outside
-        fault windows."""
-        capacity = self.write_capacity(now)
-        if self._degradation_factor != 1.0:
-            capacity = int(capacity * self._degradation_factor)
-        return capacity
-
-    def effective_read_capacity(self, now: int) -> int:
-        """Usable read units/second at ``now`` (see
-        :meth:`effective_write_capacity`)."""
-        capacity = self.read_capacity(now)
-        if self._degradation_factor != 1.0:
-            capacity = int(capacity * self._degradation_factor)
-        return capacity
-
     def next_capacity_event(self, now: int) -> int | None:
         """Earliest future time either throughput dimension changes.
 
@@ -264,203 +312,35 @@ class SimDynamoDBTable:
         when both dimensions are stable (updates already ripe at ``now``
         are applied by the next capacity call, i.e. at span start).
         """
-        best: int | None = None
-        if self._pending_write_target is not None and self._pending_ready_at > now:
-            best = self._pending_ready_at
-        if self._pending_read_target is not None and self._pending_read_ready_at > now:
-            if best is None or self._pending_read_ready_at < best:
-                best = self._pending_read_ready_at
-        return best
-
-    def read_updating(self, now: int) -> bool:
-        return self._pending_read_target is not None and now < self._pending_read_ready_at
-
-    def update_read_capacity(self, target: int, now: int) -> int:
-        """Request a new provisioned read capacity.
-
-        Same semantics as :meth:`update_write_capacity`: clamped to the
-        table limits, rejected while an update is in flight, and
-        decrease-rate-limited by the cooldown (the two throughput
-        dimensions update independently, as in the real service).
-        """
-        if self._updates_failing:
-            raise TransientAPIError(
-                f"table {self.name!r}: UpdateTable(read) failed transiently (injected fault)"
-            )
-        current = self.read_capacity(now)
-        target = max(self.config.min_read_units, min(self.config.max_read_units, int(target)))
-        if self.read_updating(now):
-            return self._pending_read_target  # type: ignore[return-value]
-        if target == current:
-            return current
-        if target < current:
-            cooldown = self.config.decrease_cooldown_seconds
-            if (
-                cooldown
-                and self._last_read_decrease_at is not None
-                and now - self._last_read_decrease_at < cooldown
-            ):
-                return current
-            self._last_read_decrease_at = now
-        elif self._region is not None:
-            # All-or-nothing admission: raises RegionCapacityError (and
-            # schedules nothing) without account headroom.
-            self._region.admit_read_units(self._region_flow_id, self, target, now)
-        self._pending_read_target = target
-        self._pending_read_ready_at = now + self.config.update_delay_seconds
-        if self._region is not None:
-            self._region.note_capacity_change()
-        if self._bus is not None:
-            self._pending_read_trace = self._bus.active_trace
-            self._bus.publish(
-                now, self._bus_layer, "capacity.update",
-                {"dimension": "read", "from": current, "to": target,
-                 "ready_at": self._pending_read_ready_at},
-            )
-        return target
-
-    def updating(self, now: int) -> bool:
-        return self._pending_write_target is not None and now < self._pending_ready_at
-
-    def update_write_capacity(self, target: int, now: int) -> int:
-        """Request a new provisioned write capacity.
-
-        Returns the clamped target actually scheduled. Requests while an
-        update is in flight are ignored (the in-flight target is
-        returned); decreases during the decrease cooldown are ignored
-        (current capacity is returned).
-        """
-        if self._updates_failing:
-            raise TransientAPIError(
-                f"table {self.name!r}: UpdateTable(write) failed transiently (injected fault)"
-            )
-        current = self.write_capacity(now)
-        target = max(self.config.min_write_units, min(self.config.max_write_units, int(target)))
-        if self.updating(now):
-            return self._pending_write_target  # type: ignore[return-value]
-        if target == current:
-            return current
-        if target < current:
-            cooldown = self.config.decrease_cooldown_seconds
-            if (
-                cooldown
-                and self._last_decrease_at is not None
-                and now - self._last_decrease_at < cooldown
-            ):
-                return current
-            self._last_decrease_at = now
-        elif self._region is not None:
-            # All-or-nothing admission: raises RegionCapacityError (and
-            # schedules nothing) without account headroom.
-            self._region.admit_write_units(self._region_flow_id, self, target, now)
-        self._pending_write_target = target
-        self._pending_ready_at = now + self.config.update_delay_seconds
-        if self._region is not None:
-            self._region.note_capacity_change()
-        if self._bus is not None:
-            self._pending_write_trace = self._bus.active_trace
-            self._bus.publish(
-                now, self._bus_layer, "capacity.update",
-                {"dimension": "write", "from": current, "to": target,
-                 "ready_at": self._pending_ready_at},
-            )
-        return target
-
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
-    def write(self, units: int, clock: SimClock) -> WriteResult:
-        """Consume ``units`` of write capacity this tick.
-
-        Up to the provisioned rate is always accepted; excess draws from
-        the burst bucket; anything beyond that is throttled. Unused
-        provisioned capacity refills the bucket, capped at
-        ``burst_seconds`` worth of the current provision.
-        """
-        if units < 0:
-            raise ConfigurationError("units must be non-negative")
-        now = clock.now
-        # Acceptance and bucket refill run off the *effective* (fault-
-        # degraded) rate; the bucket cap stays at provisioned level,
-        # since banked credits are a property of what was paid for.
-        provisioned = self.effective_write_capacity(now) * clock.tick_seconds
-        accepted = min(units, provisioned)
-        excess = units - accepted
-        if excess > 0 and self._burst_bucket > 0:
-            from_burst = int(min(excess, self._burst_bucket))
-            accepted += from_burst
-            excess -= from_burst
-            self._burst_bucket -= from_burst
-        unused = max(0, provisioned - units)
-        bucket_cap = self.config.burst_seconds * self.write_capacity(now)
-        self._burst_bucket = min(bucket_cap, self._burst_bucket + unused)
-        self._tick_consumed += accepted
-        self.total_write_accepted += accepted
-        self._tick_throttled += excess
-        return WriteResult(accepted_units=accepted, throttled_units=excess)
-
-    def read(self, units: int, clock: SimClock) -> ReadResult:
-        """Consume ``units`` of read capacity this tick.
-
-        Mirrors :meth:`write`: up to the provisioned read rate is always
-        accepted, excess draws from the read burst bucket, the remainder
-        throttles, and unused provision refills the bucket.
-        """
-        if units < 0:
-            raise ConfigurationError("units must be non-negative")
-        now = clock.now
-        provisioned = self.effective_read_capacity(now) * clock.tick_seconds
-        accepted = min(units, provisioned)
-        excess = units - accepted
-        if excess > 0 and self._read_burst_bucket > 0:
-            from_burst = int(min(excess, self._read_burst_bucket))
-            accepted += from_burst
-            excess -= from_burst
-            self._read_burst_bucket -= from_burst
-        unused = max(0, provisioned - units)
-        bucket_cap = self.config.burst_seconds * self.read_capacity(now)
-        self._read_burst_bucket = min(bucket_cap, self._read_burst_bucket + unused)
-        self._tick_read_consumed += accepted
-        self._tick_read_throttled += excess
-        return ReadResult(accepted_units=accepted, throttled_units=excess)
-
-    @property
-    def burst_balance(self) -> float:
-        """Write capacity-units currently banked in the burst bucket."""
-        return self._burst_bucket
-
-    @property
-    def read_burst_balance(self) -> float:
-        """Read capacity-units currently banked in the read burst bucket."""
-        return self._read_burst_bucket
+        pending = [d.ready_at for d in (self.writes, self.reads) if d.updating(now)]
+        return min(pending) if pending else None
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def emit_metrics(self, cloudwatch, clock: SimClock) -> None:
         now = clock.now
+        writes, reads = self.writes, self.reads
         # Utilization runs off the effective rate so the sensed signal
         # saturates when a throttling storm shrinks usable capacity —
         # exactly what pushes an adaptive controller to scale up.
-        provisioned = self.effective_write_capacity(now) * clock.tick_seconds
-        utilization = 100.0 * self._tick_consumed / provisioned if provisioned else 0.0
-        write_capacity = self.write_capacity(now)
-        read_provisioned = self.effective_read_capacity(now) * clock.tick_seconds
+        provisioned = writes.effective(now) * clock.tick_seconds
+        utilization = 100.0 * writes.tick_consumed / provisioned if provisioned else 0.0
+        write_capacity = writes.capacity(now)
+        read_provisioned = reads.effective(now) * clock.tick_seconds
         read_utilization = (
-            100.0 * self._tick_read_consumed / read_provisioned if read_provisioned else 0.0
+            100.0 * reads.tick_consumed / read_provisioned if read_provisioned else 0.0
         )
         cloudwatch.put_metric_frame(NAMESPACE, METRICS, now, (
-            self._tick_consumed, self._tick_throttled, write_capacity, utilization,
-            self._burst_bucket, self._tick_read_consumed, self._tick_read_throttled,
-            self.read_capacity(now), read_utilization,
+            writes.tick_consumed, writes.tick_throttled, write_capacity, utilization,
+            writes.bucket, reads.tick_consumed, reads.tick_throttled,
+            reads.capacity(now), read_utilization,
         ), self._dims_key)
-        if self._bus is not None:
-            self._track_throttle_episode(now, "write", self._tick_throttled)
-            self._track_throttle_episode(now, "read", self._tick_read_throttled)
-        self._tick_consumed = 0
-        self._tick_throttled = 0
-        self._tick_read_consumed = 0
-        self._tick_read_throttled = 0
+        for dimension in (writes, reads):
+            if self._bus is not None:
+                self._track_throttle_episode(now, dimension.name, dimension.tick_throttled)
+            dimension.tick_consumed = 0
+            dimension.tick_throttled = 0
 
     def emit_metrics_span(
         self,

@@ -156,7 +156,7 @@ class SimEC2Fleet:
         launch would exceed the region's instance limit. Scale-downs
         are never gated.
         """
-        region.register_fleet(flow_id, self)
+        region.register("instances", flow_id, self.provisioned_count)
         self._region = region
         self._region_flow_id = flow_id
 
@@ -250,7 +250,7 @@ class SimEC2Fleet:
             if self._region is not None:
                 # All-or-nothing admission: raises RegionCapacityError
                 # (and launches nothing) without account headroom.
-                self._region.admit_instances(self._region_flow_id, self, desired, now)
+                self._region.admit("instances", self._region_flow_id, desired, now)
             self._launch(desired - current, launched_at=now, ready_at=now + self.config.boot_seconds)
             if self._region is not None:
                 self._region.note_capacity_change()

@@ -165,7 +165,7 @@ class SimKinesisStream:
         would exceed the region's total shard limit. Merges (downward
         reshards) are never gated.
         """
-        region.register_stream(flow_id, self)
+        region.register("shards", flow_id, lambda _now: self.committed_shards())
         self._region = region
         self._region_flow_id = flow_id
 
@@ -268,7 +268,7 @@ class SimKinesisStream:
         if target > current and self._region is not None:
             # All-or-nothing admission: raises RegionCapacityError (and
             # schedules nothing) without account headroom.
-            self._region.admit_shards(self._region_flow_id, self, target, now)
+            self._region.admit("shards", self._region_flow_id, target, now)
         delta = abs(target - current)
         duration = self.config.base_reshard_seconds + delta * self.config.reshard_seconds_per_shard
         if self._reshard_stall_factor != 1.0:

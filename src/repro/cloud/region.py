@@ -23,11 +23,11 @@ Accounting rules (the region-resource contract, see DESIGN.md):
   and a pending ``UpdateTable`` target all count in full from the
   moment they are accepted — otherwise two flows could both be granted
   the last headroom during the actuation latency window;
-* accounting is **pure**: every query sums the registered services'
-  committed capacity at call time. The region keeps no usage counters
-  that could drift from service state, so a chaos-killed instance or
-  an expired reshard frees headroom the instant the service reflects
-  it;
+* accounting is **pure**: a query sums the registered services'
+  committed capacity, and keeps the sum only until the next committed
+  change (every one bumps ``capacity_version``), so a chaos-killed
+  instance or an expired reshard frees headroom the instant the
+  service reflects it;
 * decreases always succeed — the region only gates increases;
 * admission is all-or-nothing: a denied request changes nothing (no
   partial grants), and the denial is counted per flow and resource.
@@ -44,8 +44,27 @@ so span-batched execution stays bit-identical to the per-tick loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.errors import ConfigurationError, RegionCapacityError
+from repro.core.flow import LayerKind
+
+#: The account resources, by the names the accounting, the admission
+#: check and the denial counts use, each with the :class:`RegionLimits`
+#: field that caps it.
+RESOURCE_LIMITS: dict[str, str] = {
+    "instances": "max_instances",
+    "shards": "max_total_shards",
+    "write_units": "max_total_write_units",
+    "read_units": "max_total_read_units",
+}
+
+#: The account resource each controlled layer's capacity draws on.
+LAYER_RESOURCE: dict[LayerKind, str] = {
+    LayerKind.INGESTION: "shards",
+    LayerKind.ANALYTICS: "instances",
+    LayerKind.STORAGE: "write_units",
+}
 
 
 @dataclass(frozen=True)
@@ -90,34 +109,40 @@ class RegionLimits:
                 f"contention_slope must be in [0, 1), got {self.contention_slope}"
             )
 
+    def limit(self, resource: str) -> int:
+        """The account limit on ``resource``, a :data:`RESOURCE_LIMITS` key."""
+        return getattr(self, RESOURCE_LIMITS[resource])
+
 
 class RegionContext:
     """Shared capacity pool and account limits for a set of flows.
 
     Services self-register through their ``attach_region`` methods;
-    flows never talk to the region directly. All accounting queries are
-    pure reads over the registered services (see the module docstring
-    for the contract).
+    flows never talk to the region directly. Every resource goes
+    through one registry, one accounting sum and one admission check,
+    keyed by the :data:`RESOURCE_LIMITS` names (see the module
+    docstring for the contract).
     """
 
     def __init__(self, limits: RegionLimits | None = None, name: str = "sim-region-1") -> None:
         self.name = name
         self.limits = limits or RegionLimits()
-        self._fleets: dict[str, object] = {}
-        self._streams: dict[str, object] = {}
-        self._tables: dict[str, object] = {}
-        #: Denials per (flow_id, resource): resource is one of
-        #: "instances", "shards", "write_units", "read_units".
+        #: resource -> {flow_id: committed(now)}.
+        self._committed: dict[str, dict[str, Callable[[int], int]]] = {
+            resource: {} for resource in RESOURCE_LIMITS
+        }
+        #: Denials per (flow_id, resource), resource a
+        #: :data:`RESOURCE_LIMITS` key.
         self.denial_counts: dict[tuple[str, str], int] = {}
         #: Bumped by the services on every committed-capacity change;
         #: keys the memoized accounting sums below.
         self.capacity_version = 0
         self._flow_ids_cache: list[str] | None = None
         #: resource -> (capacity_version, value). Committed capacity is
-        #: time-independent between mutations — ``committed_*()`` take
-        #: no clock, and terminations stamp a past ``terminated_at`` —
-        #: and every mutation path bumps the version, so a version hit
-        #: is exact at any ``now``.
+        #: time-independent between mutations — the stream's and the
+        #: table's committed values take no clock, and terminations
+        #: stamp a past ``terminated_at`` — and every mutation path
+        #: bumps the version, so a version hit is exact at any ``now``.
         self._sum_cache: dict[str, tuple[int, int]] = {}
 
     def note_capacity_change(self) -> None:
@@ -134,24 +159,14 @@ class RegionContext:
     # ------------------------------------------------------------------
     # Registration (called by the services' attach_region methods)
     # ------------------------------------------------------------------
-    def register_fleet(self, flow_id: str, fleet) -> None:
-        if flow_id in self._fleets:
-            raise ConfigurationError(f"flow {flow_id!r} already registered an EC2 fleet")
-        self._fleets[flow_id] = fleet
-        self._flow_ids_cache = None
-        self.note_capacity_change()
-
-    def register_stream(self, flow_id: str, stream) -> None:
-        if flow_id in self._streams:
-            raise ConfigurationError(f"flow {flow_id!r} already registered a stream")
-        self._streams[flow_id] = stream
-        self._flow_ids_cache = None
-        self.note_capacity_change()
-
-    def register_table(self, flow_id: str, table) -> None:
-        if flow_id in self._tables:
-            raise ConfigurationError(f"flow {flow_id!r} already registered a table")
-        self._tables[flow_id] = table
+    def register(self, resource: str, flow_id: str, committed: Callable[[int], int]) -> None:
+        """Count ``committed(now)``, a pure read of what the account has
+        committed to one of ``flow_id``'s services, against
+        ``resource``'s limit."""
+        services = self._committed[resource]
+        if flow_id in services:
+            raise ConfigurationError(f"flow {flow_id!r} already registered its {resource}")
+        services[flow_id] = committed
         self._flow_ids_cache = None
         self.note_capacity_change()
 
@@ -159,61 +174,36 @@ class RegionContext:
     def flow_ids(self) -> list[str]:
         """Every flow id that registered at least one service."""
         if self._flow_ids_cache is None:
-            ids = set(self._fleets) | set(self._streams) | set(self._tables)
-            self._flow_ids_cache = sorted(ids)
+            self._flow_ids_cache = sorted(set().union(*self._committed.values()))
         return self._flow_ids_cache
 
     # ------------------------------------------------------------------
     # Pure accounting queries
     # ------------------------------------------------------------------
-    def instances_in_use(self, now: int) -> int:
-        """Committed instances across all fleets (booting ones count)."""
-        cached = self._sum_cache.get("instances")
-        if cached is not None and cached[0] == self.capacity_version:
-            return cached[1]
-        value = sum(fleet.provisioned_count(now) for fleet in self._fleets.values())
-        self._sum_cache["instances"] = (self.capacity_version, value)
-        return value
+    def committed(self, resource: str, flow_id: str, now: int) -> int:
+        """``flow_id``'s committed ``resource`` at ``now``."""
+        return self._committed[resource][flow_id](now)
 
-    def shards_in_use(self, now: int) -> int:
-        """Committed shards across all streams (in-flight targets count)."""
-        cached = self._sum_cache.get("shards")
+    def in_use(self, resource: str, now: int) -> int:
+        """Committed ``resource`` across all flows: booting instances,
+        in-flight reshard targets and pending table updates count."""
+        cached = self._sum_cache.get(resource)
         if cached is not None and cached[0] == self.capacity_version:
             return cached[1]
-        value = sum(stream.committed_shards() for stream in self._streams.values())
-        self._sum_cache["shards"] = (self.capacity_version, value)
-        return value
-
-    def write_units_in_use(self, now: int) -> int:
-        """Committed write units across all tables (pending targets count)."""
-        cached = self._sum_cache.get("write_units")
-        if cached is not None and cached[0] == self.capacity_version:
-            return cached[1]
-        value = sum(table.committed_write_units() for table in self._tables.values())
-        self._sum_cache["write_units"] = (self.capacity_version, value)
-        return value
-
-    def read_units_in_use(self, now: int) -> int:
-        """Committed read units across all tables (pending targets count)."""
-        cached = self._sum_cache.get("read_units")
-        if cached is not None and cached[0] == self.capacity_version:
-            return cached[1]
-        value = sum(table.committed_read_units() for table in self._tables.values())
-        self._sum_cache["read_units"] = (self.capacity_version, value)
+        value = sum(committed(now) for committed in self._committed[resource].values())
+        self._sum_cache[resource] = (self.capacity_version, value)
         return value
 
     def headroom(self, now: int) -> dict[str, int]:
         """Remaining account headroom per resource at ``now``."""
         return {
-            "instances": self.limits.max_instances - self.instances_in_use(now),
-            "shards": self.limits.max_total_shards - self.shards_in_use(now),
-            "write_units": self.limits.max_total_write_units - self.write_units_in_use(now),
-            "read_units": self.limits.max_total_read_units - self.read_units_in_use(now),
+            resource: self.limits.limit(resource) - self.in_use(resource, now)
+            for resource in RESOURCE_LIMITS
         }
 
     def pool_utilization(self, now: int) -> float:
         """Committed fraction of the shared EC2 pool in [0, ∞)."""
-        return self.instances_in_use(now) / self.limits.max_instances
+        return self.in_use("instances", now) / self.limits.max_instances
 
     def contention_factor(self, now: int) -> float:
         """Per-VM throughput multiplier under the current pool load.
@@ -237,49 +227,20 @@ class RegionContext:
     # ------------------------------------------------------------------
     # Admission (called by the services' capacity-increase paths)
     # ------------------------------------------------------------------
-    def admit_instances(self, flow_id: str, fleet, desired: int, now: int) -> None:
-        """Gate a fleet scale-up to ``desired`` committed instances."""
-        others = self.instances_in_use(now) - fleet.provisioned_count(now)
-        if others + desired > self.limits.max_instances:
-            self._deny(
-                flow_id, "instances", desired - fleet.provisioned_count(now),
-                self.limits.max_instances - others,
+    def admit(self, resource: str, flow_id: str, target: int, now: int) -> None:
+        """Gate an increase of ``flow_id``'s committed ``resource`` to
+        ``target``: raise :class:`RegionCapacityError`, and count the
+        denial, when the account's other commitments leave too little."""
+        own = self.committed(resource, flow_id, now)
+        others = self.in_use(resource, now) - own
+        limit = self.limits.limit(resource)
+        if others + target > limit:
+            key = (flow_id, resource)
+            self.denial_counts[key] = self.denial_counts.get(key, 0) + 1
+            raise RegionCapacityError(
+                f"region {self.name!r}: flow {flow_id!r} asked for {target - own} more "
+                f"{resource} but only {max(0, limit - others)} remain in the account"
             )
-
-    def admit_shards(self, flow_id: str, stream, target: int, now: int) -> None:
-        """Gate a reshard up to ``target`` committed shards."""
-        others = self.shards_in_use(now) - stream.committed_shards()
-        if others + target > self.limits.max_total_shards:
-            self._deny(
-                flow_id, "shards", target - stream.committed_shards(),
-                self.limits.max_total_shards - others,
-            )
-
-    def admit_write_units(self, flow_id: str, table, target: int, now: int) -> None:
-        """Gate a provisioned-write increase to ``target`` units."""
-        others = self.write_units_in_use(now) - table.committed_write_units()
-        if others + target > self.limits.max_total_write_units:
-            self._deny(
-                flow_id, "write_units", target - table.committed_write_units(),
-                self.limits.max_total_write_units - others,
-            )
-
-    def admit_read_units(self, flow_id: str, table, target: int, now: int) -> None:
-        """Gate a provisioned-read increase to ``target`` units."""
-        others = self.read_units_in_use(now) - table.committed_read_units()
-        if others + target > self.limits.max_total_read_units:
-            self._deny(
-                flow_id, "read_units", target - table.committed_read_units(),
-                self.limits.max_total_read_units - others,
-            )
-
-    def _deny(self, flow_id: str, resource: str, asked: int, available: int) -> None:
-        key = (flow_id, resource)
-        self.denial_counts[key] = self.denial_counts.get(key, 0) + 1
-        raise RegionCapacityError(
-            f"region {self.name!r}: flow {flow_id!r} asked for {asked} more "
-            f"{resource} but only {max(0, available)} remain in the account"
-        )
 
     # ------------------------------------------------------------------
     # Observability

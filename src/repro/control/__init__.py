@@ -11,8 +11,7 @@ rule-based threshold autoscaling of cloud providers [1].
 
 from repro.control.actuators import (
     CallbackActuator,
-    DynamoDBReadActuator,
-    DynamoDBWriteActuator,
+    DynamoDBActuator,
     KinesisShardActuator,
     StormVMActuator,
 )
@@ -42,8 +41,7 @@ __all__ = [
     "BoundedActuator",
     "KinesisShardActuator",
     "StormVMActuator",
-    "DynamoDBWriteActuator",
-    "DynamoDBReadActuator",
+    "DynamoDBActuator",
     "AdaptiveGainController",
     "AdaptiveGainConfig",
     "GainMemory",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cloud.dynamodb import SimDynamoDBTable
+from repro.cloud.dynamodb import ThroughputDimension
 from repro.cloud.ec2 import SimEC2Fleet
 from repro.cloud.kinesis import SimKinesisStream
 from repro.control.base import Actuator
@@ -214,44 +214,28 @@ class StormVMActuator(Actuator):
         return float(got)
 
 
-class DynamoDBWriteActuator(Actuator):
-    """Resizes a DynamoDB table's provisioned write capacity."""
+class DynamoDBActuator(Actuator):
+    """Resizes one of a DynamoDB table's provisioned throughput
+    dimensions, ``table.writes`` or ``table.reads``.
 
-    def __init__(self, table: SimDynamoDBTable) -> None:
-        self._table = table
-
-    def get(self, now: int) -> float:
-        if self._table.updating(now):
-            return float(self._table._pending_write_target)  # noqa: SLF001
-        return float(self._table.write_capacity(now))
-
-    def apply(self, target: float, now: int) -> float:
-        want = int(round(target))
-        got = self._table.update_write_capacity(want, now)
-        if got != want:
-            self._publish_adjusted(now, want, got)
-        return float(got)
-
-
-class DynamoDBReadActuator(Actuator):
-    """Resizes a DynamoDB table's provisioned read capacity.
-
-    DynamoDB's two throughput dimensions scale independently; Flower
-    lists "DynamoDB read/write units" among the resources it manages
-    (Sec. 2), so each dimension gets its own actuator and control loop.
+    The two dimensions scale independently; Flower lists "DynamoDB
+    read/write units" among the resources it manages (Sec. 2), so each
+    gets its own actuator and control loop.
     """
 
-    def __init__(self, table: SimDynamoDBTable) -> None:
-        self._table = table
+    def __init__(self, dimension: ThroughputDimension) -> None:
+        self._dimension = dimension
 
     def get(self, now: int) -> float:
-        if self._table.read_updating(now):
-            return float(self._table._pending_read_target)  # noqa: SLF001
-        return float(self._table.read_capacity(now))
+        # While updating, report the in-flight target (see the shard actuator).
+        dimension = self._dimension
+        if dimension.updating(now):
+            return float(dimension.target)
+        return float(dimension.capacity(now))
 
     def apply(self, target: float, now: int) -> float:
         want = int(round(target))
-        got = self._table.update_read_capacity(want, now)
+        got = self._dimension.update(want, now)
         if got != want:
             self._publish_adjusted(now, want, got)
         return float(got)

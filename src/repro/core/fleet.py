@@ -41,7 +41,7 @@ from repro.chaos.schedule import ChaosSchedule
 from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.ec2 import EC2Config
 from repro.cloud.kinesis import KinesisConfig
-from repro.cloud.region import RegionContext, RegionLimits
+from repro.cloud.region import LAYER_RESOURCE, RegionContext, RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.control.bounded import BoundedActuator
 from repro.core.config import LayerControlConfig
@@ -148,27 +148,12 @@ class FleetCoordinator:
         actuator = loop.actuator
         return actuator if isinstance(actuator, BoundedActuator) else None
 
-    def _usage(self, manager: FlowElasticityManager, kind: LayerKind, now: int) -> int:
-        if kind is LayerKind.INGESTION:
-            return manager.stream.committed_shards()
-        if kind is LayerKind.ANALYTICS:
-            return manager.fleet.provisioned_count(now)
-        return manager.table.committed_write_units()
-
     def _floor(self, manager: FlowElasticityManager, kind: LayerKind) -> int:
         if kind is LayerKind.INGESTION:
             return manager.stream.config.min_shards
         if kind is LayerKind.ANALYTICS:
             return manager.fleet.config.min_instances
         return manager.table.config.min_write_units
-
-    def _limit(self, kind: LayerKind) -> int:
-        limits = self.region.limits
-        if kind is LayerKind.INGESTION:
-            return limits.max_total_shards
-        if kind is LayerKind.ANALYTICS:
-            return limits.max_instances
-        return limits.max_total_write_units
 
     def _pressure(self, flow_id: str, manager: FlowElasticityManager, kind: LayerKind) -> float:
         """Pressure shown since the last pass: clamps + failed attempts."""
@@ -199,11 +184,12 @@ class FleetCoordinator:
             flows = [(fid, m, a) for fid, m, a in flows if a is not None]
             if not flows:
                 continue
-            limit = self._limit(kind)
+            resource = LAYER_RESOURCE[kind]
+            limit = self.region.limits.limit(resource)
             demand: list[float] = []
             floors: list[int] = []
             for flow_id, manager, _actuator in flows:
-                usage = self._usage(manager, kind, now)
+                usage = self.region.committed(resource, flow_id, now)
                 pressure = self._pressure(flow_id, manager, kind)
                 weight = float(usage) + PRESSURE_GAIN * pressure + 1.0
                 demand.append(weight)
@@ -389,14 +375,14 @@ class RegionFleetManager:
         grant)."""
         limits = self.region.limits
         capacities = spec.capacities or ServiceCapacities()
+        initial = {
+            LayerKind.INGESTION: capacities.shards,
+            LayerKind.ANALYTICS: capacities.vms,
+            LayerKind.STORAGE: capacities.write_units,
+        }
         return {
-            LayerKind.INGESTION: max(
-                capacities.shards, limits.max_total_shards // n_flows
-            ),
-            LayerKind.ANALYTICS: max(capacities.vms, limits.max_instances // n_flows),
-            LayerKind.STORAGE: max(
-                capacities.write_units, limits.max_total_write_units // n_flows
-            ),
+            kind: max(units, limits.limit(LAYER_RESOURCE[kind]) // n_flows)
+            for kind, units in initial.items()
         }
 
     # ------------------------------------------------------------------

@@ -33,8 +33,7 @@ from repro.cloud.pricing import CostMeter, PriceBook
 from repro.cloud.storm import NAMESPACE as STORM_NS
 from repro.cloud.storm import SimStormCluster, StormConfig, TopologyConfig
 from repro.control.actuators import (
-    DynamoDBReadActuator,
-    DynamoDBWriteActuator,
+    DynamoDBActuator,
     KinesisShardActuator,
     RetryingActuator,
     StormVMActuator,
@@ -128,7 +127,7 @@ class _Span:
     """
 
     __slots__ = (
-        "now", "dt", "count", "records", "payload", "distinct", "reads",
+        "now", "dt", "count", "records", "payload", "reads",
         "record_cap", "byte_cap", "shards", "stream_read_cap", "vms",
         "analytics_cap", "poll_limit", "drained_limit", "provisioned_vms", "billable_vms",
         "write_units", "write_cap", "read_units", "read_cap",
@@ -141,9 +140,9 @@ class _Span:
         self.now = now
         self.dt = dt
         self.count = count
-        self.records, self.payload, self.distinct = pipeline.generator.generate_span(
-            first_tick, count, dt
-        )
+        # The distinct-page column goes unused: the manager's cluster
+        # derives each window's writes from its record count.
+        self.records, self.payload, _ = pipeline.generator.generate_span(first_tick, count, dt)
         self.reads = pipeline._draw_reads(first_tick, count, dt)
         stream = pipeline.stream
         cluster = pipeline.cluster
@@ -163,10 +162,10 @@ class _Span:
         # Provisioned units drive metrics, burst-bucket sizing and cost;
         # the *effective* units (provisioned minus any injected throttle
         # storm) drive what the table actually accepts per tick.
-        self.write_units = table.write_capacity(first_tick)
-        self.write_cap = table.effective_write_capacity(first_tick) * dt
-        self.read_units = table.read_capacity(first_tick)
-        self.read_cap = table.effective_read_capacity(first_tick) * dt
+        self.write_units = table.writes.capacity(first_tick)
+        self.write_cap = table.writes.effective(first_tick) * dt
+        self.read_units = table.reads.capacity(first_tick)
+        self.read_cap = table.reads.effective(first_tick) * dt
         self.write_bucket_cap = table.config.burst_seconds * self.write_units
         self.read_bucket_cap = table.config.burst_seconds * self.read_units
         self.max_backlog = pipeline.MAX_BACKLOG
@@ -478,9 +477,10 @@ class _FlowPipeline:
         # 3. Storage absorbs the writes; throttled writes are retried,
         #    paced the same way as producer retries. Pacing follows the
         #    *effective* capacity so a throttle storm slows retries too.
-        write_capacity = self.table.effective_write_capacity(now) * clock.tick_seconds
+        table_writes = self.table.writes
+        write_capacity = table_writes.effective(now) * clock.tick_seconds
         retry_writes = min(self._write_backlog, 2 * write_capacity)
-        write_result = self.table.write(writes + retry_writes, clock)
+        write_result = table_writes.consume(writes + retry_writes, clock)
         backlog = self._write_backlog - retry_writes + write_result.throttled_units
         if backlog > self.MAX_BACKLOG:
             self.dropped_writes += backlog - self.MAX_BACKLOG
@@ -494,7 +494,7 @@ class _FlowPipeline:
         if self.read_workload is not None:
             # Served from the same drawn block as run_span's reads.
             read_units = self._draw_reads(now, 1, clock.tick_seconds)[0]
-            self.table.read(read_units, clock)
+            self.table.reads.consume(read_units, clock)
 
         # 4. Every service reports to CloudWatch.
         self.stream.emit_metrics(self.cloudwatch, clock)
@@ -508,8 +508,8 @@ class _FlowPipeline:
         self.cost_meters["ingestion"].accrue(self.stream.shard_count(now), dt)
         self.cost_meters["ingestion"].record_usage(result.accepted_records)
         self.cost_meters["analytics"].accrue(self.cluster.fleet.billable_count(now), dt)
-        self.cost_meters["storage"].accrue(self.table.write_capacity(now), dt)
-        self.cost_meters["storage_reads"].accrue(self.table.read_capacity(now), dt)
+        self.cost_meters["storage"].accrue(table_writes.capacity(now), dt)
+        self.cost_meters["storage_reads"].accrue(self.table.reads.capacity(now), dt)
 
     # ------------------------------------------------------------------
     # Span execution (see DESIGN.md "Span execution contract")
@@ -674,7 +674,6 @@ class _FlowPipeline:
         count = span.count
         records_col = span.records
         payload_col = span.payload
-        distinct_col = span.distinct
         reads = span.reads
         has_reads = reads is not None
         record_cap = span.record_cap
@@ -712,15 +711,14 @@ class _FlowPipeline:
         buffer_records = stream._buffer_records
         smoothed_rate = stream._smoothed_rate
         pending = cluster._pending_records
-        window_keys = cluster._window_keys
         window_records = cluster._window_records
         window_elapsed = cluster._window_elapsed
         window_seconds = cluster.config.window_seconds
         distinct_estimator = cluster._distinct_estimator
         storm_poisson = cluster._rng.poisson
         idle = cluster.config.cpu_idle_percent
-        burst = table._burst_bucket
-        read_burst = table._read_burst_bucket
+        burst = table.writes.bucket
+        read_burst = table.reads.bucket
         write_backlog = self._write_backlog
         dropped_writes = self.dropped_writes
         alpha = min(1.0, dt / 60.0)
@@ -853,18 +851,12 @@ class _FlowPipeline:
                 cpu = 0.0
             cpu = float(min(100.0, max(0.0, cpu + noise_buf[noise_idx])))
             noise_idx += 1
-            window_keys += distinct_col[i]
             window_records += processed
             window_elapsed += dt
             writes = 0
             if window_elapsed >= window_seconds:
-                if distinct_estimator is not None:
-                    expected = distinct_estimator(window_records)
-                    writes = int(storm_poisson(expected)) if expected > 0 else 0
-                else:
-                    ticks_in_window = max(1, window_elapsed // dt)
-                    writes = int(round(window_keys / ticks_in_window))
-                window_keys = 0.0
+                expected = distinct_estimator(window_records)
+                writes = int(storm_poisson(expected)) if expected > 0 else 0
                 window_records = 0
                 window_elapsed = 0
 
@@ -941,15 +933,16 @@ class _FlowPipeline:
         cluster._pending_records = pending
         cluster.total_processed += sum(s_processed)
         cluster.total_writes_emitted += sum(s_writes)
-        table.total_write_accepted += sum(d_consumed)
-        cluster._window_keys = window_keys
+        table.writes.total_accepted += sum(d_consumed)
+        if has_reads:
+            table.reads.total_accepted += sum(d_read_consumed)
         cluster._window_records = window_records
         cluster._window_elapsed = window_elapsed
         cluster._tick_cpu = cpu
         cluster._tick_processed = processed
         cluster._tick_writes_emitted = writes
-        table._burst_bucket = burst
-        table._read_burst_bucket = read_burst
+        table.writes.bucket = burst
+        table.reads.bucket = read_burst
         return stop, plan, (
             times, k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
             k_lag, s_cpu, s_processed, s_pending, s_writes, d_consumed, d_throttled,
@@ -987,7 +980,6 @@ class _FlowPipeline:
         dt = span.dt
         # What Kinesis accepts, tick by tick, from span index start.
         flow = span.records[start:stop] if producer is None else producer[0].tolist()
-        distinct_col = span.distinct
         cap = span.analytics_cap
         write_cap = span.write_cap
         write_bucket_cap = span.write_bucket_cap
@@ -1009,10 +1001,9 @@ class _FlowPipeline:
         storm_poisson = cluster._rng.poisson
         noise_std = cluster.config.cpu_noise_std
         storm_normal = cluster._rng.normal
-        wk = cluster._window_keys
         wr = cluster._window_records
         we = cluster._window_elapsed
-        burst_before = burst = table._burst_bucket
+        burst_before = burst = table.writes.bucket
         noise_parts: list[np.ndarray] = []
         flush_at: list[int] = []
         flush_writes: list[int] = []
@@ -1028,18 +1019,13 @@ class _FlowPipeline:
             trunc = seg if seg <= stop - i else stop - i
             if noise_std:
                 noise_parts.append(storm_normal(0.0, noise_std, size=trunc))
-            wk += sum(distinct_col[i : i + trunc])
             wr += trunc * cap if saturated else sum(flow[i - start : i - start + trunc])
             we += trunc * dt
             i += trunc
             if trunc < seg:
                 break
-            if distinct_estimator is not None:
-                expected = distinct_estimator(wr)
-                writes = int(storm_poisson(expected)) if expected > 0 else 0
-            else:
-                writes = int(round(wk / max(1, we // dt)))
-            wk = 0.0
+            expected = distinct_estimator(wr)
+            writes = int(storm_poisson(expected)) if expected > 0 else 0
             wr = 0
             we = 0
             if not writes:
@@ -1140,16 +1126,15 @@ class _FlowPipeline:
         # Dashboard reads never exceed the read capacity here, so every
         # tick refills the read bucket by read_cap - reads >= 0, and the
         # capped per-tick refills add up to one capped sum.
-        read_burst = table._read_burst_bucket
+        read_burst = table.reads.bucket
         d_read_consumed = zeros_i
         d_read_util = zeros_f
         if span.reads is not None:
             read_cap = span.read_cap
             d_read_consumed = np.asarray(span.reads[start:stop], dtype=np.int64)
-            read_burst = min(
-                span.read_bucket_cap,
-                read_burst + (n * read_cap - int(d_read_consumed.sum())),
-            )
+            read_total = int(d_read_consumed.sum())
+            read_burst = min(span.read_bucket_cap, read_burst + (n * read_cap - read_total))
+            table.reads.total_accepted += read_total
             if read_cap:
                 d_read_util = (100.0 * d_read_consumed) / read_cap
 
@@ -1175,14 +1160,13 @@ class _FlowPipeline:
         stream.total_accepted_records += span_accepted
         stream.total_accepted_bytes += span_accepted_bytes
         cluster.total_writes_emitted += sum(flush_writes)
-        table.total_write_accepted += sum(flush_accepted)
-        cluster._window_keys = wk
+        table.writes.total_accepted += sum(flush_accepted)
         cluster._window_records = wr
         cluster._window_elapsed = we
         cluster._tick_cpu = float(s_cpu[n - 1])
         cluster._tick_writes_emitted = int(s_writes[n - 1])
-        table._burst_bucket = float(d_burst[n - 1])
-        table._read_burst_bucket = read_burst
+        table.writes.bucket = float(d_burst[n - 1])
+        table.reads.bucket = read_burst
         return stop, (
             times, accepted, accepted_bytes, k_throttled, handed, k_util, buffer, k_lag,
             s_cpu, processed, s_pending, s_writes, d_consumed, d_throttled, d_util, d_burst,
@@ -1443,7 +1427,7 @@ class FlowElasticityManager:
                 raise ConfigurationError(
                     "read_control requires a read_workload to control against"
                 )
-            read_actuator = RetryingActuator(DynamoDBReadActuator(self.table))
+            read_actuator = RetryingActuator(DynamoDBActuator(self.table.reads))
             if self.recorder is not None:
                 read_actuator.instrument(self.recorder.bus, "storage")
             read_sensor = CloudWatchSensor(
@@ -1529,7 +1513,7 @@ class FlowElasticityManager:
         actuators = {
             LayerKind.INGESTION: lambda: KinesisShardActuator(self.stream),
             LayerKind.ANALYTICS: lambda: StormVMActuator(self.fleet),
-            LayerKind.STORAGE: lambda: DynamoDBWriteActuator(self.table),
+            LayerKind.STORAGE: lambda: DynamoDBActuator(self.table.writes),
         }
         loops: dict[LayerKind, ControlLoop] = {}
         for kind, config in self.controls.items():

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.pricing import PriceBook
-from repro.cloud.region import RegionLimits
+from repro.cloud.region import LAYER_RESOURCE, RegionLimits
 from repro.core.errors import OptimizationError
 from repro.core.flow import FlowSpec, LayerKind
 from repro.optimization.nsga2 import NSGA2, NSGA2Config
@@ -41,13 +41,6 @@ from repro.optimization.share_analyzer import LAYER_ORDER, ResourceShare, ShareC
 
 #: Per-flow variable block order (same as the single-flow analyzer).
 FLEET_LAYER_ORDER = LAYER_ORDER
-
-#: Which account limit caps each layer's summed allocation.
-_ACCOUNT_LIMIT_ATTR: dict[LayerKind, str] = {
-    LayerKind.INGESTION: "max_total_shards",
-    LayerKind.ANALYTICS: "max_instances",
-    LayerKind.STORAGE: "max_total_write_units",
-}
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ class _FleetShareProblem(Problem):
         for spec in specs:
             for kind in FLEET_LAYER_ORDER:
                 layer = spec.flow.layer(kind)
-                limit = getattr(limits, _ACCOUNT_LIMIT_ATTR[kind])
+                limit = limits.limit(LAYER_RESOURCE[kind])
                 lower.append(float(layer.min_units))
                 upper.append(float(min(layer.max_units, limit)))
                 rates.append(book.price(layer.resource).hourly)
@@ -171,7 +164,7 @@ class _FleetShareProblem(Problem):
             row = np.zeros(3 * n)
             row[d::3] = 1.0
             rows.append(row)
-            consts.append(-float(getattr(limits, _ACCOUNT_LIMIT_ATTR[kind])))
+            consts.append(-float(limits.limit(LAYER_RESOURCE[kind])))
         for f, spec in enumerate(specs):
             for constraint in spec.constraints:
                 row = np.zeros(3 * n)

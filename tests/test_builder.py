@@ -31,7 +31,7 @@ class TestBuilder:
         )
         assert manager.stream.shard_count(0) == 4
         assert manager.fleet.running_count(0) == 3
-        assert manager.table.write_capacity(0) == 500
+        assert manager.table.writes.capacity(0) == 500
 
     def test_control_all_attaches_three_loops(self):
         manager = (

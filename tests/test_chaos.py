@@ -3,6 +3,8 @@ hardening (retry/backoff/circuit breaker, sensor hold-last), and the
 always-on invariant checker — including a deliberately broken simulator
 mutation the checker must catch."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import ChaosSchedule, FaultKind, FaultSpec, FlowBuilder
@@ -19,13 +21,13 @@ from repro.simulation import SimClock
 from repro.workload import ConstantRate, SinusoidalRate, StepRate
 
 
-def _sine_chaos_builder(schedule, seed=11):
+def _sine_chaos_builder(schedule, seed=11, mean=1200, amplitude=600):
     return (
         FlowBuilder("chaos", seed=seed)
         .ingestion(shards=2)
         .analytics(vms=2)
         .storage(write_units=300)
-        .workload(SinusoidalRate(mean=1200, amplitude=600, period=600))
+        .workload(SinusoidalRate(mean=mean, amplitude=amplitude, period=600))
         .control_all(style="adaptive", reference=60.0, period=30)
         .chaos(schedule)
     )
@@ -183,36 +185,36 @@ class TestDynamoDBFaults:
     def test_throttle_storm_scales_effective_capacity_only(self):
         table = SimDynamoDBTable(write_units=200, read_units=100)
         table.set_throttle_storm(0.6)
-        assert table.effective_write_capacity(0) == int(200 * 0.4)
-        assert table.effective_read_capacity(0) == int(100 * 0.4)
+        assert table.writes.effective(0) == int(200 * 0.4)
+        assert table.reads.effective(0) == int(100 * 0.4)
         # Provisioned (billed) capacity is untouched by the storm.
-        assert table.write_capacity(0) == 200
-        assert table.read_capacity(0) == 100
+        assert table.writes.capacity(0) == 200
+        assert table.reads.capacity(0) == 100
         table.clear_throttle_storm()
-        assert table.effective_write_capacity(0) == 200
+        assert table.writes.effective(0) == 200
 
     def test_throttle_storm_rejects_excess_writes(self):
         clock = SimClock()
         clock.advance()
         healthy = SimDynamoDBTable(write_units=100, config=None)
-        healthy._burst_bucket = 0.0
-        accepted_healthy = healthy.write(100, clock).accepted_units
+        healthy.writes.bucket = 0.0
+        accepted_healthy = healthy.writes.consume(100, clock).accepted_units
 
         stormy = SimDynamoDBTable(write_units=100, config=None)
-        stormy._burst_bucket = 0.0
+        stormy.writes.bucket = 0.0
         stormy.set_throttle_storm(0.5)
-        accepted_stormy = stormy.write(100, clock).accepted_units
+        accepted_stormy = stormy.writes.consume(100, clock).accepted_units
         assert accepted_stormy < accepted_healthy
 
     def test_update_reject_raises_transient_error(self):
         table = SimDynamoDBTable(write_units=100, read_units=50)
         table.fail_updates()
         with pytest.raises(TransientAPIError):
-            table.update_write_capacity(150, now=0)
+            table.writes.update(150, now=0)
         with pytest.raises(TransientAPIError):
-            table.update_read_capacity(80, now=0)
+            table.reads.update(80, now=0)
         table.restore_updates()
-        assert table.update_write_capacity(150, now=0) == 150
+        assert table.writes.update(150, now=0) == 150
 
 
 class TestMonitoringFaults:
@@ -568,17 +570,19 @@ class TestInvariantChecker:
         with pytest.raises(SimulationError, match="conservation.ingestion_bytes"):
             run(True)
 
-    def test_mttr_probe_records_degradation_episodes(self):
-        # A brownout forces a producer backlog, then clears: the probe
-        # must record a closed ingestion episode.
-        schedule = ChaosSchedule(faults=(
-            FaultSpec(kind=FaultKind.SHARD_BROWNOUT, start=300, duration=300, intensity=0.7),
-        ), seed=1)
-        result = _sine_chaos_builder(schedule).build().run(1800)
-        report = result.invariants
-        ingestion = [e for e in report.episodes if e.layer == "ingestion" and e.end is not None]
-        assert ingestion
-        assert report.mttr_seconds("ingestion") > 0
+    def test_report_is_the_same_in_both_execution_modes(self):
+        """Span execution audits at span boundaries, the per-tick loop at
+        every tick: apart from how many checks ran, the report must not
+        depend on which. Under this load the faults leave backlogs that
+        open and close between span boundaries."""
+
+        def run(spans):
+            builder = _sine_chaos_builder(FULL_SCHEDULE, mean=1800, amplitude=1000)
+            return builder.spans(spans).build().run(1800).invariants
+
+        reference, spanned = run(False), run(True)
+        assert reference.checks > spanned.checks
+        assert replace(reference, checks=0) == replace(spanned, checks=0)
 
     def test_checker_catches_fleet_bound_breach(self):
         manager = (

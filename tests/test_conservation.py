@@ -94,7 +94,7 @@ class TestDynamoDBConservation:
         clock = SimClock()
         for units in amounts:
             clock.advance()
-            result = table.write(units, clock)
+            result = table.writes.consume(units, clock)
             assert result.accepted_units + result.throttled_units == units
 
     @given(put_amounts)
@@ -105,8 +105,8 @@ class TestDynamoDBConservation:
         clock = SimClock()
         for units in amounts:
             clock.advance()
-            table.write(units, clock)
-            assert 0.0 <= table.burst_balance <= 60 * 200
+            table.writes.consume(units, clock)
+            assert 0.0 <= table.writes.bucket <= 60 * 200
 
 
 class TestManagedFlowConservation:
@@ -203,5 +203,5 @@ class TestChaosInvariantProperties:
         # Capacity bounds hold at the end of the disturbed run too.
         stream, table, fleet = manager.stream, manager.table, manager.fleet
         assert stream.config.min_shards <= stream._shards <= stream.config.max_shards
-        assert table.config.min_write_units <= table._write_units <= table.config.max_write_units
+        assert table.config.min_write_units <= table.writes.units <= table.config.max_write_units
         assert fleet.provisioned_count(1200) <= fleet.config.max_instances

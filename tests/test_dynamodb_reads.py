@@ -1,13 +1,19 @@
-"""Tests for the DynamoDB read path and read-capacity control."""
+"""Tests for the DynamoDB read path and read-capacity control.
+
+The read dimension runs the same data-path and capacity-update suites
+as the write dimension (``tests/test_dynamodb.py``); the tests below
+add what only reads have: their independence from writes, their
+metrics and the managed read workload.
+"""
 
 import pytest
 
 from repro import FlowBuilder, LayerKind
 from repro.cloud import DynamoDBConfig, SimCloudWatch, SimDynamoDBTable
-from repro.control import DynamoDBReadActuator
 from repro.core.errors import ConfigurationError
 from repro.simulation import SimClock
 from repro.workload import ConstantRate, StepRate
+from tests.test_dynamodb import CapacityUpdateSuite, DataPathSuite
 
 
 @pytest.fixture
@@ -23,38 +29,24 @@ def table(read_units=100, **config_kwargs):
     )
 
 
-class TestReadPath:
-    def test_accepts_within_provision(self, clock):
-        t = table(read_units=100)
-        result = t.read(80, clock)
-        assert result.accepted_units == 80
-        assert result.throttled_units == 0
-
-    def test_throttles_above_provision(self, clock):
-        t = table(read_units=100)
-        result = t.read(150, clock)
-        assert result.accepted_units == 100
-        assert result.throttled_units == 50
+class TestReadPath(DataPathSuite):
+    name = "read"
 
     def test_read_burst_bucket_independent_of_write_bucket(self, clock):
         t = table(read_units=100, burst_seconds=300)
         for _ in range(5):
-            t.read(0, clock)
-            t.write(100, clock)  # writes fully used: write bucket stays empty
+            t.reads.consume(0, clock)
+            t.writes.consume(100, clock)  # writes fully used: write bucket stays empty
             clock.advance()
-        assert t.read_burst_balance == 500
-        assert t.burst_balance == 0
-        result = t.read(400, clock)
+        assert t.reads.bucket == 500
+        assert t.writes.bucket == 0
+        result = t.reads.consume(400, clock)
         assert result.throttled_units == 0
-
-    def test_rejects_negative(self, clock):
-        with pytest.raises(ConfigurationError):
-            table().read(-1, clock)
 
     def test_read_metrics_emitted(self, clock):
         t = table(read_units=100)
         cw = SimCloudWatch()
-        t.read(150, clock)
+        t.reads.consume(150, clock)
         t.emit_metrics(cw, clock)
         dims = {"TableName": t.name}
         assert cw.get_series("AWS/DynamoDB", "ConsumedReadCapacityUnits", dims)[1] == [100.0]
@@ -63,31 +55,14 @@ class TestReadPath:
         assert util == pytest.approx(100.0)
 
 
-class TestReadCapacityUpdates:
-    def test_update_applies_after_delay(self):
-        t = table(read_units=100, update_delay_seconds=30)
-        t.update_read_capacity(200, now=0)
-        assert t.read_capacity(29) == 100
-        assert t.read_capacity(30) == 200
+class TestReadCapacityUpdates(CapacityUpdateSuite):
+    name = "read"
 
     def test_read_and_write_updates_independent(self):
         t = table(read_units=100, update_delay_seconds=30)
-        t.update_write_capacity(500, now=0)
+        t.writes.update(500, now=0)
         # A write update in flight does not block a read update.
-        assert t.update_read_capacity(200, now=0) == 200
-
-    def test_read_decrease_cooldown(self):
-        t = table(read_units=100, update_delay_seconds=0, decrease_cooldown_seconds=3600)
-        assert t.update_read_capacity(50, now=0) == 50
-        assert t.update_read_capacity(30, now=60) == 50  # blocked
-        assert t.update_read_capacity(30, now=3700) == 30
-
-    def test_actuator_reports_inflight_target(self):
-        t = table(read_units=100, update_delay_seconds=30)
-        actuator = DynamoDBReadActuator(t)
-        assert actuator.apply(250.0, now=0) == 250.0
-        assert actuator.get(10) == 250.0
-        assert t.read_capacity(10) == 100
+        assert t.reads.update(200, now=0) == 200
 
 
 class TestManagedReadWorkload:

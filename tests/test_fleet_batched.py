@@ -249,24 +249,24 @@ class TestRegionSumMemo:
     def test_memo_avoids_recompute_between_changes(self):
         region = RegionContext(limits=RegionLimits())
         stub = _StubFleet(5)
-        region.register_fleet("f0", stub)
-        assert region.instances_in_use(now=10) == 5
+        region.register("instances", "f0", stub.provisioned_count)
+        assert region.in_use("instances", now=10) == 5
         calls = stub.calls
-        assert region.instances_in_use(now=20) == 5
+        assert region.in_use("instances", now=20) == 5
         assert stub.calls == calls  # served from the version memo
 
     def test_memo_invalidates_on_capacity_change(self):
         region = RegionContext(limits=RegionLimits())
         stub = _StubFleet(5)
-        region.register_fleet("f0", stub)
-        assert region.instances_in_use(now=10) == 5
+        region.register("instances", "f0", stub.provisioned_count)
+        assert region.in_use("instances", now=10) == 5
         stub.count = 9
         # Without a version bump the memo (correctly) still serves the
         # committed value as of the last change...
-        assert region.instances_in_use(now=11) == 5
+        assert region.in_use("instances", now=11) == 5
         # ...and the services' capacity-change hook invalidates it.
         region.note_capacity_change()
-        assert region.instances_in_use(now=12) == 9
+        assert region.in_use("instances", now=12) == 9
 
     def test_real_scale_up_is_visible_immediately(self):
         """End to end: an admitted scale-up must not be served stale —
@@ -275,7 +275,7 @@ class TestRegionSumMemo:
         region = fleet.region
         manager = next(iter(fleet.managers.values()))
         ec2 = manager.cluster.fleet
-        before = region.instances_in_use(now=0)
+        before = region.in_use("instances", now=0)
         ec2.set_desired(before_count := ec2.provisioned_count(0), now=0)
         ec2.set_desired(before_count + 1, now=0)
-        assert region.instances_in_use(now=0) == before + 1
+        assert region.in_use("instances", now=0) == before + 1

@@ -12,13 +12,51 @@ import pytest
 from repro.cloud.dynamodb import SimDynamoDBTable
 from repro.cloud.ec2 import EC2Config, SimEC2Fleet
 from repro.cloud.kinesis import KinesisConfig, SimKinesisStream
-from repro.cloud.region import RegionContext, RegionLimits
+from repro.cloud.region import RESOURCE_LIMITS, RegionContext, RegionLimits
 from repro.core.errors import (
     CapacityError,
     ConfigurationError,
     RegionCapacityError,
     TransientAPIError,
 )
+
+#: Per resource: a service committing ``units`` of it (every change slow
+#: to apply, so a pending one is still in flight) and its resize call.
+SERVICES = {
+    "instances": (
+        lambda units: SimEC2Fleet(config=EC2Config(boot_seconds=60), initial_instances=units),
+        lambda fleet, target, now: fleet.set_desired(target, now),
+    ),
+    "shards": (
+        lambda units: SimKinesisStream(
+            name="s", shards=units, config=KinesisConfig(base_reshard_seconds=300)
+        ),
+        lambda stream, target, now: stream.update_shard_count(target, now),
+    ),
+    "write_units": (
+        lambda units: SimDynamoDBTable(name="t", write_units=units, read_units=1),
+        lambda table, target, now: table.writes.update(target, now),
+    ),
+    "read_units": (
+        lambda units: SimDynamoDBTable(name="t", write_units=1, read_units=units),
+        lambda table, target, now: table.reads.update(target, now),
+    ),
+}
+
+each_resource = pytest.mark.parametrize("resource", sorted(SERVICES))
+
+
+def _attached(region, resource, flow_id, units):
+    """A service committing ``units`` of ``resource`` for ``flow_id``,
+    and a resize call for it."""
+    build, resize = SERVICES[resource]
+    service = build(units)
+    service.attach_region(region, flow_id)
+    return lambda target, now: resize(service, target, now)
+
+
+def _limited(resource, limit):
+    return RegionContext(limits=RegionLimits(**{RESOURCE_LIMITS[resource]: limit}))
 
 
 class TestRegionLimitsValidation:
@@ -66,7 +104,7 @@ class TestCommittedAccounting:
         fleet.attach_region(region, "f1")
         fleet.set_desired(5, now=10)
         # Still booting at t=10, but the account already promised them.
-        assert region.instances_in_use(10) == 5
+        assert region.in_use("instances", 10) == 5
         assert region.headroom(10)["instances"] == RegionLimits().max_instances - 5
 
     def test_inflight_reshard_target_counts(self):
@@ -76,22 +114,29 @@ class TestCommittedAccounting:
         )
         stream.attach_region(region, "f1")
         stream.update_shard_count(4, now=0)
-        assert region.shards_in_use(0) == 4  # target, not current
+        assert region.in_use("shards", 0) == 4  # target, not current
 
     def test_pending_update_table_counts(self):
         region = RegionContext()
         table = SimDynamoDBTable(name="t", write_units=100, read_units=50)
         table.attach_region(region, "f1")
-        table.update_write_capacity(400, now=0)
-        assert region.write_units_in_use(0) == 400
+        table.writes.update(400, now=0)
+        assert region.in_use("write_units", 0) == 400
 
     def test_accounting_sums_across_flows(self):
+        for resource in SERVICES:
+            region = RegionContext()
+            for flow_id, units in (("f0", 2), ("f1", 3)):
+                _attached(region, resource, flow_id, units)
+            assert region.in_use(resource, 0) == 5, resource
+
+    @each_resource
+    def test_pending_increase_counts_in_full(self, resource):
         region = RegionContext()
-        for i, shards in enumerate((2, 3)):
-            SimKinesisStream(name=f"s{i}", shards=shards).attach_region(
-                region, f"f{i}"
-            )
-        assert region.shards_in_use(0) == 5
+        _attached(region, resource, "f1", 2)(5, 10)
+        assert region.in_use(resource, 10) == 5
+        assert region.committed(resource, "f1", 10) == 5
+        assert region.headroom(10)[resource] == region.limits.limit(resource) - 5
 
 
 class TestAdmission:
@@ -105,25 +150,24 @@ class TestAdmission:
             fleet_b.set_desired(2, now=0)
         # All-or-nothing: the denied request committed nothing.
         assert fleet_b.provisioned_count(0) == 1
-        assert region.instances_in_use(0) == 3
+        assert region.in_use("instances", 0) == 3
         assert region.denials_by_flow() == {"b": {"instances": 1}}
 
     def test_scale_down_always_succeeds(self):
-        region = RegionContext(limits=RegionLimits(max_instances=3))
-        fleet = SimEC2Fleet(initial_instances=3)
-        fleet.attach_region(region, "a")
-        assert fleet.set_desired(1, now=0) == 1
+        for resource in SERVICES:
+            region = _limited(resource, 3)
+            assert _attached(region, resource, "a", 3)(1, 0) == 1, resource
+            assert region.in_use(resource, 0) == 1, resource
 
     def test_freed_headroom_admits_the_retry(self):
-        region = RegionContext(limits=RegionLimits(max_instances=4))
-        fleet_a = SimEC2Fleet(initial_instances=3)
-        fleet_a.attach_region(region, "a")
-        fleet_b = SimEC2Fleet(initial_instances=1)
-        fleet_b.attach_region(region, "b")
-        with pytest.raises(RegionCapacityError):
-            fleet_b.set_desired(2, now=0)
-        fleet_a.set_desired(1, now=10)  # neighbor scales down
-        assert fleet_b.set_desired(2, now=20) == 2  # retry now fits
+        for resource in SERVICES:
+            region = _limited(resource, 4)
+            shrink_a = _attached(region, resource, "a", 3)
+            grow_b = _attached(region, resource, "b", 1)
+            with pytest.raises(RegionCapacityError):
+                grow_b(2, 0)
+            shrink_a(1, 10)  # neighbor scales down
+            assert grow_b(2, 20) == 2, resource  # retry now fits
 
     def test_over_limit_reshard_denied(self):
         region = RegionContext(limits=RegionLimits(max_total_shards=4))
@@ -143,17 +187,29 @@ class TestAdmission:
         t2 = SimDynamoDBTable(name="t2", write_units=100, read_units=10)
         t2.attach_region(region, "b")
         with pytest.raises(RegionCapacityError):
-            t2.update_write_capacity(200, now=0)
-        assert t2.committed_write_units() == 100
+            t2.writes.update(200, now=0)
+        assert t2.writes.committed() == 100
 
     def test_read_units_gated_independently(self):
         region = RegionContext(limits=RegionLimits(max_total_read_units=100))
         table = SimDynamoDBTable(name="t", write_units=10, read_units=80)
         table.attach_region(region, "a")
         with pytest.raises(RegionCapacityError):
-            table.update_read_capacity(150, now=0)
+            table.reads.update(150, now=0)
         # Write units were not near their limit, so writes still grow.
-        assert table.update_write_capacity(50, now=0) == 50
+        assert table.writes.update(50, now=0) == 50
+
+    @each_resource
+    def test_over_limit_increase_denied_and_nothing_changes(self, resource):
+        region = _limited(resource, 3)
+        _attached(region, resource, "a", 2)
+        grow_b = _attached(region, resource, "b", 1)
+        with pytest.raises(RegionCapacityError, match=f"asked for 1 more {resource} "):
+            grow_b(2, 0)
+        # All-or-nothing: the denied request committed nothing.
+        assert region.committed(resource, "b", 0) == 1
+        assert region.in_use(resource, 0) == 3
+        assert region.denials_by_flow() == {"b": {resource: 1}}
 
     def test_error_is_truthful_on_both_axes(self):
         """A region denial is a capacity error AND transient — the

@@ -7,7 +7,7 @@ from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.ec2 import EC2Config
 from repro.control import (
     CloudWatchSensor,
-    DynamoDBWriteActuator,
+    DynamoDBActuator,
     KinesisShardActuator,
     StormVMActuator,
 )
@@ -87,10 +87,10 @@ class TestDynamoDBWriteActuator:
         table = SimDynamoDBTable(
             write_units=100, config=DynamoDBConfig(update_delay_seconds=30)
         )
-        actuator = DynamoDBWriteActuator(table)
+        actuator = DynamoDBActuator(table.writes)
         assert actuator.apply(200.0, now=0) == 200.0
         # During the update, get() reports the commanded target.
         assert actuator.get(10) == 200.0
-        assert table.write_capacity(10) == 100
+        assert table.writes.capacity(10) == 100
         assert actuator.get(30) == 200.0
-        assert table.write_capacity(30) == 200
+        assert table.writes.capacity(30) == 200

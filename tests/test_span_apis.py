@@ -232,14 +232,12 @@ class TestNextCapacityEvent:
     def test_dynamodb_write_and_read_horizon(self):
         table = SimDynamoDBTable(write_units=100, read_units=100)
         assert table.next_capacity_event(0) is None
-        table.update_write_capacity(200, 10)
+        table.writes.update(200, 10)
         write_ready = table.next_capacity_event(10)
         assert write_ready is not None and write_ready > 10
-        table.update_read_capacity(300, 12)
+        table.reads.update(300, 12)
         # The horizon is the sooner of the two pending updates.
-        assert table.next_capacity_event(12) == min(
-            write_ready, table._pending_read_ready_at
-        )
+        assert table.next_capacity_event(12) == min(write_ready, table.reads.ready_at)
         assert table.next_capacity_event(0) is not None
 
     def test_storm_rebalance_horizon(self):

@@ -197,9 +197,9 @@ class TestControlledFlowEquivalence:
                 .build()
             )
             manager.run(100)
-            manager.table.update_write_capacity(400, 100)  # ripe at 130
+            manager.table.writes.update(400, 100)  # ripe at 130
             manager.run(10)
-            manager.table.update_read_capacity(200, 110)  # ripe at 140
+            manager.table.reads.update(200, 110)  # ripe at 140
             spans_run.clear()
             return manager.run(290)
 
@@ -659,7 +659,7 @@ class TestSpanStretches:
             )
             table = manager.table
             manager.engine.every(
-                60, lambda now: table.update_write_capacity(300 + 10 * (now // 60 % 2), now),
+                60, lambda now: table.writes.update(300 + 10 * (now // 60 % 2), now),
                 name="storage-step",
             )
             return manager
@@ -1014,9 +1014,12 @@ class TestChaosEquivalence:
     checker's audit."""
 
     @staticmethod
-    def _build(schedule):
+    def _build(schedule, reads=False):
+        """The chaos flow; with ``reads``, a dashboard read workload and
+        an adaptive read loop on the table's read dimension too."""
+
         def build():
-            return (
+            builder = (
                 FlowBuilder("span-eq-chaos", seed=11)
                 .ingestion(shards=2)
                 .analytics(vms=2)
@@ -1025,14 +1028,25 @@ class TestChaosEquivalence:
                 .control_all(style="adaptive", reference=60.0, period=30)
                 .chaos(schedule)
             )
+            if reads:
+                builder.reads(
+                    SinusoidalRate(mean=50, amplitude=40, period=450), read_units=60,
+                    style="adaptive", reference=60.0, period=30,
+                )
+            return builder
 
         return build
 
     @pytest.mark.parametrize("kind", sorted(CHAOS_SCENARIOS))
     def test_single_fault_scenarios(self, kind):
         schedule = CHAOS_SCENARIOS[kind]
-        reference, spanned = run_pair(self._build(schedule), 900, events=True)
+        # The storage faults hit both throughput dimensions.
+        reads = kind in (FaultKind.THROTTLE_STORM, FaultKind.UPDATE_REJECT)
+        reference, spanned = run_pair(self._build(schedule, reads), 900, events=True)
         assert_equivalent(reference, spanned, events=True)
+        if reads:
+            updates = spanned.recorder.bus.of_kind("capacity.update")
+            assert any(e.payload["dimension"] == "read" for e in updates)
         # The fault actually fired, identically in both modes.
         assert reference.chaos_events
         assert spanned.chaos_events == reference.chaos_events
