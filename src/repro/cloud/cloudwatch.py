@@ -10,15 +10,18 @@ effects are part of the control loop.
 Storage is columnar by emitter: each service writes its metrics as one
 frame (one time column, one value row per metric), so a tick or a span
 lands with one time conversion and one order check however many metrics
-the service reports. Complexity contract (see DESIGN.md "Metric-store
-complexity contract"): appends are O(1) amortized per frame, window
-reads are O(log n + window) via bisect over the time-ordered column,
-and period aggregation is a single left-to-right pass over the located
-slice. Aggregation order is pinned left-to-right (append order), so it
-does not move ``Average``/``Sum`` results by a ULP. Reads are memoized
-per frame version: co-located alarms, sensors and collectors asking for
-the same (window, statistic) within one control period aggregate once,
-and reads of one frame's rows over one window locate it once.
+the service reports. A run reserves its tick count first
+(:meth:`SimCloudWatch.reserve`), so a fresh run's frames are allocated
+once at their final size. Complexity contract (see DESIGN.md
+"Metric-store complexity contract"): appends are O(1) amortized per
+frame, window reads are O(log n + window) via bisect over the
+time-ordered column, and period aggregation is a single left-to-right
+pass over the located slice. Aggregation order is pinned left-to-right
+(append order), so it does not move ``Average``/``Sum`` results by a
+ULP. Reads are memoized per frame version: co-located alarms, sensors
+and collectors asking for the same (window, statistic) within one
+control period aggregate once, and reads of one frame's rows over one
+window locate it once.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ def validate_statistic(statistic: str) -> str:
 #: float so a legitimate NaN aggregate is never confused with emptiness.
 _EMPTY_WINDOW = object()
 
+#: Columns a frame starts with when no run has reserved any: every lone
+#: series, and emitter frames before the first :meth:`SimCloudWatch.reserve`.
+_START_COLUMNS = 16
+
 
 def _dimension_key(
     dimensions: dict[str, str] | tuple[tuple[str, str], ...] | None,
@@ -138,10 +145,11 @@ class _Frame:
     An emitter (a service's per-tick or per-span emission) writes all of
     its metrics at the same timestamps, so the frame stores that column
     once: an ``int64`` time column and a ``k × capacity`` ``float64``
-    block, grown together by doubling. One append converts and
-    order-checks the times once for every row, and one version counter
-    covers them all. A series written alone (``put_metric_data``) is a
-    one-row frame, so this is the store's one storage class.
+    block, which start at ``capacity`` columns and grow together by
+    doubling past it. One append converts and order-checks the times
+    once for every row, and one version counter covers them all. A
+    series written alone (``put_metric_data``) is a one-row frame, so
+    this is the store's one storage class.
 
     The time-ordered invariant (non-decreasing, enforced on every
     append) is what makes O(log n) window location sound: both ends of a
@@ -156,13 +164,13 @@ class _Frame:
         "_memo_version", "_located", "_results",
     )
 
-    def __init__(self, names: tuple[str, ...], owned: bool) -> None:
+    def __init__(self, names: tuple[str, ...], owned: bool, capacity: int = _START_COLUMNS) -> None:
         self.names = names
         #: Whether an emitter owns the frame (``put_metric_frame*``);
         #: ``put_metric_data*`` may write only frames it created itself.
         self.owned = owned
-        self._times = np.empty(16, dtype=np.int64)
-        self._block = np.empty((len(names), 16), dtype=np.float64)
+        self._times = np.empty(capacity, dtype=np.int64)
+        self._block = np.empty((len(names), capacity), dtype=np.float64)
         self._len = 0
         #: Bumped on every append; read memos key on it, so a stale
         #: cached aggregate can never be served after new data lands.
@@ -337,8 +345,10 @@ class SimCloudWatch:
         # Series key -> its row; the row's frame holds the data.
         self._series: dict[tuple[str, str, tuple[tuple[str, str], ...]], _Row] = {}
         # Emitter frames, keyed by (namespace, dimensions, metric names).
-        # A frame is created at its emitter's first write.
+        # A frame is created at its emitter's first write, with the
+        # columns the latest reserve() asked for.
         self._frames: dict[tuple, _Frame] = {}
+        self._frame_columns = _START_COLUMNS
         self._alarms: list[MetricAlarm] = []
         # Monitoring-layer fault injection (chaos harness). A metric
         # delay makes sensors query a window ending ``delay`` seconds in
@@ -435,10 +445,30 @@ class SimCloudWatch:
                     f"series {namespace}/{key[1]} (dimensions={dict(dims)}) is "
                     f"already stored outside the frame {metric_names}"
                 )
-        frame = self._frames[frame_key] = _Frame(metric_names, owned=True)
+        frame = self._frames[frame_key] = _Frame(
+            metric_names, owned=True, capacity=self._frame_columns
+        )
         for row, key in enumerate(keys):
             self._series[key] = _Row(frame, row)
         return frame
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more datapoints in every emitter frame.
+
+        A run calls this with its tick count before it starts, since
+        each emitter writes one datapoint a tick. Emitter frames created
+        after the call start at exactly ``rows`` columns (16 when
+        ``rows`` is 0), so a fresh run's frames are never regrown,
+        copied or left with slack. Existing frames grow by the doubling
+        rule, so repeated short runs stay amortized, and doubling also
+        covers any write past the reservation. Lone series
+        (``put_metric_data``) keep their 16-column start.
+        """
+        if rows < 0:
+            raise MonitoringError(f"rows must be non-negative, got {rows}")
+        for frame in self._frames.values():
+            frame._reserve(rows)
+        self._frame_columns = rows or _START_COLUMNS
 
     def flush_pending(self) -> None:
         """Do nothing: every write lands in its frame when it is made.

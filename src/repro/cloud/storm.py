@@ -267,7 +267,8 @@ class SimStormCluster:
         # tumbling window. With a distinct estimator the key count is
         # derived from the whole window's record volume (saturating at
         # the hot-page set); otherwise the per-tick counts are averaged.
-        self._window_keys += distinct_keys
+        if self._distinct_estimator is None:
+            self._window_keys += distinct_keys
         self._window_records += processed
         self._window_elapsed += clock.tick_seconds
         writes = 0

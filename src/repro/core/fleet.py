@@ -391,6 +391,8 @@ class RegionFleetManager:
     def run(self, duration_seconds: int) -> FleetRunResult:
         """Advance the shared engine; collect every flow's result."""
         started = perf_counter()
+        for manager in self.managers.values():
+            manager._reserve_run(duration_seconds)
         self.engine.run(duration_seconds)
         wall_seconds = perf_counter() - started
         return FleetRunResult(

@@ -91,8 +91,10 @@ class ServiceCapacities:
     read_units: int = 100
 
     def __post_init__(self) -> None:
-        if self.shards < 1 or self.vms < 1 or self.write_units < 1 or self.read_units < 1:
-            raise ConfigurationError("all initial capacities must be >= 1")
+        for name in ("shards", "vms", "write_units", "read_units"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 #: Fewest ticks in a row that :meth:`_FlowPipeline.run_span` hands to a
@@ -140,9 +142,7 @@ class _Span:
         self.now = now
         self.dt = dt
         self.count = count
-        # The distinct-page column goes unused: the manager's cluster
-        # derives each window's writes from its record count.
-        self.records, self.payload, _ = pipeline.generator.generate_span(first_tick, count, dt)
+        self.records, self.payload = pipeline.generator.generate_span(first_tick, count, dt)
         self.reads = pipeline._draw_reads(first_tick, count, dt)
         stream = pipeline.stream
         cluster = pipeline.cluster
@@ -1668,8 +1668,18 @@ class FlowElasticityManager:
     def run(self, duration_seconds: int) -> FlowRunResult:
         """Advance the simulation and return the analysed result."""
         started = perf_counter()
+        self._reserve_run(duration_seconds)
         self.engine.run(duration_seconds)
         return self._build_result(perf_counter() - started)
+
+    def _reserve_run(self, duration_seconds: int) -> None:
+        """Size the metric store for a run of ``duration_seconds``.
+
+        Every emitter writes one datapoint a tick, so each frame needs
+        the run's tick count; an invalid duration raises the engine's
+        :class:`SimulationError` before anything is reserved.
+        """
+        self.cloudwatch.reserve(self.engine.tick_count(duration_seconds))
 
     def _build_result(self, wall_seconds: float = 0.0, coordination: Sequence = ()) -> FlowRunResult:
         """Assemble the run result from current state.

@@ -191,6 +191,21 @@ class SimulationEngine:
         self.add_task(task)
         return task
 
+    def tick_count(self, duration_seconds: int) -> int:
+        """Ticks a run of ``duration_seconds`` executes.
+
+        Raises :class:`SimulationError`, naming the duration, unless it
+        is a positive multiple of the tick length.
+        """
+        if duration_seconds <= 0:
+            raise SimulationError(f"duration must be positive, got {duration_seconds}")
+        if duration_seconds % self.clock.tick_seconds != 0:
+            raise SimulationError(
+                f"duration {duration_seconds}s is not a multiple of the "
+                f"tick length {self.clock.tick_seconds}s"
+            )
+        return int(duration_seconds // self.clock.tick_seconds)
+
     def run(self, duration_seconds: int) -> int:
         """Run for ``duration_seconds`` of simulated time.
 
@@ -201,13 +216,7 @@ class SimulationEngine:
 
         Returns the simulated time at which the run ended.
         """
-        if duration_seconds <= 0:
-            raise SimulationError(f"duration must be positive, got {duration_seconds}")
-        if duration_seconds % self.clock.tick_seconds != 0:
-            raise SimulationError(
-                f"duration {duration_seconds}s is not a multiple of the "
-                f"tick length {self.clock.tick_seconds}s"
-            )
+        self.tick_count(duration_seconds)
         end = self.clock.now + duration_seconds
         self.last_run_used_spans = (
             self.span_execution

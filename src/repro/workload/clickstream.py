@@ -180,7 +180,7 @@ class ClickStreamGenerator:
 
     def generate_span(
         self, start: int, count: int, tick_seconds: int
-    ) -> tuple[list[int], list[int], list[int]]:
+    ) -> tuple[list[int], list[int]]:
         """Per-tick batches for the ``count`` ticks at ``start``,
         ``start + tick_seconds``, ...
 
@@ -189,8 +189,11 @@ class ClickStreamGenerator:
         distinct-page Poisson, all on one stream), so the draws stay a
         per-tick loop — what the span path saves is the per-tick grid
         refill, config lookups and ``ClickBatch`` allocation. Returns
-        the ``(records, payload_bytes, distinct_keys)`` columns,
-        bit-identical to ``count`` :meth:`generate` calls.
+        the ``(records, payload_bytes)`` columns, bit-identical to
+        ``count`` :meth:`generate` calls. The distinct-page count is
+        drawn, to keep the stream, but not returned: the span path's
+        Storm cluster derives each window's writes from its record
+        count.
         """
         grid = self._grid
         if grid is None or grid.step != tick_seconds:
@@ -201,25 +204,22 @@ class ClickStreamGenerator:
         distinct_pages = self._expected_distinct_pages
         records_col: list[int] = []
         payload_col: list[int] = []
-        distinct_col: list[int] = []
         span_records = 0
         span_bytes = 0
         for rate in rates:
             records = poisson_count(rate * tick_seconds)
             if records == 0:
                 payload = 0
-                distinct = 0
             else:
                 payload = sample_payload(records)
-                distinct = distinct_pages(records)
+                distinct_pages(records)
                 span_records += records
                 span_bytes += payload
             records_col.append(records)
             payload_col.append(payload)
-            distinct_col.append(distinct)
         self._total_records += span_records
         self._total_bytes += span_bytes
-        return records_col, payload_col, distinct_col
+        return records_col, payload_col
 
     def _poisson_count(self, expected: float) -> int:
         """One guarded Poisson draw.
@@ -451,13 +451,16 @@ class FastClickStreamGenerator(ClickStreamGenerator):
 
     def generate_span(
         self, start: int, count: int, tick_seconds: int
-    ) -> tuple[list[int], list[int], list[int]]:
+    ) -> tuple[list[int], list[int]]:
+        """The ``(records, payload_bytes)`` columns of the ``count``
+        ticks at ``start``; the blocks they fall in are drawn whole,
+        distinct pages included."""
         if count <= 0:
-            return [], [], []
+            return [], []
         first = self._tick_index(start, tick_seconds)
         first_block, offset = divmod(first, self.BLOCK)
         last_block = (first + count - 1) // self.BLOCK
-        columns = self._block(first_block, last_block, tick_seconds)
+        columns = self._block(first_block, last_block, tick_seconds)[:2]
         if first_block == last_block:
             sliced = tuple(col[offset : offset + count] for col in columns)
         else:
@@ -468,10 +471,10 @@ class FastClickStreamGenerator(ClickStreamGenerator):
                 np.concatenate([col, *(t[i] for t in tails)])[offset : offset + count]
                 for i, col in enumerate(columns)
             )
-        records_col, payload_col, distinct_col = sliced
+        records_col, payload_col = sliced
         self._total_records += int(records_col.sum())
         self._total_bytes += int(payload_col.sum())
-        return records_col.tolist(), payload_col.tolist(), distinct_col.tolist()
+        return records_col.tolist(), payload_col.tolist()
 
     def _tick_index(self, now: int, tick_seconds: int) -> int:
         """Absolute 0-based tick index for the tick ending at ``now``.

@@ -33,6 +33,17 @@ class TestBuilder:
         assert manager.fleet.running_count(0) == 3
         assert manager.table.writes.capacity(0) == 500
 
+    @pytest.mark.parametrize("field, value, place", [
+        ("shards", 0, lambda b, v: b.ingestion(shards=v)),
+        ("vms", 0, lambda b, v: b.analytics(vms=v)),
+        ("write_units", -5, lambda b, v: b.storage(write_units=v)),
+        ("read_units", -1, lambda b, v: b.reads(ConstantRate(10), read_units=v)),
+    ])
+    def test_bad_initial_capacity_names_its_field(self, field, value, place):
+        builder = place(FlowBuilder().workload(ConstantRate(100)), value)
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be >= 1, got {value}$"):
+            builder.build()
+
     def test_control_all_attaches_three_loops(self):
         manager = (
             FlowBuilder().workload(ConstantRate(100)).control_all(style="adaptive").build()

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cloud import SUPPORTED_STATISTICS, MetricAlarm, SimCloudWatch, validate_statistic
 from repro.cloud.cloudwatch import _aggregate
-from repro.core.errors import MonitoringError
+from repro.core.builder import FlowBuilder
+from repro.core.errors import MonitoringError, SimulationError
+from repro.core.fleet import FleetFlowSpec, RegionFleetManager
+from repro.workload.generators import ConstantRate
 
 
 @pytest.fixture
@@ -222,6 +225,9 @@ _ops = st.lists(
         st.tuples(st.just("tick"), st.integers(0, 2), st.tuples(*(_values for _ in _FRAME))),
         _spans,
         st.tuples(st.just("lone"), st.integers(0, 2), _values),
+        # A run's reservation: frames made after it start at that many
+        # columns, frames that exist make room for as many more.
+        st.tuples(st.just("reserve"), st.integers(0, 20)),
         # A read at an absolute `now`: windows recur across appends (a
         # memo must not serve them stale) and their edges land on
         # (duplicate) timestamps as often as between them.
@@ -234,7 +240,8 @@ _ops = st.lists(
 class TestFramesAgainstBruteForce:
     """Frame storage must equal a per-series list model bit for bit,
     under any interleaving of tick appends, span appends, broadcast
-    columns and one-row (lone) series, with reads in between."""
+    columns, one-row (lone) series and reservations, with reads in
+    between: writes past a reservation included."""
 
     @settings(max_examples=150, deadline=None)
     @given(ops=_ops)
@@ -266,6 +273,8 @@ class TestFramesAgainstBruteForce:
                 cw.put_metric_data("NS", "L", op[2], clock, {"d": "x"})
                 model["L"][0].append(clock)
                 model["L"][1].append(float(op[2]))
+            elif kind == "reserve":
+                cw.reserve(op[1])
             else:
                 self._check_reads(cw, model, op[1], op[2])
         self._check_reads(cw, model, clock, 3)
@@ -297,6 +306,76 @@ class TestFramesAgainstBruteForce:
         cw.put_metric_frame_batch("NS", ("A", "B"), [2, 2], ([5.0, 7.0], 0))
         assert cw.get_metric_value("NS", "A", now=2, window=1, statistic="Sum") == 15.0
         assert cw.get_metric_statistics("NS", "B", 0, 2, 1, "Maximum") == [(1, 10.0), (2, 30.0)]
+
+
+def _frame_sizes(cloudwatch):
+    """``(capacity, length)`` of every emitter frame, in creation order."""
+    return [(frame._times.shape[0], frame._len) for frame in cloudwatch._frames.values()]
+
+
+class TestRunReservation:
+    """A run reserves its tick count before the engine runs, so a fresh
+    run's frames are allocated once at their final size: never regrown,
+    copied or left with slack."""
+
+    @staticmethod
+    def _flow(tick=1):
+        return FlowBuilder("reserve", seed=1).workload(ConstantRate(900)).tick(tick).build()
+
+    @pytest.mark.parametrize("tick, ticks", [(1, 3600), (5, 720)])
+    def test_fresh_flow_run_fills_its_frames_exactly(self, tick, ticks):
+        manager = self._flow(tick)
+        manager.run(3600)
+        assert _frame_sizes(manager.cloudwatch) == [(ticks, ticks)] * 3
+
+    def test_fresh_fleet_run_fills_every_flows_frames_exactly(self):
+        fleet = RegionFleetManager(
+            [FleetFlowSpec(name=f"flow{i}", workload=ConstantRate(600 + 300 * i)) for i in range(2)],
+            coordinate_period=None,
+        )
+        fleet.run(1800)
+        for manager in fleet.managers.values():
+            assert _frame_sizes(manager.cloudwatch) == [(1800, 1800)] * 3
+
+    def test_later_runs_grow_existing_frames_by_doubling(self):
+        manager = self._flow()
+        capacities = []
+        for _ in range(4):
+            manager.run(900)
+            capacities.append(_frame_sizes(manager.cloudwatch)[0])
+        assert capacities == [(900, 900), (1800, 1800), (3600, 2700), (3600, 3600)]
+
+    def test_lone_series_keep_their_small_start(self, cw):
+        cw.reserve(5000)
+        cw.put_metric_data("NS", "L", 1.0, 1)
+        cw.put_metric_frame("NS", ("A", "B"), 1, (1.0, 2.0))
+        assert cw._series[("NS", "L", ())].frame._times.shape[0] == 16
+        assert _frame_sizes(cw) == [(5000, 1)]
+
+    def test_writes_past_a_reservation_double(self, cw):
+        cw.reserve(3)
+        cw.put_metric_frame_batch("NS", ("A",), [1, 2, 3, 4], ([1.0, 2.0, 3.0, 4.0],))
+        assert _frame_sizes(cw) == [(6, 4)]
+        assert cw.get_series("NS", "A") == ([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+
+    def test_negative_rows_rejected(self, cw):
+        with pytest.raises(MonitoringError, match=r"rows must be non-negative, got -1"):
+            cw.reserve(-1)
+
+    @pytest.mark.parametrize("duration, message", [
+        (0, r"duration must be positive, got 0"),
+        (-60, r"duration must be positive, got -60"),
+        (90.5, r"duration 90.5s is not a multiple of the tick length 1s"),
+    ])
+    def test_invalid_duration_fails_in_the_engine(self, duration, message):
+        manager = self._flow()
+        with pytest.raises(SimulationError, match=message):
+            manager.run(duration)
+        fleet = RegionFleetManager(
+            [FleetFlowSpec(name="flow0", workload=ConstantRate(600))], coordinate_period=None
+        )
+        with pytest.raises(SimulationError, match=message):
+            fleet.run(duration)
 
 
 class TestFrameValidation:

@@ -52,9 +52,15 @@ TICKS = 4000
 
 
 def span_columns(generator, ticks=TICKS):
-    """``(records, payload, distinct)`` as float arrays."""
+    """``(records, payload)`` as float arrays."""
     columns = generator.generate_span(1, ticks, 1)
     return [np.asarray(column, dtype=float) for column in columns]
+
+
+def tick_arrays(generator, ticks=TICKS):
+    """``(records, payload, distinct)`` from per-tick batches, as float
+    arrays: ``generate_span`` does not return the distinct pages."""
+    return [np.asarray(column, dtype=float) for column in tick_columns(generator, ticks)]
 
 
 def tick_columns(generator, ticks):
@@ -118,7 +124,7 @@ class TestDistributionalEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_distinct_pages_match(self, seed):
         exact, fast = generator_pair(seed)
-        e, f = span_columns(exact)[2], span_columns(fast)[2]
+        e, f = tick_arrays(exact)[2], tick_arrays(fast)[2]
         assert f.mean() == pytest.approx(e.mean(), rel=0.02)
         assert f.std() == pytest.approx(e.std(), rel=0.08)
         assert ks_statistic(e, f) < KS_THRESHOLD
@@ -137,8 +143,8 @@ class TestDistributionalEquivalence:
     def test_varying_rate_totals_match(self, seed):
         pattern = SinusoidalRate(mean=1200.0, amplitude=900.0, period=TICKS)
         exact, fast = generator_pair(seed, pattern=pattern)
-        e = span_columns(exact)
-        f = span_columns(fast)
+        e = tick_arrays(exact)
+        f = tick_arrays(fast)
         for e_col, f_col in zip(e, f):
             assert f_col.sum() == pytest.approx(e_col.sum(), rel=0.02)
         assert fast.total_records == pytest.approx(exact.total_records, rel=0.02)
@@ -147,22 +153,22 @@ class TestDistributionalEquivalence:
     def test_sigma_zero_payload_is_deterministic(self):
         config = ClickStreamConfig(record_bytes_sigma=0.0, mean_record_bytes=200)
         _exact, fast = generator_pair(11, config=config)
-        records, payload, _distinct = span_columns(fast)
+        records, payload = span_columns(fast)
         assert np.array_equal(payload, records * 200)
 
     def test_large_batch_summary_mirrors_reference(self):
         """Ticks above LARGE_BATCH records get the reference path's
         deterministic ``records * mean`` summary, not a normal draw."""
         _exact, fast = generator_pair(5, rate=float(2 * FastClickStreamGenerator.LARGE_BATCH))
-        records, payload, _distinct = span_columns(fast, ticks=64)
+        records, payload = span_columns(fast, ticks=64)
         assert (records > FastClickStreamGenerator.LARGE_BATCH).all()
         assert np.array_equal(payload, records * 350)
 
 
 class TestFastDeterminism:
     def test_same_seed_same_stream(self):
-        a = span_columns(generator_pair(9)[1])
-        b = span_columns(generator_pair(9)[1])
+        a = tick_arrays(generator_pair(9)[1])
+        b = tick_arrays(generator_pair(9)[1])
         for col_a, col_b in zip(a, b):
             assert np.array_equal(col_a, col_b)
 
@@ -172,9 +178,11 @@ class TestFastDeterminism:
         ticks = 3000  # crosses a block boundary
         spanned = by_span.generate_span(1, ticks, 1)
         ticked = tick_columns(by_tick, ticks)
-        assert spanned == tuple(ticked)
+        assert spanned == ticked[:2]
         assert by_span.total_records == by_tick.total_records
         assert by_span.total_bytes == by_tick.total_bytes
+        # Both drew the same blocks, distinct pages included.
+        assert by_span._rng.bit_generator.state == by_tick._rng.bit_generator.state
 
     def test_uneven_span_boundaries_identical(self):
         """Block draws align to the absolute tick index, so how the
@@ -182,7 +190,7 @@ class TestFastDeterminism:
         _, reference = generator_pair(9)
         _, uneven = generator_pair(9)
         whole = reference.generate_span(1, 3000, 1)
-        pieces = ([], [], [])
+        pieces = ([], [])
         start = 1
         for count in (7, 1000, 13, 1024, 956):
             part = uneven.generate_span(start, count, 1)

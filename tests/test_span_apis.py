@@ -288,10 +288,9 @@ class TestBatchedWorkloadReads:
         for _ in range(50):
             clock.advance()
             batches.append(tick.generate(clock))
-        records, payloads, distincts = span.generate_span(1, 50, 1)
+        records, payloads = span.generate_span(1, 50, 1)
         assert records == [b.records for b in batches]
         assert payloads == [b.payload_bytes for b in batches]
-        assert distincts == [b.distinct_keys for b in batches]
         assert span.total_records == tick.total_records
         assert span.total_bytes == tick.total_bytes
         # Both generators end on the same RNG state: not one extra draw.

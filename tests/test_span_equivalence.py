@@ -328,6 +328,20 @@ class TestControlledFlowEquivalence:
         reference, spanned = run_pair(build, 1500)
         assert_equivalent(reference, spanned)
 
+    def test_storm_window_state_is_the_same_in_both_modes(self):
+        """With a distinct estimator the cluster derives a window's
+        writes from its record count, so neither mode folds per-tick
+        distinct pages into the open window. 605 s ends 5 s into one."""
+        clusters = []
+        for spans in (False, True):
+            manager = FlowBuilder("wk", seed=3).workload(ConstantRate(900)).spans(spans).build()
+            manager.run(605)
+            clusters.append(manager.cluster)
+        ticked, spanned = clusters
+        assert ticked._window_elapsed == 5
+        for state in ("_window_keys", "_window_records", "_window_elapsed"):
+            assert getattr(spanned, state) == getattr(ticked, state), state
+
 
 def _kind(saturated, producer):
     """The closed form a plan runs: throttled with a producer stage,
