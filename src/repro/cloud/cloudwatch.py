@@ -8,27 +8,30 @@ path a real deployment uses, so monitoring delay and aggregation
 effects are part of the control loop.
 
 Storage is columnar by emitter: each service writes its metrics as one
-frame (one time column, one value row per metric), so a tick or a span
-lands with one time conversion and one order check however many metrics
-the service reports. A run reserves its tick count first
-(:meth:`SimCloudWatch.reserve`), so a fresh run's frames are allocated
-once at their final size. Complexity contract (see DESIGN.md
-"Metric-store complexity contract"): appends are O(1) amortized per
-frame, window reads are O(log n + window) via bisect over the
-time-ordered column, and period aggregation is a single left-to-right
-pass over the located slice. Aggregation order is pinned left-to-right
-(append order), so it does not move ``Average``/``Sum`` results by a
-ULP. Reads are memoized per frame version: co-located alarms, sensors
-and collectors asking for the same (window, statistic) within one
-control period aggregate once, and reads of one frame's rows over one
-window locate it once.
+frame (shared times, one value row per metric), so a tick or a span
+lands with one time check however many metrics the service reports.
+Times are kept as arithmetic runs (a span's ticks are one), and a
+capacity constant across spans as steps, one value per change. A run
+reserves its tick count first (:meth:`SimCloudWatch.reserve`), so a
+fresh run's dense rows are allocated once at their final size.
+Complexity contract (see DESIGN.md "Metric-store complexity
+contract"): appends are O(1) amortized per frame, window reads are
+O(log runs + window) via a bisect over the time runs, and period
+aggregation is a single left-to-right pass over the located slice.
+Aggregation order is pinned left-to-right (append order, an explicit
+fold rather than ``sum()``), so it does not move ``Average``/``Sum``
+results by a ULP. Reads are memoized per frame version: co-located
+alarms, sensors and collectors asking for the same (window, statistic)
+within one control period aggregate once, and reads of one frame's rows
+over one window locate it once.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
+import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -107,9 +110,9 @@ def _dimension_key(
 
 def _aggregate(values: list[float], statistic: str) -> float:
     if statistic == "Average":
-        return sum(values) / len(values)
+        return _fold(values) / len(values)
     if statistic == "Sum":
-        return float(sum(values))
+        return _fold(values)
     if statistic == "Maximum":
         return float(max(values))
     if statistic == "Minimum":
@@ -119,6 +122,15 @@ def _aggregate(values: list[float], statistic: str) -> float:
     if statistic.startswith("p"):
         return _percentile(values, float(statistic[1:]))
     raise MonitoringError(f"unsupported statistic {statistic!r}")
+
+
+def _fold(values: list[float]) -> float:
+    """Left-to-right float sum, as ``sum()`` adds before Python 3.12
+    (which compensates it): the pinned aggregation order."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -139,38 +151,144 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[low] + weight * (ordered[high] - ordered[low])
 
 
+#: Native float64 bytes of a float: two values are the same step only
+#: when these match.
+_PACK = struct.Struct("d").pack
+
+#: Timestamp types a write accepts (besides a ``range`` of them).
+_INTEGERS = (int, np.integer)
+
+
+def _integer_times(times: ArrayLike) -> list[int]:
+    """Batch ``times`` as builtin ints; a value that is not an integer
+    raises :class:`MonitoringError` naming it."""
+    for t in times:
+        if not isinstance(t, _INTEGERS):
+            if hasattr(t, "__len__") and not isinstance(t, str):
+                raise MonitoringError(
+                    f"batch times/values must be flat numeric columns: timestamp {t!r}"
+                )
+            _reject_time(t)
+    return [int(t) for t in times]
+
+
+def _reject_time(t: object) -> None:
+    shown = t.item() if isinstance(t, np.generic) else t
+    raise MonitoringError(f"timestamps must be integers, got {shown!r}")
+
+
+def _disorder(t: int, after: int) -> None:
+    raise MonitoringError(f"metric datapoints must be time-ordered: got t={t} after t={after}")
+
+
+class _Steps:
+    """A row kept as steps: ``(index, value)`` pairs, one pair wherever
+    the value's float64 bits change (so ``-0.0`` after ``0.0`` and every
+    NaN payload count as changes). ``at[0]`` is 0 once the row holds
+    data, since every frame write writes every row.
+    """
+
+    __slots__ = ("at", "values")
+
+    def __init__(self) -> None:
+        self.at: list[int] = []
+        self.values: list[float] = []
+
+    def changes(self, n: int, column: ArrayLike | float, count: int) -> list[tuple[int, float]]:
+        """The pairs a write of ``count`` values from index ``n`` adds;
+        raises ``ValueError``/``TypeError`` on a non-numeric or non-flat
+        column, before anything is stored."""
+        values = self.values
+        if not hasattr(column, "__len__"):
+            # Converted as a dense row's block would convert it.
+            value = float(np.float64(column))
+            if values and _PACK(value) == _PACK(values[-1]):
+                return []
+            return [(n, value)]
+        col = np.asarray(column, dtype=np.float64)
+        if col.shape != (count,):
+            raise ValueError(f"a column of shape {col.shape} for {count} timestamps")
+        bits = col.view(np.int64)
+        new = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+        if not values or col[:1].tobytes() != _PACK(values[-1]):
+            new.insert(0, 0)
+        floats = col.tolist()
+        return [(n + i, floats[i]) for i in new]
+
+    def take(self, changes: list[tuple[int, float]]) -> None:
+        for i, value in changes:
+            self.at.append(i)
+            self.values.append(value)
+
+    def array(self, lo: int, hi: int) -> np.ndarray:
+        """Values at indices ``[lo, hi)``, as a new ``float64`` array."""
+        if lo >= hi:
+            return np.empty(0, dtype=np.float64)
+        at = self.at
+        first = bisect_right(at, lo) - 1
+        stop = bisect_left(at, hi)
+        bounds = [lo, *at[first + 1 : stop], hi]
+        return np.repeat(np.asarray(self.values[first:stop], dtype=np.float64), np.diff(bounds))
+
+
 class _Frame:
-    """Co-emitted metric series: one time column, one value row per metric.
+    """Co-emitted metric series: shared times, one row per metric.
 
     An emitter (a service's per-tick or per-span emission) writes all of
-    its metrics at the same timestamps, so the frame stores that column
-    once: an ``int64`` time column and a ``k × capacity`` ``float64``
-    block, which start at ``capacity`` columns and grow together by
-    doubling past it. One append converts and order-checks the times
-    once for every row, and one version counter covers them all. A
-    series written alone (``put_metric_data``) is a one-row frame, so
-    this is the store's one storage class.
+    its metrics at the same timestamps, so the frame stores them once,
+    as arithmetic runs: run ``r`` starts at index ``_run_at[r]`` with
+    time ``_run_t0[r]`` and steps by ``_run_step[r]`` up to the next
+    run's start (a run of one has step 0 until a second time joins it).
+    A span's ticks are one progression, so a ``range`` joins the last
+    run in O(1); any other times are split into the fewest runs, and a
+    run of ticks stays one run however it was written. Rows are dense or
+    steps. A dense row is a row of the ``float64`` block, which starts
+    at ``capacity`` columns and grows by doubling past it. A row that
+    arrived as a plain number in the batch that created the frame (a
+    capacity constant across a span) is a :class:`_Steps`. One append
+    checks the times once for every row, and one version counter covers
+    them all. A series written alone (``put_metric_data``) is a one-row
+    frame, so this is the store's one storage class.
 
     The time-ordered invariant (non-decreasing, enforced on every
-    append) is what makes O(log n) window location sound: both ends of a
-    right-closed window ``(start, end]`` are found by binary search, and
-    the located slice is already in append order, so aggregating it
-    left-to-right matches a full-scan filter bit for bit. A window is
-    located once per frame version and shared by every row's reads.
+    append) is what makes window location O(log runs): each end of a
+    right-closed window ``(start, end]`` is a bisect over the runs'
+    first times plus one floor division, and the located slice is
+    already in append order, so aggregating it left-to-right matches a
+    full-scan filter bit for bit. A window is located once per frame
+    version and shared by every row's reads.
     """
 
     __slots__ = (
-        "names", "owned", "_times", "_block", "_len", "version",
-        "_memo_version", "_located", "_results",
+        "names", "owned", "_cells", "_block", "_run_at", "_run_t0", "_run_step", "_len",
+        "version", "_memo_version", "_located", "_results",
     )
 
-    def __init__(self, names: tuple[str, ...], owned: bool, capacity: int = _START_COLUMNS) -> None:
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        owned: bool,
+        capacity: int = _START_COLUMNS,
+        steps: Sequence[int] = (),
+    ) -> None:
         self.names = names
         #: Whether an emitter owns the frame (``put_metric_frame*``);
         #: ``put_metric_data*`` may write only frames it created itself.
         self.owned = owned
-        self._times = np.empty(capacity, dtype=np.int64)
-        self._block = np.empty((len(names), capacity), dtype=np.float64)
+        #: Per metric: its block row (an int) or its :class:`_Steps`.
+        cells: list[int | _Steps] = []
+        dense = 0
+        for i in range(len(names)):
+            if i in steps:
+                cells.append(_Steps())
+            else:
+                cells.append(dense)
+                dense += 1
+        self._cells = tuple(cells)
+        self._block = np.empty((dense, capacity), dtype=np.float64)
+        self._run_at: list[int] = []
+        self._run_t0: list[int] = []
+        self._run_step: list[int] = []
         self._len = 0
         #: Bumped on every append; read memos key on it, so a stale
         #: cached aggregate can never be served after new data lands.
@@ -181,22 +299,81 @@ class _Frame:
 
     @property
     def times(self) -> np.ndarray:
-        """View of the shared time column (do not mutate)."""
-        return self._times[: self._len]
+        """The timestamps as a new ``int64`` array."""
+        return self.time_array(0, self._len)
+
+    def time_array(self, lo: int, hi: int) -> np.ndarray:
+        """Timestamps at indices ``[lo, hi)``, as a new ``int64`` array
+        (8 B a time, where a list of builtin ints costs about 40)."""
+        run_at = self._run_at
+        out = np.empty(hi - lo, dtype=np.int64)
+        r = bisect_right(run_at, lo) - 1
+        i = lo
+        while i < hi:
+            at = run_at[r]
+            end = run_at[r + 1] if r + 1 < len(run_at) and run_at[r + 1] < hi else hi
+            # One expression, so numpy reuses the arange's buffer for
+            # the product and the sum instead of holding two more.
+            out[i - lo : end - lo] = (
+                np.arange(i - at, end - at, dtype=np.int64) * self._run_step[r] + self._run_t0[r]
+            )
+            i = end
+            r += 1
+        return out
+
+    def _last_time(self) -> int:
+        return self._run_t0[-1] + (self._len - 1 - self._run_at[-1]) * self._run_step[-1]
+
+    def _runs(self, times: ArrayLike) -> Sequence[tuple[int, int, int]]:
+        """A batch's times as ``(first time, step, count)`` runs, checked
+        (integers, non-decreasing, none before the frame's tail) before
+        anything is stored: a ``range`` is one run, any other time a run
+        of its own for :meth:`_add_runs` to join."""
+        ts = times if type(times) is range else _integer_times(times)
+        if self._len and ts[0] < self._last_time():
+            _disorder(ts[0], self._last_time())
+        if type(ts) is range:
+            if len(ts) > 1 and ts.step < 0:
+                _disorder(ts[1], ts[0])
+            return ((ts.start, ts.step, len(ts)),)
+        for i in range(1, len(ts)):
+            if ts[i] < ts[i - 1]:
+                _disorder(ts[i], ts[i - 1])
+        return [(t, 0, 1) for t in ts]
+
+    def _add_runs(self, runs: Sequence[tuple[int, int, int]]) -> None:
+        """Append checked runs after the tail, each joining the last run
+        where it continues it. Joined greedily, one time at a time, a
+        list of times splits into the fewest runs."""
+        run_at, run_t0, run_step = self._run_at, self._run_t0, self._run_step
+        n = self._len
+        for t0, step, count in runs:
+            if run_at:
+                length = n - run_at[-1]
+                if length == 1:
+                    if count == 1 or t0 - run_t0[-1] == step:
+                        run_step[-1] = t0 - run_t0[-1]
+                        n += count
+                        continue
+                elif t0 == run_t0[-1] + length * run_step[-1] and (
+                    count == 1 or step == run_step[-1]
+                ):
+                    n += count
+                    continue
+            run_at.append(n)
+            run_t0.append(t0)
+            run_step.append(step if count > 1 else 0)
+            n += count
 
     def _reserve(self, extra: int) -> None:
         need = self._len + extra
-        capacity = self._times.shape[0]
+        capacity = self._block.shape[1]
         if need <= capacity:
             return
         while capacity < need:
             capacity *= 2
-        n = self._len
-        times = np.empty(capacity, dtype=np.int64)
-        block = np.empty((len(self.names), capacity), dtype=np.float64)
-        times[:n] = self._times[:n]
-        block[:, :n] = self._block[:, :n]
-        self._times = times
+        block = np.empty((self._block.shape[0], capacity), dtype=np.float64)
+        block[:, : self._len] = self._block[:, : self._len]
         self._block = block
 
     def append(self, t: int, values: Sequence[float]) -> None:
@@ -206,31 +383,35 @@ class _Frame:
                 f"frame {self.names} takes {len(self.names)} values per "
                 f"timestamp, got {len(values)}"
             )
+        if not isinstance(t, _INTEGERS):
+            _reject_time(t)
+        t = int(t)
         n = self._len
-        if n and t < self._times[n - 1]:
-            raise MonitoringError(
-                f"metric datapoints must be time-ordered: "
-                f"got t={t} after t={int(self._times[n - 1])}"
-            )
+        if n and t < self._last_time():
+            _disorder(t, self._last_time())
         self._reserve(1)
+        block = self._block
+        steps = []
         try:
-            self._times[n] = t
-            self._block[:, n] = values
+            for cell, value in zip(self._cells, values):
+                if cell.__class__ is int:
+                    block[cell, n] = value
+                else:
+                    steps.append((cell, cell.changes(n, value, 1)))
         except (ValueError, TypeError) as exc:
             raise MonitoringError(f"datapoints must be numeric: {exc}") from None
-        self._len = n + 1
-        self.version += 1
+        self._commit(steps, ((t, 0, 1),), n + 1)
 
     def extend(self, times: ArrayLike, columns: Sequence[ArrayLike | float]) -> None:
-        """Append a time-ordered batch; one conversion and check of the
-        times for every row, one version bump.
+        """Append a time-ordered batch; one check of the times for every
+        row, one version bump.
 
         ``columns`` holds one entry per row: a column as long as
-        ``times``, or a number that holds for every timestamp. The
+        ``times``, or a number that holds for every timestamp. Dense
         columns are written straight into the reserved tail and
-        validated there; a rejected batch leaves ``_len`` and the
-        version untouched, so the garbage past the end stays invisible
-        and is overwritten by the next append.
+        validated there; a rejected batch leaves ``_len``, the runs,
+        the steps and the version untouched, so the garbage past the end
+        stays invisible and is overwritten by the next append.
         """
         count = len(times)
         if len(columns) != len(self.names):
@@ -245,33 +426,30 @@ class _Frame:
                 )
         if count == 0:
             return
+        runs = self._runs(times)
         n = self._len
         end = n + count
         self._reserve(count)
-        ta = self._times
-        try:
-            ta[n:end] = times
-        except (ValueError, TypeError) as exc:
-            raise MonitoringError(
-                f"batch times/values must be flat numeric columns: {exc}"
-            ) from None
-        # One check covers the batch and its join to the frame's tail.
-        seg = ta[n - 1 if n else 0 : end]
-        disordered = seg[1:] < seg[:-1]
-        if disordered.any():
-            i = int(disordered.argmax())
-            raise MonitoringError(
-                f"metric datapoints must be time-ordered: "
-                f"got t={int(seg[i + 1])} after t={int(seg[i])}"
-            )
         block = self._block
+        steps = []
         try:
-            for row, column in enumerate(columns):
-                block[row, n:end] = column
+            for cell, column in zip(self._cells, columns):
+                if cell.__class__ is int:
+                    block[cell, n:end] = column
+                else:
+                    steps.append((cell, cell.changes(n, column, count)))
         except (ValueError, TypeError) as exc:
             raise MonitoringError(
                 f"batch times/values must be flat numeric columns: {exc}"
             ) from None
+        self._commit(steps, runs, end)
+
+    def _commit(self, steps: list, runs: Sequence[tuple[int, int, int]], end: int) -> None:
+        """Store a checked write: its step changes, its runs, its length."""
+        for cell, changes in steps:
+            if changes:
+                cell.take(changes)
+        self._add_runs(runs)
         self._len = end
         self.version += 1
 
@@ -283,13 +461,26 @@ class _Frame:
             self._results = {}
         return self._results
 
+    def _count_to(self, t: int) -> int:
+        """How many datapoints have a time at or before ``t``."""
+        r = bisect_right(self._run_t0, t) - 1
+        if r < 0:
+            return 0
+        at = self._run_at[r]
+        end = self._run_at[r + 1] if r + 1 < len(self._run_at) else self._len
+        step = self._run_step[r]
+        if step:
+            k = int((t - self._run_t0[r]) // step) + 1
+            if at + k < end:
+                return at + k
+        return end
+
     def locate(self, start: int, end: int) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of datapoints with start < t <= end."""
         self.memo()
         found = self._located.get((start, end))
         if found is None:
-            lo, hi = np.searchsorted(self._times[: self._len], (start, end), side="right").tolist()
-            found = self._located[(start, end)] = (lo, hi)
+            found = self._located[(start, end)] = (self._count_to(start), self._count_to(end))
         return found
 
 
@@ -297,10 +488,12 @@ class _Row:
     """One metric of a frame: the read surface of a single series.
 
     ``SimCloudWatch._series`` maps every series key to one of these.
-    ``times``, ``values``, ``version``, ``locate`` and ``window`` read
-    through to the frame, so all rows of a frame share its time column,
-    version and located windows. Everything :meth:`window` hands back is
-    builtin ``float``, so numpy scalar types never leak into results.
+    ``times``, ``version`` and ``locate`` read through to the frame, so
+    all rows of a frame share its time runs, version and located
+    windows; ``values`` and :meth:`window` read the row's block row or
+    its steps. ``times`` and ``values`` are new arrays, never views of
+    the storage, and everything :meth:`window` hands back is builtin
+    ``float``, so numpy scalar types never leak into results.
     """
 
     __slots__ = ("frame", "row")
@@ -314,14 +507,17 @@ class _Row:
 
     @property
     def times(self) -> np.ndarray:
-        """View of the frame's time column (do not mutate)."""
+        """The frame's timestamps as a new ``int64`` array."""
         return self.frame.times
 
     @property
     def values(self) -> np.ndarray:
-        """View of this metric's recorded values (do not mutate)."""
+        """This metric's recorded values as a new ``float64`` array."""
         frame = self.frame
-        return frame._block[self.row, : frame._len]
+        cell = frame._cells[self.row]
+        if cell.__class__ is int:
+            return frame._block[cell, : frame._len].copy()
+        return cell.array(0, frame._len)
 
     @property
     def version(self) -> int:
@@ -331,11 +527,17 @@ class _Row:
         """Index range ``[lo, hi)`` of datapoints with start < t <= end."""
         return self.frame.locate(start, end)
 
+    def slice(self, lo: int, hi: int) -> list[float]:
+        """Values at indices ``[lo, hi)``, as builtin floats."""
+        frame = self.frame
+        cell = frame._cells[self.row]
+        if cell.__class__ is int:
+            return frame._block[cell, lo:hi].tolist()
+        return cell.array(lo, hi).tolist()
+
     def window(self, start: int, end: int) -> list[float]:
         """Values with start < t <= end (CloudWatch-style right-closed)."""
-        frame = self.frame
-        lo, hi = frame.locate(start, end)
-        return frame._block[self.row, lo:hi].tolist()
+        return self.slice(*self.frame.locate(start, end))
 
 
 class SimCloudWatch:
@@ -369,7 +571,7 @@ class SimCloudWatch:
         timestamp: int,
         dimensions: dict[str, str] | None = None,
     ) -> None:
-        """Record one datapoint. Timestamps must be non-decreasing per series."""
+        """Record one datapoint. Timestamps are integers, non-decreasing per series."""
         self._lone_frame(namespace, metric_name, dimensions).append(timestamp, (value,))
 
     def put_metric_frame(
@@ -383,9 +585,10 @@ class SimCloudWatch:
         """Record one datapoint for each of an emitter's metrics.
 
         ``values[i]`` belongs to ``metric_names[i]``; all of them share
-        ``timestamp``. The metrics form one frame — one time column, one
-        version — that only this call and :meth:`put_metric_frame_batch`
-        may write.
+        ``timestamp``, an integer. The metrics form one frame — shared
+        times, one version — that only this call and
+        :meth:`put_metric_frame_batch` may write. A frame this call
+        creates keeps every row dense.
         """
         self._frame(namespace, metric_names, dimensions).append(timestamp, values)
 
@@ -402,10 +605,13 @@ class SimCloudWatch:
         The columnar write path for span execution: ``columns[i]`` is
         ``metric_names[i]``'s column, as long as ``times``, or a number
         that holds for every timestamp (a capacity constant across the
-        span). The times are converted and order-checked once for the
-        whole frame, and the batch lands with one version bump.
+        span). ``times`` are integers; a ``range`` joins the frame's
+        last time run in O(1). They are order-checked once for the whole
+        frame, and the batch lands with one version bump. A row given a
+        number in the batch that creates the frame is kept as steps,
+        one value per change, instead of one per timestamp.
         """
-        self._frame(namespace, metric_names, dimensions).extend(times, columns)
+        self._frame(namespace, metric_names, dimensions, columns).extend(times, columns)
 
     def _lone_frame(
         self, namespace: str, metric_name: str, dimensions: dict[str, str] | None
@@ -429,8 +635,10 @@ class SimCloudWatch:
         namespace: str,
         metric_names: tuple[str, ...],
         dimensions: dict[str, str] | None,
+        columns: Sequence[ArrayLike | float] = (),
     ) -> _Frame:
-        """An emitter's frame, created (and its rows registered) on first use."""
+        """An emitter's frame, created (and its rows registered) on first
+        use; the rows ``columns`` gives as plain numbers are steps."""
         dims = _dimension_key(dimensions)
         frame_key = (namespace, dims, metric_names)
         frame = self._frames.get(frame_key)
@@ -445,8 +653,9 @@ class SimCloudWatch:
                     f"series {namespace}/{key[1]} (dimensions={dict(dims)}) is "
                     f"already stored outside the frame {metric_names}"
                 )
+        steps = [i for i, column in enumerate(columns) if not hasattr(column, "__len__")]
         frame = self._frames[frame_key] = _Frame(
-            metric_names, owned=True, capacity=self._frame_columns
+            metric_names, owned=True, capacity=self._frame_columns, steps=steps
         )
         for row, key in enumerate(keys):
             self._series[key] = _Row(frame, row)
@@ -456,13 +665,15 @@ class SimCloudWatch:
         """Make room for ``rows`` more datapoints in every emitter frame.
 
         A run calls this with its tick count before it starts, since
-        each emitter writes one datapoint a tick. Emitter frames created
-        after the call start at exactly ``rows`` columns (16 when
-        ``rows`` is 0), so a fresh run's frames are never regrown,
-        copied or left with slack. Existing frames grow by the doubling
-        rule, so repeated short runs stay amortized, and doubling also
-        covers any write past the reservation. Lone series
-        (``put_metric_data``) keep their 16-column start.
+        each emitter writes one datapoint a tick. The room is the dense
+        rows' block: time runs and step rows grow by one entry per run
+        or change, not per datapoint. Emitter frames created after the
+        call start at exactly ``rows`` columns (16 when ``rows`` is 0),
+        so a fresh run's blocks are never regrown, copied or left with
+        slack. Existing frames grow by the doubling rule, so repeated
+        short runs stay amortized, and doubling also covers any write
+        past the reservation. Lone series (``put_metric_data``) keep
+        their 16-column start.
         """
         if rows < 0:
             raise MonitoringError(f"rows must be non-negative, got {rows}")
@@ -506,9 +717,9 @@ class SimCloudWatch:
         are right-aligned on ``end``: the latest period covers
         ``(end - period, end]``.
 
-        Cost is one O(log n) window location plus a single left-to-right
-        pass over the located slice, regardless of how many periods the
-        range spans.
+        Cost is O(log runs + window): one window location (a bisect over
+        the time runs) plus a single left-to-right pass over the located
+        slice, regardless of how many periods the range spans.
         """
         if period <= 0:
             raise MonitoringError(f"period must be positive, got {period}")
@@ -526,8 +737,8 @@ class SimCloudWatch:
         lo, hi = frame.locate(start, end)
         # Materialize the located slice as builtin ints/floats once:
         # aggregation then never sees numpy scalars.
-        times = frame._times[lo:hi].tolist()
-        values = frame._block[row.row, lo:hi].tolist()
+        times = frame.time_array(lo, hi).tolist()
+        values = row.slice(lo, hi)
         i, n = 0, hi - lo
         while i < n:
             # Right-aligned period containing times[i]: boundaries sit

@@ -361,10 +361,10 @@ class SimDynamoDBTable:
         vector stretch).
 
         Provisioned capacities are constant inside a span (a pending
-        update completing is a span boundary), so they arrive as scalars
-        and broadcast per tick. Throttle-episode tracking replays tick
-        by tick — write then read per tick, matching the per-tick loop —
-        when a bus is attached.
+        update completing is a span boundary), so they arrive as
+        scalars, which the store keeps as steps. Throttle-episode
+        tracking replays tick by tick — write then read per tick,
+        matching the per-tick loop — when a bus is attached.
         """
         cloudwatch.put_metric_frame_batch(NAMESPACE, METRICS, times, (
             consumed, throttled, write_capacity, utilization, burst, read_consumed,

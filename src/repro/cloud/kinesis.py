@@ -442,14 +442,15 @@ class SimKinesisStream:
 
         The caller (the pipeline's span executor) computed the per-tick
         columns — lists from the scalar recurrence, arrays from the
-        vector stretch — with the exact per-tick arithmetic; this method
-        lands them as one frame append — same values, same append order,
-        one version bump per span — and replays the throttle-episode
-        tracking tick by tick when a bus is attached. The shard count is
-        constant inside a span (a reshard is a span boundary), so it
-        arrives as a scalar. Tick counters are assumed already folded
-        into the columns, so unlike :meth:`emit_metrics` there is
-        nothing to reset here.
+        vector stretch — with the exact per-tick arithmetic, and passes
+        the span's ticks as a ``range``; this method lands them as one
+        frame append — same values, same append order, one version bump
+        per span — and replays the throttle-episode tracking tick by
+        tick when a bus is attached. The shard count is constant inside
+        a span (a reshard is a span boundary), so it arrives as a
+        scalar, which the store keeps as a step. Tick counters are
+        assumed already folded into the columns, so unlike
+        :meth:`emit_metrics` there is nothing to reset here.
         """
         cloudwatch.put_metric_frame_batch(NAMESPACE, METRICS, times, (
             accepted, accepted_bytes, throttled, read, shard_count, utilization, backlog,

@@ -418,7 +418,8 @@ class SimStormCluster:
         vector stretch).
 
         VM counts are constant inside a span (any change is a span
-        boundary), so they arrive as scalars and broadcast per tick.
+        boundary), so they arrive as scalars, which the store keeps as
+        steps.
         """
         cloudwatch.put_metric_frame_batch(NAMESPACE, METRICS, times, (
             cpu, processed, pending, running_vms, provisioned_vms, writes,

@@ -593,13 +593,15 @@ class _FlowPipeline:
         else:
             columns = [np.concatenate(column) for column in zip(*parts)]
         (
-            times, k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
+            k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
             k_lag, s_cpu, s_processed, s_pending, s_writes, d_consumed, d_throttled,
             d_util, d_burst, d_read_consumed, d_read_throttled, d_read_util,
         ) = columns
 
-        # Columnar metric emission (same values, same append order).
+        # Columnar metric emission (same values, same append order). The
+        # span's ticks are one arithmetic run, which the store keeps as such.
         cloudwatch = self.cloudwatch
+        times = range(clock.now + dt, span_end + dt, dt)
         stream.emit_metrics_span(
             cloudwatch, times, k_accepted, k_accepted_bytes, k_throttled, k_read,
             k_util, k_backlog, k_lag, span.shards,
@@ -725,7 +727,6 @@ class _FlowPipeline:
         two_record_cap = 2 * record_cap
         two_write_cap = 2 * write_cap
 
-        times: list[int] = []
         k_accepted: list[int] = []
         k_accepted_bytes: list[int] = []
         k_throttled: list[int] = []
@@ -746,7 +747,6 @@ class _FlowPipeline:
         d_read_util: list[float] = []
         # Bound-method locals: ~20 column appends per tick make the
         # attribute lookups measurable in this loop.
-        times_append = times.append
         k_accepted_append = k_accepted.append
         k_accepted_bytes_append = k_accepted_bytes.append
         k_throttled_append = k_throttled.append
@@ -769,7 +769,6 @@ class _FlowPipeline:
         cpu = cluster._tick_cpu
         processed = cluster._tick_processed
         writes = cluster._tick_writes_emitted
-        t = span.now + start * dt
         stop = count
         plan = None
         for i in range(start, count):
@@ -795,8 +794,6 @@ class _FlowPipeline:
                     noise_buf = [0.0] * seg
                 noise_idx = 0
                 noise_end = seg
-            t += dt
-            times_append(t)
             records = records_col[i]
             payload = payload_col[i]
 
@@ -944,7 +941,7 @@ class _FlowPipeline:
         table.writes.bucket = burst
         table.reads.bucket = read_burst
         return stop, plan, (
-            times, k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
+            k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog,
             k_lag, s_cpu, s_processed, s_pending, s_writes, d_consumed, d_throttled,
             d_util, d_burst, d_read_consumed, d_read_throttled, d_read_util,
         )
@@ -1064,9 +1061,6 @@ class _FlowPipeline:
             accepted = producer[0][:n]
             accepted_bytes = np.asarray(producer[1][:n], dtype=np.int64)
             k_throttled = records + 2 * span.record_cap - accepted
-        times = np.arange(
-            span.now + (start + 1) * dt, span.now + (stop + 1) * dt, dt, dtype=np.int64
-        )
 
         # The lag estimate's smoothed arrival rate, folded tick by tick
         # as the scalar loop folds it.
@@ -1168,7 +1162,7 @@ class _FlowPipeline:
         table.writes.bucket = float(d_burst[n - 1])
         table.reads.bucket = read_burst
         return stop, (
-            times, accepted, accepted_bytes, k_throttled, handed, k_util, buffer, k_lag,
+            accepted, accepted_bytes, k_throttled, handed, k_util, buffer, k_lag,
             s_cpu, processed, s_pending, s_writes, d_consumed, d_throttled, d_util, d_burst,
             d_read_consumed, zeros_i, d_read_util,
         )
@@ -1666,7 +1660,16 @@ class FlowElasticityManager:
     # Execution
     # ------------------------------------------------------------------
     def run(self, duration_seconds: int) -> FlowRunResult:
-        """Advance the simulation and return the analysed result."""
+        """Advance the simulation and return the analysed result.
+
+        A fleet member shares its region's engine, so it runs only
+        through :meth:`RegionFleetManager.run`, which runs every flow.
+        """
+        if not self._owns_engine:
+            raise ConfigurationError(
+                f"flow {self.flow_id!r} shares its region's engine: "
+                "run every flow with RegionFleetManager.run"
+            )
         started = perf_counter()
         self._reserve_run(duration_seconds)
         self.engine.run(duration_seconds)

@@ -1,15 +1,20 @@
 """Unit tests for the simulated CloudWatch metric store and alarms."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud import SUPPORTED_STATISTICS, MetricAlarm, SimCloudWatch, validate_statistic
+from repro.cloud import cloudwatch as cloudwatch_module
 from repro.cloud.cloudwatch import _aggregate
 from repro.core.builder import FlowBuilder
-from repro.core.errors import MonitoringError, SimulationError
+from repro.core.errors import ConfigurationError, MonitoringError, SimulationError
 from repro.core.fleet import FleetFlowSpec, RegionFleetManager
-from repro.workload.generators import ConstantRate
+from repro.core.manager import _FlowPipeline
+from repro.workload.generators import ConstantRate, SinusoidalRate
 
 
 @pytest.fixture
@@ -114,6 +119,11 @@ class TestStatistics:
         assert cw.get_metric_value("NS", "M", now=4, window=2) == 3.5
 
 
+def _bytes(values):
+    """float64 bytes of a list: equal only where every value is bit for bit."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def _brute_window(times, values, start, end):
     """The seed implementation's full-scan filter: start < t <= end."""
     return [v for t, v in zip(times, values) if start < t <= end]
@@ -210,14 +220,21 @@ _STATISTICS = (*SUPPORTED_STATISTICS, "p0", "p50", "p99.9", "p100")
 _values = st.one_of(
     st.integers(min_value=-1000, max_value=10**6),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    # Values == cannot tell apart: a step row must keep their bits.
+    st.sampled_from([0.0, -0.0, math.nan]),
 )
 _spans = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(
         st.just("span"),
         st.lists(st.integers(0, 2), min_size=n, max_size=n),
-        # A scalar broadcasts over the span, as capacity constants do.
+        # A scalar broadcasts over the span, as capacity constants do
+        # (in the batch that creates the frame, it makes a step row).
         st.tuples(*(st.one_of(_values, st.lists(_values, min_size=n, max_size=n))
                     for _ in _FRAME)),
+        # The times as a range as often as a list of the gaps: it starts
+        # one first gap after the clock and steps by the last gap (1 for
+        # a gap of 0).
+        st.booleans(),
     )
 )
 _ops = st.lists(
@@ -258,10 +275,15 @@ class TestFramesAgainstBruteForce:
                     model[name][0].append(clock)
                     model[name][1].append(float(value))
             elif kind == "span":
-                times = []
-                for step in op[1]:
-                    clock += step
-                    times.append(clock)
+                if op[3]:
+                    step = op[1][-1] or 1
+                    times = range(clock + op[1][0], clock + op[1][0] + len(op[1]) * step, step)
+                    clock = times[-1]
+                else:
+                    times = []
+                    for step in op[1]:
+                        clock += step
+                        times.append(clock)
                 cw.put_metric_frame_batch("NS", _FRAME, times, op[2], {"d": "x"})
                 for name, column in zip(_FRAME, op[2]):
                     if not isinstance(column, list):
@@ -281,21 +303,32 @@ class TestFramesAgainstBruteForce:
 
     @staticmethod
     def _check_reads(cw, model, now, window):
+        # By bytes: == cannot see a -0.0 stored as 0.0, or a NaN.
         for name, (times, values) in model.items():
             if not times:
                 continue
-            assert cw.get_series("NS", name, {"d": "x"}) == (times, values)
+            got_times, got_values = cw.get_series("NS", name, {"d": "x"})
+            assert got_times == times
+            assert _bytes(got_values) == _bytes(values)
+            row = cw._series[("NS", name, (("d", "x"),))]
+            assert row.times.tobytes() == np.asarray(times, dtype=np.int64).tobytes()
+            assert row.values.tobytes() == _bytes(values)
             expected = _brute_window(times, values, now - window, now)
+            assert _bytes(row.window(now - window, now)) == _bytes(expected)
             for statistic in _STATISTICS:
                 got = cw.get_metric_value(
                     "NS", name, now=now, window=window, statistic=statistic,
                     dimensions={"d": "x"}, default=float("inf"),
                 )
-                assert got == (_aggregate(expected, statistic) if expected else float("inf"))
+                want = _aggregate(expected, statistic) if expected else float("inf")
+                assert _bytes([got]) == _bytes([want])
                 for period in (1, 2, window):
-                    assert cw.get_metric_statistics(
+                    got = cw.get_metric_statistics(
                         "NS", name, now - window, now, period, statistic, {"d": "x"}
-                    ) == _brute_statistics(times, values, now - window, now, period, statistic)
+                    )
+                    want = _brute_statistics(times, values, now - window, now, period, statistic)
+                    assert [t for t, _ in got] == [t for t, _ in want]
+                    assert _bytes([v for _, v in got]) == _bytes([v for _, v in want])
 
     def test_sibling_rows_see_an_append_after_a_memoized_read(self, cw):
         cw.put_metric_frame("NS", ("A", "B"), 1, (1.0, 10.0))
@@ -309,8 +342,9 @@ class TestFramesAgainstBruteForce:
 
 
 def _frame_sizes(cloudwatch):
-    """``(capacity, length)`` of every emitter frame, in creation order."""
-    return [(frame._times.shape[0], frame._len) for frame in cloudwatch._frames.values()]
+    """``(capacity, length)`` of every emitter frame's dense block, in
+    creation order."""
+    return [(frame._block.shape[1], frame._len) for frame in cloudwatch._frames.values()]
 
 
 class TestRunReservation:
@@ -349,7 +383,7 @@ class TestRunReservation:
         cw.reserve(5000)
         cw.put_metric_data("NS", "L", 1.0, 1)
         cw.put_metric_frame("NS", ("A", "B"), 1, (1.0, 2.0))
-        assert cw._series[("NS", "L", ())].frame._times.shape[0] == 16
+        assert cw._series[("NS", "L", ())].frame._block.shape[1] == 16
         assert _frame_sizes(cw) == [(5000, 1)]
 
     def test_writes_past_a_reservation_double(self, cw):
@@ -361,6 +395,51 @@ class TestRunReservation:
     def test_negative_rows_rejected(self, cw):
         with pytest.raises(MonitoringError, match=r"rows must be non-negative, got -1"):
             cw.reserve(-1)
+
+    def test_a_fleet_member_does_not_run_alone(self):
+        """It shares the region's engine: running it would move every
+        flow's clock but build and reserve only its own store."""
+        fleet = RegionFleetManager(
+            [FleetFlowSpec(name=f"flow{i}", workload=ConstantRate(600)) for i in range(2)],
+            coordinate_period=None,
+        )
+        with pytest.raises(ConfigurationError, match=(
+            r"flow 'flow0' shares its region's engine: run every flow with RegionFleetManager.run"
+        )):
+            fleet.managers["flow0"].run(600)
+        assert fleet.engine.clock.now == 0
+        for manager in fleet.managers.values():
+            assert manager.cloudwatch._frame_columns == 16
+            assert manager.cloudwatch._frames == {}
+
+    def test_a_spanned_flow_stores_eighteen_dense_rows_and_no_time_column(self, monkeypatch):
+        """144 B a flow-tick: the five span-constant capacities are
+        steps and each frame's ticks are one time run."""
+        spans = []
+        run_span = _FlowPipeline.run_span
+
+        def counted(self, clock, span_end):
+            spans.append(span_end)
+            run_span(self, clock, span_end)
+
+        monkeypatch.setattr(_FlowPipeline, "run_span", counted)
+        manager = (
+            FlowBuilder("footprint", seed=11)
+            .workload(SinusoidalRate(mean=1500, amplitude=1100, period=600))
+            .control_all(style="adaptive", reference=60.0, period=30)
+            .build()
+        )
+        manager.run(3600)
+        frames = list(manager.cloudwatch._frames.values())
+        assert [frame._block.shape for frame in frames] == [(7, 3600), (4, 3600), (7, 3600)]
+        assert {frame._block.dtype for frame in frames} == {np.dtype(np.float64)}
+        assert [(f._run_at, f._run_t0, f._run_step) for f in frames] == [([0], [1], [1])] * 3
+        steps = [cell for frame in frames for cell in frame._cells if not isinstance(cell, int)]
+        assert len(steps) == 5
+        # Shards, VMs and write units scaled (the read capacity did
+        # not); each change costs one entry, not one per tick.
+        assert [len(cell.at) > 1 for cell in steps] == [True, True, True, True, False]
+        assert sum(len(cell.at) for cell in steps) < len(spans)
 
     @pytest.mark.parametrize("duration, message", [
         (0, r"duration must be positive, got 0"),
@@ -382,9 +461,13 @@ class TestFrameValidation:
     """Every rejected frame append names what was wrong and leaves every
     row of the frame exactly as it was."""
 
+    #: Row B of the ``framed`` frame: a number keeps B as steps.
+    B = 5
+
     @pytest.fixture
     def framed(self, cw):
-        cw.put_metric_frame_batch("NS", ("A", "B"), [1, 2], ([1.0, 2.0], 5))
+        cw.put_metric_frame_batch("NS", ("A", "B"), [1, 2], ([1.0, 2.0], self.B))
+        assert isinstance(_only_frame(cw)._cells[1], int) == isinstance(self.B, list)
         return cw
 
     @staticmethod
@@ -446,12 +529,165 @@ class TestFrameValidation:
             cw.put_metric_frame("NS", ("A", "B", "A"), 1, (1.0, 2.0, 3.0))
         assert cw.list_metrics() == []
 
+    @pytest.mark.parametrize("times, shown", [
+        ([3, 4.5], "4.5"),
+        ([3, 4.0], "4.0"),
+        (["3", "4"], "'3'"),
+        (np.array([3.0, 4.0]), "3.0"),
+    ], ids=["fraction", "integral-float", "string", "float-array"])
+    def test_non_integer_batch_times(self, framed, times, shown):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), times, ([0.0, 0.0], 0.0)
+        ), rf"timestamps must be integers, got {re.escape(shown)}$")
+
+    def test_non_integer_tick_time(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame("NS", ("A", "B"), 2.5, (0.0, 0.0)),
+                      r"timestamps must be integers, got 2.5$")
+
+    def test_truncated_times_cannot_pass_the_order_check(self, cw):
+        """1.7 then 1.2 used to be stored as [1, 1]: 1.2 was checked
+        against the truncated 1."""
+        with pytest.raises(MonitoringError, match=r"timestamps must be integers, got 1.7$"):
+            cw.put_metric_data("NS", "M", 1.0, 1.7)
+        with pytest.raises(MonitoringError, match=r"timestamps must be integers, got 1.2$"):
+            cw.put_metric_data("NS", "M", 1.0, 1.2)
+        assert cw.get_series("NS", "M") == ([], [])
+
+    def test_integer_types_and_ranges_are_accepted(self, framed):
+        framed.put_metric_frame_batch(
+            "NS", ("A", "B"), np.array([3, 4], dtype=np.int32), ([1.0, 1.0], 5)
+        )
+        framed.put_metric_frame("NS", ("A", "B"), np.int64(5), (1.0, 5))
+        framed.put_metric_frame_batch("NS", ("A", "B"), range(6, 12, 2), ([1.0] * 3, 5))
+        times, _ = framed.get_series("NS", "A")
+        assert times == [1, 2, 3, 4, 5, 6, 8, 10]
+        assert all(type(t) is int for t in times)
+
+    def test_descending_range(self, framed):
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), range(9, 5, -2), ([0.0, 0.0], 0.0)
+        ), r"time-ordered: got t=7 after t=9")
+
+    def test_rejected_column_leaves_a_step_row_intact(self, cw):
+        cw.put_metric_frame_batch("NS", ("S", "D"), [1, 2], (5, [1.0, 2.0]))
+        self._rejects(cw, lambda: cw.put_metric_frame_batch(
+            "NS", ("S", "D"), [3], (6, ["x"])
+        ), r"flat numeric columns")
+        self._rejects(cw, lambda: cw.put_metric_frame("NS", ("S", "D"), 3, ("x", 3.0)),
+                      r"datapoints must be numeric")
+        self._rejects(cw, lambda: cw.put_metric_frame("NS", ("S", "D"), 3, (6, "x")),
+                      r"datapoints must be numeric")
+        cw.put_metric_frame_batch("NS", ("S", "D"), [3], (5, [3.0]))
+        assert cw.get_series("NS", "S") == ([1, 2, 3], [5.0, 5.0, 5.0])
+
     def test_accepts_data_after_a_rejection(self, framed):
         with pytest.raises(MonitoringError):
             framed.put_metric_frame_batch("NS", ("A", "B"), [4, 3], ([0.0, 0.0], 0.0))
         framed.put_metric_frame_batch("NS", ("A", "B"), [3], ([9.0], 6))
         assert framed.get_series("NS", "A") == ([1, 2, 3], [1.0, 2.0, 9.0])
         assert framed.get_series("NS", "B") == ([1, 2, 3], [5.0, 5.0, 6.0])
+
+
+class TestFrameValidationWithDenseB(TestFrameValidation):
+    """The same cases with row B dense, so each rejection reaches both a
+    step row and a block row."""
+
+    B = [5, 5]
+
+
+def _only_frame(cw):
+    (frame,) = cw._frames.values()
+    return frame
+
+
+class TestTimeRunsAndSteps:
+    """Times are arithmetic runs and span-constant rows are steps, and
+    reads give back exactly what dense storage gave."""
+
+    def test_ranges_join_one_run(self, cw):
+        for first in range(1, 100, 10):
+            cw.put_metric_frame_batch(
+                "NS", ("A", "S"), range(first, first + 10), (np.arange(10.0), 3)
+            )
+        frame = _only_frame(cw)
+        assert (frame._run_at, frame._run_t0, frame._run_step) == ([0], [1], [1])
+        assert frame.times.tolist() == list(range(1, 101))
+
+    def test_ticks_join_one_run(self, cw):
+        for t in range(5, 505, 5):
+            cw.put_metric_frame("NS", ("A",), t, (1.0,))
+        frame = _only_frame(cw)
+        assert (frame._run_at, frame._run_t0, frame._run_step) == ([0], [5], [5])
+
+    def test_lists_split_into_fewest_runs(self, cw):
+        times = [1, 2, 3, 3, 3, 7, 11, 12]
+        cw.put_metric_frame_batch("NS", ("A",), times, ([0.0] * 8,))
+        frame = _only_frame(cw)
+        assert (frame._run_at, frame._run_t0, frame._run_step) == (
+            [0, 3, 5, 7], [1, 3, 7, 12], [1, 0, 4, 0]
+        )
+        assert frame.times.tolist() == times
+        for start in range(-1, 14):
+            for end in range(start, 14):
+                want = tuple(np.searchsorted(times, (start, end), side="right").tolist())
+                assert frame.locate(start, end) == want
+
+    def test_a_number_in_the_creating_batch_makes_a_step_row(self, cw):
+        for first, capacity in ((1, 4), (4, 4), (7, 5)):
+            cw.put_metric_frame_batch(
+                "NS", ("A", "S"), range(first, first + 3), ([1.0, 2.0, 3.0], capacity)
+            )
+        frame = _only_frame(cw)
+        assert frame._block.shape[0] == 1
+        steps = frame._cells[1]
+        assert (steps.at, steps.values) == ([0, 6], [4.0, 5.0])
+        assert cw.get_series("NS", "S") == (list(range(1, 10)), [4.0] * 6 + [5.0] * 3)
+
+    def test_steps_change_where_the_bits_change(self, cw):
+        scalars = [0.0, 0.0, -0.0, -0.0, math.nan, math.nan, 1, 1.0]
+        for t, value in enumerate(scalars, start=1):
+            cw.put_metric_frame_batch("NS", ("S",), range(t, t + 1), (value,))
+        steps = _only_frame(cw)._cells[0]
+        assert steps.at == [0, 2, 4, 6]
+        row = cw._series[("NS", "S", ())]
+        assert row.values.tobytes() == _bytes(scalars)
+        assert _bytes(row.window(1, 6)) == _bytes(scalars[1:6])
+
+    def test_ticks_and_columns_on_a_step_row(self, cw):
+        cw.put_metric_frame_batch("NS", ("A", "S"), [1, 2], ([1.0, 2.0], 7))
+        cw.put_metric_frame("NS", ("A", "S"), 3, (3.0, 7))
+        cw.put_metric_frame("NS", ("A", "S"), 4, (4.0, 8))
+        cw.put_metric_frame_batch("NS", ("A", "S"), [5, 6, 7], ([0.0] * 3, [8, 9, 9]))
+        steps = _only_frame(cw)._cells[1]
+        assert (steps.at, steps.values) == ([0, 3, 5], [7.0, 8.0, 9.0])
+        assert cw.get_series("NS", "S") == (list(range(1, 8)), [7.0] * 3 + [8.0] * 2 + [9.0] * 2)
+        assert cw.get_metric_value("NS", "S", now=6, window=3, statistic="Sum") == 25.0
+
+    def test_frames_made_by_a_tick_stay_dense(self, cw):
+        cw.put_metric_frame("NS", ("A", "S"), 1, (1.0, 7))
+        cw.put_metric_frame_batch("NS", ("A", "S"), range(2, 5), ([1.0] * 3, 7))
+        frame = _only_frame(cw)
+        assert frame._block.shape[0] == 2
+        assert cw.get_series("NS", "S") == ([1, 2, 3, 4], [7.0] * 4)
+
+
+class TestLeftFold:
+    """Average and Sum fold left to right, as Python 3.11's ``sum()``
+    adds: a compensated ``sum()`` (Python 3.12+, stood in for by
+    ``fsum``) must not move them."""
+
+    def test_average_and_sum_are_a_left_fold(self, cw, monkeypatch):
+        monkeypatch.setattr(cloudwatch_module, "sum", math.fsum, raising=False)
+        values = [0.1] * 10
+        fold = 0.0
+        for value in values:
+            fold += value
+        assert fold != math.fsum(values)
+        assert _aggregate(values, "Sum") == fold
+        assert _aggregate(values, "Average") == fold / 10
+        cw.put_metric_frame_batch("NS", ("M",), range(1, 11), (values,))
+        assert cw.get_metric_value("NS", "M", now=10, window=10, statistic="Sum") == fold
+        assert cw.get_metric_statistics("NS", "M", 0, 10, 10, "Average") == [(10, fold / 10)]
 
 
 class TestReadMemo:

@@ -194,11 +194,14 @@ _FLOW_METRICS = [
 
 
 class TestMetricStoreShape:
-    """A flow's store holds one time column per service, shared by that
-    service's series, in span and per-tick runs alike."""
+    """A flow's store holds one time run per service, shared by that
+    service's series, in span and per-tick runs alike; frames a span
+    run creates keep the five span-constant capacities as steps."""
 
-    @pytest.mark.parametrize("spans", [True, False], ids=["span", "per-tick"])
-    def test_one_time_column_per_service(self, spans):
+    @pytest.mark.parametrize(
+        "spans, dense", [(True, [7, 4, 7]), (False, [8, 6, 9])], ids=["span", "per-tick"]
+    )
+    def test_one_time_column_per_service(self, spans, dense):
         ticks = 300
         result = (
             FlowBuilder("canary", seed=3).workload(ConstantRate(800.0)).spans(spans).build()
@@ -207,11 +210,13 @@ class TestMetricStoreShape:
         cw = result.cloudwatch
         frames = list(cw._frames.values())
         assert [len(frame.names) for frame in frames] == [8, 6, 9]
-        assert [len(frame.times) for frame in frames] == [ticks] * 3
+        assert [frame._block.shape for frame in frames] == [(rows, ticks) for rows in dense]
+        assert [(f._run_at, f._run_t0, f._run_step) for f in frames] == [([0], [1], [1])] * 3
         assert frames[0].times.tolist() == list(range(1, ticks + 1))
         assert len(cw._series) == 23
         for row in cw._series.values():
-            assert any(row.times.base is frame._times for frame in frames)
+            assert any(row.frame is frame for frame in frames)
+            assert row.times.tolist() == list(range(1, ticks + 1))
             assert len(row.values) == ticks
         assert cw.list_metrics() == _FLOW_METRICS
 
