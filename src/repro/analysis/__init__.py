@@ -14,13 +14,7 @@ from repro.analysis.metrics import (
     slo_violation_rate,
 )
 from repro.analysis.report import ComparisonReport
-from repro.analysis.runner import (
-    RunnerError,
-    SweepCase,
-    derive_scenario_seed,
-    run_scenarios,
-    run_scenarios_dict,
-)
+from repro.analysis.runner import RunnerError, SweepCase, run_scenarios, run_scenarios_dict
 from repro.analysis.scorecard import (
     SMOKE_SCENARIOS,
     FleetScorecard,
@@ -29,6 +23,7 @@ from repro.analysis.scorecard import (
 )
 from repro.analysis.store import load_run_summary, load_run_traces, save_run
 from repro.analysis.summary import LayerSummary, RunSummary, summarize_run
+from repro.simulation.rng import derive_scenario_seed
 
 __all__ = [
     "slo_violation_rate",

@@ -25,12 +25,11 @@ reference); its keyword arguments must be picklable values.
 from __future__ import annotations
 
 import multiprocessing
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.core.errors import ConfigurationError, FlowerError
+from repro.core.errors import FlowerError
 
 #: Pinned worker start method for every sweep pool.
 #:
@@ -69,24 +68,6 @@ def pool_context() -> multiprocessing.context.BaseContext:
 
 class RunnerError(FlowerError):
     """The scenario runner was misused."""
-
-
-def derive_scenario_seed(base_seed: int, name: str) -> int:
-    """A deterministic per-scenario seed from the sweep seed and name.
-
-    Uses the same CRC32 label-folding as
-    :func:`repro.simulation.rng.derive_rng`, so two sweeps with the same
-    base seed give a scenario the same stream regardless of where it
-    sits in the list or which worker process runs it. A negative seed
-    raises :class:`ConfigurationError`, as there.
-    """
-    import numpy as np
-
-    if base_seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {base_seed}")
-
-    sequence = np.random.SeedSequence([int(base_seed), zlib.crc32(name.encode("utf-8"))])
-    return int(sequence.generate_state(1)[0])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis.metrics import slo_violation_rate
 from repro.chaos.mttr import recovery_times
@@ -226,51 +225,6 @@ class RunScorecard:
             ticks_per_second=float(data.get("ticks_per_second", 0.0)),
         )
 
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "RunScorecard":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
-    # ------------------------------------------------------------------
-    # The regression gate
-    # ------------------------------------------------------------------
-    def compare(self, baseline: "RunScorecard", rel_tol: float = 1e-9) -> list[str]:
-        """Drift messages vs a committed baseline; empty means green.
-
-        Every deterministic field is compared with a tight relative
-        tolerance, and drift in *either* direction fails — a run that
-        got cheaper or faster-settling without the baseline being
-        regenerated is just as suspicious as one that regressed.
-        The union of both cards' keys is walked, so a field present on
-        only one side (schema additions, hand-edited baselines) is
-        drift, not silence. Wall-clock fields
-        (:data:`WALL_CLOCK_FIELDS`) are skipped.
-
-        Raises :class:`ConfigurationError` when the cards' workload
-        exactness differs: the approximate fast path is statistically
-        equivalent but not bit-comparable to the exact reference, so a
-        fast card gating (or being gated by) an exact baseline is
-        always a configuration mistake, never a tolerable drift.
-        """
-        _require_same_exactness(self, baseline)
-        drifts: list[str] = []
-        mine, theirs = self.to_dict(), baseline.to_dict()
-        for key in sorted(set(theirs) | set(mine)):
-            if key in WALL_CLOCK_FIELDS:
-                continue
-            expected = theirs.get(key)
-            actual = mine.get(key)
-            if isinstance(expected, dict) or isinstance(actual, dict):
-                expected = expected if isinstance(expected, dict) else {}
-                actual = actual if isinstance(actual, dict) else {}
-                for sub in sorted(set(expected) | set(actual)):
-                    want, got = expected.get(sub), actual.get(sub)
-                    if not _close(want, got, rel_tol):
-                        drifts.append(f"{key}.{sub}: baseline {want!r}, got {got!r}")
-            elif not _close(expected, actual, rel_tol):
-                drifts.append(f"{key}: baseline {expected!r}, got {actual!r}")
-        return drifts
-
     def summary(self) -> str:
         """One-screen text rendering (the CLI's default output)."""
         exactness = "" if self.exact else ", APPROXIMATE fast workload path"
@@ -321,22 +275,72 @@ class RunScorecard:
         return "\n".join(lines)
 
 
-def _require_same_exactness(mine, baseline) -> None:
-    """Refuse to compare cards from different workload paths."""
-    if bool(mine.exact) != bool(baseline.exact):
+# ----------------------------------------------------------------------
+# The regression gate
+# ----------------------------------------------------------------------
+def drift(baseline: dict, fresh: dict) -> list[str]:
+    """Drift messages of a fresh card or matrix (its ``to_dict()``)
+    against a committed baseline (its JSON, as read); empty means green.
+
+    Both trees are walked key by key at every depth, and a key present
+    on only one side is drift, so a baseline that lacks a field cannot
+    hide it. Leaves compare with a tight tolerance (1e-9, relative or
+    absolute; a string, null or subtree where the other side holds a
+    number is drift), and drift in *either* direction fails — a run
+    that got cheaper or faster-settling without the baseline being
+    regenerated is just as suspicious as one that regressed. Wall-clock
+    fields (:data:`WALL_CLOCK_FIELDS`) are skipped at any depth. Each
+    message names its key's full dotted path, e.g.
+    ``flows.flow1.retry_attempts`` or
+    ``scenarios.seasonal-drift.card.total_cost``.
+
+    Raises :class:`ConfigurationError` where the two sides' ``exact``
+    differ: the approximate fast path is statistically equivalent but
+    not bit-comparable to the exact reference, so a fast card gating
+    (or being gated by) an exact baseline is always a configuration
+    mistake, never a tolerable drift.
+    """
+    drifts: list[str] = []
+    _walk(baseline, fresh, "", drifts)
+    return drifts
+
+
+def _walk(baseline, fresh, path: str, drifts: list[str]) -> None:
+    if not (isinstance(baseline, dict) and isinstance(fresh, dict)):
+        if not _close(baseline, fresh):
+            drifts.append(f"{path}: baseline {baseline!r}, got {fresh!r}")
+        return
+    _require_same_exactness(baseline, fresh)
+    for key in sorted(baseline.keys() | fresh.keys()):
+        if key in WALL_CLOCK_FIELDS:
+            continue
+        where = f"{path}.{key}" if path else key
+        if key not in baseline:
+            drifts.append(f"{where}: missing from the baseline")
+        elif key not in fresh:
+            drifts.append(f"{where}: missing from the fresh run")
+        else:
+            _walk(baseline[key], fresh[key], where, drifts)
+
+
+def _require_same_exactness(baseline: dict, fresh: dict) -> None:
+    """Refuse to compare trees from different workload paths."""
+    if "exact" in baseline and "exact" in fresh and baseline["exact"] != fresh["exact"]:
         raise ConfigurationError(
-            f"cannot compare scorecard {mine.name!r} (exact={mine.exact}) "
-            f"against baseline {baseline.name!r} (exact={baseline.exact}): "
+            f"cannot compare scorecard {fresh.get('name', fresh.get('kind'))!r} "
+            f"(exact={fresh['exact']}) against baseline "
+            f"{baseline.get('name', baseline.get('kind'))!r} (exact={baseline['exact']}): "
             "the approximate fast path is not bit-comparable to the exact "
             "reference — regenerate the baseline on the same workload path"
         )
 
 
-def _close(expected, actual, rel_tol: float) -> bool:
+def _close(expected, actual) -> bool:
     if isinstance(expected, float) or isinstance(actual, float):
-        if expected is None or actual is None:
-            return expected is actual
-        return math.isclose(float(expected), float(actual), rel_tol=rel_tol, abs_tol=1e-9)
+        try:
+            return math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-9)
+        except TypeError:  # None, a string or a subtree against a number
+            return False
     return expected == actual
 
 
@@ -347,8 +351,8 @@ class FleetScorecard:
     One :class:`RunScorecard` per flow plus the fleet-level numbers a
     single flow cannot see: region admission denials, coordinator
     activity, and the summed cost. Duck-types the single-run card's
-    gate surface (``summary`` / ``compare`` / ``to_json`` /
-    ``from_json_file``) so the CLI gate treats both uniformly.
+    gate surface (``name`` / ``summary`` / ``to_dict`` / ``to_json``)
+    so the CLI gate treats both uniformly.
     """
 
     name: str
@@ -421,75 +425,6 @@ class FleetScorecard:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetScorecard":
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            duration_seconds=int(data["duration_seconds"]),
-            flows={
-                str(flow_id): RunScorecard.from_dict(card)
-                for flow_id, card in data.get("flows", {}).items()
-            },
-            total_cost=float(data.get("total_cost", 0.0)),
-            denials={
-                str(flow_id): {str(k): int(v) for k, v in counts.items()}
-                for flow_id, counts in data.get("denials", {}).items()
-            },
-            coordinator_passes=int(data.get("coordinator_passes", 0)),
-            cap_retargets=int(data.get("cap_retargets", 0)),
-            exact=bool(data.get("exact", True)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            flow_wall_seconds={
-                str(flow_id): float(seconds)
-                for flow_id, seconds in data.get("flow_wall_seconds", {}).items()
-            },
-        )
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "FleetScorecard":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
-    # ------------------------------------------------------------------
-    # The regression gate
-    # ------------------------------------------------------------------
-    def compare(self, baseline: "FleetScorecard", rel_tol: float = 1e-9) -> list[str]:
-        """Drift messages vs a committed baseline; empty means green.
-
-        Fleet-level fields first, then each flow's card through the
-        single-run comparison with the flow id prefixed. A flow present
-        on only one side is drift, not silence. Mixed exact/approximate
-        comparisons raise, as for :meth:`RunScorecard.compare`.
-        """
-        _require_same_exactness(self, baseline)
-        drifts: list[str] = []
-        for key in ("duration_seconds", "total_cost", "coordinator_passes", "cap_retargets"):
-            want, got = getattr(baseline, key), getattr(self, key)
-            if not _close(want, got, rel_tol):
-                drifts.append(f"{key}: baseline {want!r}, got {got!r}")
-        flow_ids = sorted(set(baseline.denials) | set(self.denials))
-        for flow_id in flow_ids:
-            want_d, got_d = baseline.denials.get(flow_id, {}), self.denials.get(flow_id, {})
-            for resource in sorted(set(want_d) | set(got_d)):
-                want, got = want_d.get(resource), got_d.get(resource)
-                if want != got:
-                    drifts.append(
-                        f"denials.{flow_id}.{resource}: baseline {want!r}, got {got!r}"
-                    )
-        for flow_id in sorted(set(baseline.flows) | set(self.flows)):
-            mine = self.flows.get(flow_id)
-            theirs = baseline.flows.get(flow_id)
-            if mine is None or theirs is None:
-                drifts.append(
-                    f"flows.{flow_id}: baseline "
-                    f"{'present' if theirs else 'absent'}, got "
-                    f"{'present' if mine else 'absent'}"
-                )
-                continue
-            drifts.extend(f"{flow_id}.{d}" for d in mine.compare(theirs, rel_tol))
-        return drifts
 
     def summary(self) -> str:
         """One-screen text rendering (the CLI's default output)."""

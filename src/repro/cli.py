@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Sequence
 
 from repro import (
     ChaosSchedule,
@@ -45,12 +46,7 @@ from repro.analysis import (
     settling_time,
     slo_violation_rate,
 )
-from repro.analysis.scorecard import (
-    SMOKE_SCENARIOS,
-    FleetScorecard,
-    RunScorecard,
-    run_smoke_scenario,
-)
+from repro.analysis.scorecard import SMOKE_SCENARIOS, drift, run_smoke_scenario
 from repro.chaos import recovery_times
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.dependency import fit_linear, pearson_r
@@ -466,24 +462,30 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 def _gate(
     gate: str,
-    runs: Sequence[tuple[Path, Path | None, Callable[[], Any], Callable[[Path], Any]]],
+    runs: Sequence[tuple[Path, Path | None, Callable[[], Any]]],
     *,
     check: bool,
     regenerate: str,
+    scenarios: Collection[str] = (),
 ) -> int:
     """Produce, print and (with ``check``) gate each fresh card or
     matrix against its committed baseline; exit status 0 when green.
 
-    Each run is ``(baseline, out, produce, load)``: the committed
-    baseline path, the ``--out`` path or None, the producer of the
-    fresh card or matrix, and the baseline's loader. The baseline is
-    read before ``--out`` is written, and an ``--out`` that is the
+    Each run is ``(baseline, out, produce)``: the committed baseline
+    path, the ``--out`` path or None, and the producer of the fresh card
+    or matrix. The baseline is read as the JSON it is and diffed, every
+    key at every depth, against the fresh result's ``to_dict()``
+    (:func:`~repro.analysis.scorecard.drift`). ``scenarios`` names a
+    partial catalog run: the baseline's ``scenarios`` are cut to those
+    names, so the scenarios that were not run do not read as removed,
+    while a name the baseline lacks still reads as drift. The baseline
+    is read before ``--out`` is written, and an ``--out`` that is the
     baseline itself is refused before anything runs: the gate would
     overwrite the committed baseline and then compare the fresh result
     against itself.
     """
     if check:
-        for baseline, out, _, _ in runs:
+        for baseline, out, _ in runs:
             if out is not None and out.resolve() == baseline.resolve():
                 raise SystemExit(
                     f"--out {out} resolves to the baseline {baseline.resolve()}; "
@@ -493,7 +495,7 @@ def _gate(
                     "baseline deliberately with --out and no --check."
                 )
     failures: list[str] = []
-    for baseline, out, produce, load in runs:
+    for baseline, out, produce in runs:
         fresh = produce()
         print(fresh.summary())
         if check:
@@ -501,15 +503,21 @@ def _gate(
                 failures.append(f"{fresh.name}: no committed baseline at {baseline}")
                 print(f"gate: MISSING BASELINE ({baseline})")
             else:
+                tree = json.loads(baseline.read_text())
+                if scenarios:
+                    tree["scenarios"] = {
+                        name: entry for name, entry in tree.get("scenarios", {}).items()
+                        if name in scenarios
+                    }
                 try:
-                    drifts = fresh.compare(load(baseline))
+                    drifts = drift(tree, fresh.to_dict())
                 except FlowerError as exc:
                     raise SystemExit(f"{gate} gate: {exc}")
                 if drifts:
                     failures.append(f"{fresh.name}: {len(drifts)} drifted fields")
                     print(f"gate: DRIFT vs {baseline}:")
-                    for drift in drifts:
-                        print(f"  {drift}")
+                    for message in drifts:
+                        print(f"  {message}")
                 else:
                     print(f"gate: ok (matches {baseline})")
         if out is not None:
@@ -532,7 +540,6 @@ def cmd_scorecard(args: argparse.Namespace) -> int:
             Path(args.baseline_dir) / filename,
             Path(args.out) / filename if args.out else None,
             partial(run_smoke_scenario, name, seed=args.seed, duration=args.duration),
-            FleetScorecard.from_json_file if name == "fleet" else RunScorecard.from_json_file,
         ))
     return _gate(
         "scorecard", runs, check=args.check,
@@ -542,7 +549,7 @@ def cmd_scorecard(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import CATALOG_NAMES, CatalogMatrix, catalog, run_catalog
+    from repro.scenarios import CATALOG_NAMES, catalog, run_catalog
 
     scenarios = catalog(args.variant)
     if args.action == "list":
@@ -573,21 +580,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     # run
     if names:
         scenarios = {name: scenarios[name] for name in names}
-
-    def load(path: Path) -> CatalogMatrix:
-        baseline = CatalogMatrix.from_json_file(path)
-        # A partial run gates against the baseline restricted to the
-        # same names, so unrun scenarios are not drift.
-        return baseline.restrict(names) if names else baseline
-
     _fast_banner(not args.fast)
     run = partial(run_catalog, scenarios, variant=args.variant, jobs=args.jobs, fast=args.fast)
     return _gate(
         "catalog",
-        [(Path(args.baseline), Path(args.out) if args.out else None, run, load)],
+        [(Path(args.baseline), Path(args.out) if args.out else None, run)],
         check=args.check,
         regenerate="the baseline with: python -m repro.cli scenario run "
                    f"--out {args.baseline}",
+        scenarios=names or (),
     )
 
 

@@ -33,7 +33,7 @@ import re
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -110,9 +110,9 @@ def _dimension_key(
 
 def _aggregate(values: list[float], statistic: str) -> float:
     if statistic == "Average":
-        return _fold(values) / len(values)
+        return left_fold(values) / len(values)
     if statistic == "Sum":
-        return _fold(values)
+        return left_fold(values)
     if statistic == "Maximum":
         return float(max(values))
     if statistic == "Minimum":
@@ -124,9 +124,10 @@ def _aggregate(values: list[float], statistic: str) -> float:
     raise MonitoringError(f"unsupported statistic {statistic!r}")
 
 
-def _fold(values: list[float]) -> float:
+def left_fold(values: Iterable[float]) -> float:
     """Left-to-right float sum, as ``sum()`` adds before Python 3.12
-    (which compensates it): the pinned aggregation order."""
+    (which compensates it): the pinned order of every float sum on the
+    run path (aggregates, coordinator weights, costs)."""
     total = 0.0
     for value in values:
         total += value
@@ -158,6 +159,11 @@ _PACK = struct.Struct("d").pack
 #: Timestamp types a write accepts (besides a ``range`` of them).
 _INTEGERS = (int, np.integer)
 
+#: Value types a write accepts as a number, and the dtype kinds it
+#: accepts as a column; NaN and ±inf are numbers.
+_NUMBERS = (int, float, np.integer, np.floating, np.bool_)
+_NUMERIC_KINDS = "biuf"
+
 
 def _integer_times(times: ArrayLike) -> list[int]:
     """Batch ``times`` as builtin ints; a value that is not an integer
@@ -181,6 +187,30 @@ def _disorder(t: int, after: int) -> None:
     raise MonitoringError(f"metric datapoints must be time-ordered: got t={t} after t={after}")
 
 
+def _column(name: str, column: ArrayLike | float, count: int) -> np.ndarray | float:
+    """A batch column as a number or a numeric array of ``count`` values
+    (an array checked by its dtype, a list converted once); a column of
+    another length, or anything else (None, a string, an object column)
+    raises :class:`MonitoringError` naming the metric and the value."""
+    if hasattr(column, "__len__") and not isinstance(column, str):
+        if len(column) != count:
+            raise MonitoringError(
+                f"metric {name!r}: times and values must be equal length, "
+                f"got {count} and {len(column)} datapoints"
+            )
+        array = np.asarray(column)
+        if array.dtype.kind in _NUMERIC_KINDS:
+            return array
+        column = next((v for v in column if not isinstance(v, _NUMBERS)), column)
+    elif isinstance(column, _NUMBERS):
+        return column
+    _reject_value(name, column)
+
+
+def _reject_value(name: str, value: object) -> None:
+    raise MonitoringError(f"metric {name!r}: datapoints must be numeric, got {value!r}")
+
+
 class _Steps:
     """A row kept as steps: ``(index, value)`` pairs, one pair wherever
     the value's float64 bits change (so ``-0.0`` after ``0.0`` and every
@@ -195,9 +225,9 @@ class _Steps:
         self.values: list[float] = []
 
     def changes(self, n: int, column: ArrayLike | float, count: int) -> list[tuple[int, float]]:
-        """The pairs a write of ``count`` values from index ``n`` adds;
-        raises ``ValueError``/``TypeError`` on a non-numeric or non-flat
-        column, before anything is stored."""
+        """The pairs a write of ``count`` values from index ``n`` adds
+        (a checked number or numeric array); raises ``ValueError`` on a
+        column that is not flat, before anything is stored."""
         values = self.values
         if not hasattr(column, "__len__"):
             # Converted as a dense row's block would convert it.
@@ -392,14 +422,13 @@ class _Frame:
         self._reserve(1)
         block = self._block
         steps = []
-        try:
-            for cell, value in zip(self._cells, values):
-                if cell.__class__ is int:
-                    block[cell, n] = value
-                else:
-                    steps.append((cell, cell.changes(n, value, 1)))
-        except (ValueError, TypeError) as exc:
-            raise MonitoringError(f"datapoints must be numeric: {exc}") from None
+        for name, cell, value in zip(self.names, self._cells, values):
+            if not isinstance(value, _NUMBERS):
+                _reject_value(name, value)
+            if cell.__class__ is int:
+                block[cell, n] = value
+            else:
+                steps.append((cell, cell.changes(n, value, 1)))
         self._commit(steps, ((t, 0, 1),), n + 1)
 
     def extend(self, times: ArrayLike, columns: Sequence[ArrayLike | float]) -> None:
@@ -418,22 +447,26 @@ class _Frame:
             raise MonitoringError(
                 f"frame {self.names} takes {len(self.names)} columns, got {len(columns)}"
             )
-        for name, column in zip(self.names, columns):
-            if hasattr(column, "__len__") and len(column) != count:
-                raise MonitoringError(
-                    f"metric {name!r}: times and values must be equal length, "
-                    f"got {count} and {len(column)} datapoints"
-                )
         if count == 0:
+            for name, column in zip(self.names, columns):
+                _column(name, column, 0)
             return
         runs = self._runs(times)
         n = self._len
         end = n + count
         self._reserve(count)
         block = self._block
+        ndarray = np.ndarray
         steps = []
         try:
-            for cell, column in zip(self._cells, columns):
+            for name, cell, column in zip(self.names, self._cells, columns):
+                kind = column.__class__
+                # Plain numbers and numeric arrays of the batch's length
+                # (the span path's columns) pass as they are; _column
+                # checks the rest.
+                if not (kind is int or kind is float or kind is ndarray
+                        and len(column) == count and column.dtype.kind in _NUMERIC_KINDS):
+                    column = _column(name, column, count)
                 if cell.__class__ is int:
                     block[cell, n:end] = column
                 else:
@@ -572,7 +605,11 @@ class SimCloudWatch:
         dimensions: dict[str, str] | None = None,
     ) -> None:
         """Record one datapoint. Timestamps are integers, non-decreasing per series."""
-        self._lone_frame(namespace, metric_name, dimensions).append(timestamp, (value,))
+        dims = _dimension_key(dimensions)
+        frame, new = self._lone_frame(namespace, metric_name, dims)
+        frame.append(timestamp, (value,))
+        if new:
+            self._register(namespace, dims, frame)
 
     def put_metric_frame(
         self,
@@ -590,7 +627,11 @@ class SimCloudWatch:
         :meth:`put_metric_frame_batch` may write. A frame this call
         creates keeps every row dense.
         """
-        self._frame(namespace, metric_names, dimensions).append(timestamp, values)
+        dims = _dimension_key(dimensions)
+        frame, new = self._frame(namespace, metric_names, dims)
+        frame.append(timestamp, values)
+        if new:
+            self._register(namespace, dims, frame)
 
     def put_metric_frame_batch(
         self,
@@ -611,55 +652,59 @@ class SimCloudWatch:
         number in the batch that creates the frame is kept as steps,
         one value per change, instead of one per timestamp.
         """
-        self._frame(namespace, metric_names, dimensions, columns).extend(times, columns)
+        dims = _dimension_key(dimensions)
+        frame, new = self._frame(namespace, metric_names, dims, columns)
+        frame.extend(times, columns)
+        if new:
+            self._register(namespace, dims, frame)
 
     def _lone_frame(
-        self, namespace: str, metric_name: str, dimensions: dict[str, str] | None
-    ) -> _Frame:
-        """The one-row frame of a series written on its own."""
-        key = (namespace, metric_name, _dimension_key(dimensions))
-        row = self._series.get(key)
+        self, namespace: str, metric_name: str, dims: tuple
+    ) -> tuple[_Frame, bool]:
+        """The one-row frame of a series written on its own, and whether
+        it is new (built, not yet registered)."""
+        row = self._series.get((namespace, metric_name, dims))
         if row is None:
-            frame = _Frame((metric_name,), owned=False)
-            self._series[key] = _Row(frame, 0)
-            return frame
+            return _Frame((metric_name,), owned=False), True
         if row.frame.owned:
             raise MonitoringError(
-                f"series {namespace}/{metric_name} (dimensions={dict(key[2])}) "
+                f"series {namespace}/{metric_name} (dimensions={dict(dims)}) "
                 f"belongs to the frame {row.frame.names}; write it with put_metric_frame"
             )
-        return row.frame
+        return row.frame, False
 
     def _frame(
         self,
         namespace: str,
         metric_names: tuple[str, ...],
-        dimensions: dict[str, str] | None,
+        dims: tuple,
         columns: Sequence[ArrayLike | float] = (),
-    ) -> _Frame:
-        """An emitter's frame, created (and its rows registered) on first
-        use; the rows ``columns`` gives as plain numbers are steps."""
-        dims = _dimension_key(dimensions)
-        frame_key = (namespace, dims, metric_names)
-        frame = self._frames.get(frame_key)
+    ) -> tuple[_Frame, bool]:
+        """An emitter's frame, and whether it is new (built on first use,
+        not yet registered); the rows ``columns`` gives as plain numbers
+        are steps."""
+        frame = self._frames.get((namespace, dims, metric_names))
         if frame is not None:
-            return frame
+            return frame, False
         if len(set(metric_names)) != len(metric_names):
             raise MonitoringError(f"frame {metric_names} names a metric twice")
-        keys = [(namespace, name, dims) for name in metric_names]
-        for key in keys:
-            if key in self._series:
+        for name in metric_names:
+            if (namespace, name, dims) in self._series:
                 raise MonitoringError(
-                    f"series {namespace}/{key[1]} (dimensions={dict(dims)}) is "
+                    f"series {namespace}/{name} (dimensions={dict(dims)}) is "
                     f"already stored outside the frame {metric_names}"
                 )
         steps = [i for i, column in enumerate(columns) if not hasattr(column, "__len__")]
-        frame = self._frames[frame_key] = _Frame(
-            metric_names, owned=True, capacity=self._frame_columns, steps=steps
-        )
-        for row, key in enumerate(keys):
-            self._series[key] = _Row(frame, row)
-        return frame
+        return _Frame(metric_names, owned=True, capacity=self._frame_columns, steps=steps), True
+
+    def _register(self, namespace: str, dims: tuple, frame: _Frame) -> None:
+        """Store a new frame and its rows, once its creating write has
+        passed its checks: a rejected first write leaves no trace, and
+        the next write picks the frame's step rows afresh."""
+        if frame.owned:
+            self._frames[(namespace, dims, frame.names)] = frame
+        for row, name in enumerate(frame.names):
+            self._series[(namespace, name, dims)] = _Row(frame, row)
 
     def reserve(self, rows: int) -> None:
         """Make room for ``rows`` more datapoints in every emitter frame.

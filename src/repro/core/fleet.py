@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
-from repro.analysis.runner import derive_scenario_seed
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.schedule import ChaosSchedule
+from repro.cloud.cloudwatch import left_fold
 from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.ec2 import EC2Config
 from repro.cloud.kinesis import KinesisConfig
@@ -50,6 +50,7 @@ from repro.core.fleet_exec import FleetSpanExecutor
 from repro.core.flow import LayerKind
 from repro.core.manager import FlowElasticityManager, FlowRunResult, ServiceCapacities
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.rng import derive_scenario_seed
 from repro.workload.generators import RatePattern
 
 #: Arbitrated layers, in decision order.
@@ -195,7 +196,7 @@ class FleetCoordinator:
                 demand.append(weight)
                 floors.append(self._floor(manager, kind))
                 weights.setdefault(flow_id, {})[kind] = weight
-            total = sum(demand)
+            total = left_fold(demand)
             for (flow_id, _manager, actuator), weight, floor in zip(flows, demand, floors):
                 cap = max(floor, int(limit * weight / total))
                 grants.setdefault(flow_id, {})[kind] = cap
@@ -236,7 +237,7 @@ class FleetRunResult:
 
     @property
     def total_cost(self) -> float:
-        return sum(result.total_cost for result in self.flows.values())
+        return left_fold(result.total_cost for result in self.flows.values())
 
     def denials_by_flow(self) -> dict[str, dict[str, int]]:
         """Region admission denials per flow and resource."""

@@ -23,7 +23,7 @@ import numpy as np
 from repro.chaos.injector import ChaosEvent, ChaosInjector
 from repro.chaos.invariants import InvariantChecker, InvariantReport
 from repro.chaos.schedule import ChaosSchedule
-from repro.cloud.cloudwatch import SimCloudWatch
+from repro.cloud.cloudwatch import SimCloudWatch, left_fold
 from repro.cloud.dynamodb import DynamoDBConfig, SimDynamoDBTable
 from repro.cloud.dynamodb import NAMESPACE as DDB_NS
 from repro.cloud.ec2 import EC2Config, SimEC2Fleet
@@ -1236,7 +1236,7 @@ class FlowRunResult:
 
     @property
     def total_cost(self) -> float:
-        return sum(self.cost_by_layer.values())
+        return left_fold(self.cost_by_layer.values())
 
     # ------------------------------------------------------------------
     # Presentation

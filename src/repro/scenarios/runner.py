@@ -14,14 +14,13 @@ diffs, per scenario and per field, against a fresh run.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.analysis.runner import SweepCase, run_scenarios
-from repro.analysis.scorecard import RunScorecard, _require_same_exactness
+from repro.analysis.scorecard import RunScorecard
 from repro.core.errors import ConfigurationError
 from repro.scenarios.spec import Scenario
 
@@ -98,9 +97,10 @@ class CatalogMatrix:
 
     One :class:`CatalogEntry` per scenario, plus the variant and
     workload exactness the matrix was produced under. Serialises to the
-    committed ``results/SCORECARD_catalog.json`` baseline;
-    :meth:`compare` walks the union of both sides' scenarios so a
-    scenario added, removed, or renamed is drift, not silence.
+    committed ``results/SCORECARD_catalog.json`` baseline, which the
+    CLI gate diffs against a fresh matrix's ``to_dict()`` with
+    :func:`~repro.analysis.scorecard.drift`, so a scenario added,
+    removed, or renamed is drift, not silence.
     """
 
     variant: str
@@ -109,7 +109,7 @@ class CatalogMatrix:
 
     @property
     def name(self) -> str:
-        """Identification in mixed-exactness errors (duck-types cards)."""
+        """Identification in the gate's failure line (duck-types cards)."""
         return f"catalog[{self.variant}]"
 
     def to_dict(self) -> dict:
@@ -144,53 +144,6 @@ class CatalogMatrix:
     def from_json_file(cls, path: str | Path) -> "CatalogMatrix":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
-
-    def restrict(self, names) -> "CatalogMatrix":
-        """A copy holding only the named scenarios.
-
-        The CLI gates a partial run (``scenario run NAME --check``)
-        against the committed baseline restricted to the same names, so
-        the scenarios that were not run do not read as removed. A name
-        absent from this matrix stays absent — the compare then reports
-        it as baseline-absent drift rather than hiding the typo.
-        """
-        wanted = set(names)
-        return dataclasses.replace(
-            self,
-            entries={n: e for n, e in self.entries.items() if n in wanted},
-        )
-
-    # ------------------------------------------------------------------
-    # The regression gate
-    # ------------------------------------------------------------------
-    def compare(self, baseline: "CatalogMatrix", rel_tol: float = 1e-9) -> list[str]:
-        """Drift messages vs a committed baseline; empty means green.
-
-        Matrix-level fields first (variant), then every scenario's
-        verdicts and card through the single-run comparison with the
-        scenario name prefixed. Mixed exact/approximate matrices raise,
-        exactly like single-card comparisons.
-        """
-        _require_same_exactness(self, baseline)
-        drifts: list[str] = []
-        if self.variant != baseline.variant:
-            drifts.append(f"variant: baseline {baseline.variant!r}, got {self.variant!r}")
-        for name in sorted(set(baseline.entries) | set(self.entries)):
-            mine = self.entries.get(name)
-            theirs = baseline.entries.get(name)
-            if mine is None or theirs is None:
-                drifts.append(
-                    f"scenarios.{name}: baseline "
-                    f"{'present' if theirs else 'absent'}, got "
-                    f"{'present' if mine else 'absent'}"
-                )
-                continue
-            for verdict in ("slo_ok", "within_budget"):
-                want, got = getattr(theirs, verdict), getattr(mine, verdict)
-                if want != got:
-                    drifts.append(f"{name}.{verdict}: baseline {want!r}, got {got!r}")
-            drifts.extend(f"{name}.{d}" for d in mine.card.compare(theirs.card, rel_tol))
-        return drifts
 
     def summary(self) -> str:
         """One-line-per-scenario matrix rendering (the CLI's output)."""

@@ -29,10 +29,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.runner import derive_scenario_seed
 from repro.chaos.schedule import ChaosSchedule
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.core.errors import ConfigurationError
+from repro.simulation.rng import derive_scenario_seed
 from repro.workload.generators import (
     BurstyRate,
     CompositeRate,

@@ -25,11 +25,24 @@ def derive_rng(seed: int, label: str = "") -> np.random.Generator:
     that human-readable stream names stay cheap. A negative seed raises
     :class:`ConfigurationError`.
     """
+    return np.random.default_rng(_seed_sequence(seed, label))
+
+
+def derive_scenario_seed(base_seed: int, name: str) -> int:
+    """A deterministic per-scenario seed from a sweep's seed and name.
+
+    Folds the name as :func:`derive_rng` folds its label, so two sweeps
+    with the same base seed give a scenario the same stream regardless
+    of where it sits in the list or which worker process runs it. A
+    negative seed raises :class:`ConfigurationError`, as there.
+    """
+    return int(_seed_sequence(base_seed, name).generate_state(1)[0])
+
+
+def _seed_sequence(seed: int, label: str) -> np.random.SeedSequence:
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    label_entropy = zlib.crc32(label.encode("utf-8"))
-    sequence = np.random.SeedSequence([int(seed), label_entropy])
-    return np.random.default_rng(sequence)
+    return np.random.SeedSequence([int(seed), zlib.crc32(label.encode("utf-8"))])
 
 
 def spawn_streams(seed: int, labels: list[str]) -> dict[str, np.random.Generator]:

@@ -196,6 +196,8 @@ class TestCommands:
         assert "scorecard gate FAILED" in out
 
     def test_scorecard_check_reports_drift(self, capsys, tmp_path):
+        import json
+
         # Baseline from a different seed: every deterministic field
         # drifts, the gate fails and names the fields.
         assert main(["scorecard", "--scenario", "steady", "--duration", "900",
@@ -207,6 +209,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "DRIFT" in out
         assert "regenerate baselines" in out
+        # A baseline from the same seed that lacks one top-level key:
+        # the gate reads the file as it is, so the key's absence is drift.
+        assert main(["scorecard", "--scenario", "steady", "--duration", "900",
+                     "--seed", "4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        card = tmp_path / "SCORECARD_steady_smoke.json"
+        data = json.loads(card.read_text())
+        del data["retry_attempts"]
+        card.write_text(json.dumps(data))
+        assert main(["scorecard", "--scenario", "steady", "--duration", "900",
+                     "--seed", "4", "--check",
+                     "--baseline-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "DRIFT" in out
+        assert "  retry_attempts: missing from the baseline\n" in out
 
     def test_scenario_list_prints_catalog(self, capsys):
         from repro.scenarios import CATALOG_NAMES
@@ -291,6 +308,16 @@ class TestCommands:
         assert "regenerate the baseline" in out
         assert baseline.read_text() == committed
         assert fresh.exists()
+        # A baseline card that lacks one nested key is drift too.
+        data = json.loads(fresh.read_text())
+        del data["scenarios"]["step-surge-worker-crash"]["card"]["breaker_openings"]
+        baseline.write_text(json.dumps(data))
+        assert main(["scenario", "run", "step-surge-worker-crash", "--check",
+                     "--baseline", str(baseline)]) == 1
+        assert (
+            "  scenarios.step-surge-worker-crash.card.breaker_openings: "
+            "missing from the baseline\n"
+        ) in capsys.readouterr().out
 
     def test_scenario_check_passes_against_committed_baseline(self, capsys):
         # The real CI gate at test scale: one scenario against the

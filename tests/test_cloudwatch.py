@@ -1,7 +1,9 @@
 """Unit tests for the simulated CloudWatch metric store and alarms."""
 
+import builtins
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -551,7 +553,7 @@ class TestFrameValidation:
             cw.put_metric_data("NS", "M", 1.0, 1.7)
         with pytest.raises(MonitoringError, match=r"timestamps must be integers, got 1.2$"):
             cw.put_metric_data("NS", "M", 1.0, 1.2)
-        assert cw.get_series("NS", "M") == ([], [])
+        assert cw.list_metrics() == []
 
     def test_integer_types_and_ranges_are_accepted(self, framed):
         framed.put_metric_frame_batch(
@@ -572,13 +574,48 @@ class TestFrameValidation:
         cw.put_metric_frame_batch("NS", ("S", "D"), [1, 2], (5, [1.0, 2.0]))
         self._rejects(cw, lambda: cw.put_metric_frame_batch(
             "NS", ("S", "D"), [3], (6, ["x"])
-        ), r"flat numeric columns")
+        ), r"metric 'D': datapoints must be numeric, got 'x'$")
         self._rejects(cw, lambda: cw.put_metric_frame("NS", ("S", "D"), 3, ("x", 3.0)),
-                      r"datapoints must be numeric")
+                      r"metric 'S': datapoints must be numeric, got 'x'$")
         self._rejects(cw, lambda: cw.put_metric_frame("NS", ("S", "D"), 3, (6, "x")),
-                      r"datapoints must be numeric")
+                      r"metric 'D': datapoints must be numeric, got 'x'$")
         cw.put_metric_frame_batch("NS", ("S", "D"), [3], (5, [3.0]))
         assert cw.get_series("NS", "S") == ([1, 2, 3], [5.0, 5.0, 5.0])
+
+    @pytest.mark.parametrize("column, shown", [
+        ([None, 1.0], "None"),
+        (["3", "4"], "'3'"),
+        ("34", "'34'"),
+        (np.array([1.0, None]), "None"),
+        (np.array([1, 2], dtype=object), r"array\(\[1, 2\], dtype=object\)"),
+    ], ids=["none", "strings", "string", "object-nan", "object-numbers"])
+    def test_non_number_column(self, framed, column, shown):
+        for columns in (([0.0, 0.0], column), (column, [0.0, 0.0])):
+            name = "B" if columns[1] is column else "A"
+            self._rejects(framed, lambda: framed.put_metric_frame_batch(
+                "NS", ("A", "B"), [3, 4], columns
+            ), rf"metric '{name}': datapoints must be numeric, got {shown}$")
+
+    @pytest.mark.parametrize("value, shown", [(None, "None"), ("3", "'3'"), (b"3", "b'3'")],
+                             ids=["none", "string", "bytes"])
+    def test_non_number_value(self, framed, value, shown):
+        self._rejects(framed, lambda: framed.put_metric_frame("NS", ("A", "B"), 3, (1.0, value)),
+                      rf"metric 'B': datapoints must be numeric, got {re.escape(shown)}$")
+        self._rejects(framed, lambda: framed.put_metric_frame_batch(
+            "NS", ("A", "B"), [3], ([1.0], value)
+        ), rf"metric 'B': datapoints must be numeric, got {re.escape(shown)}$")
+        framed.put_metric_data("NS", "L", 1.0, 1)
+        self._rejects(framed, lambda: framed.put_metric_data("NS", "L", value, 2),
+                      rf"metric 'L': datapoints must be numeric, got {re.escape(shown)}$")
+
+    def test_nan_and_infinities_are_numbers(self, framed):
+        special = [math.nan, math.inf, -math.inf]
+        framed.put_metric_frame_batch("NS", ("A", "B"), [3, 4, 5], (special, special))
+        framed.put_metric_frame("NS", ("A", "B"), 6, (np.float64(math.nan), -math.inf))
+        framed.put_metric_data("NS", "L", math.inf, 1)
+        _, values = framed.get_series("NS", "B")
+        assert np.asarray(values[2:]).tobytes() == np.asarray(special + [-math.inf]).tobytes()
+        assert framed.get_series("NS", "L") == ([1], [math.inf])
 
     def test_accepts_data_after_a_rejection(self, framed):
         with pytest.raises(MonitoringError):
@@ -586,6 +623,36 @@ class TestFrameValidation:
         framed.put_metric_frame_batch("NS", ("A", "B"), [3], ([9.0], 6))
         assert framed.get_series("NS", "A") == ([1, 2, 3], [1.0, 2.0, 9.0])
         assert framed.get_series("NS", "B") == ([1, 2, 3], [5.0, 5.0, 6.0])
+
+
+class TestRejectedFirstWrite:
+    """A write that creates its frame and is rejected stores nothing:
+    no metric is listed, and the next valid write picks its own rows."""
+
+    @pytest.mark.parametrize("write", [
+        lambda cw: cw.put_metric_frame_batch("NS", ("A",), [1.5], ([1.0],)),
+        lambda cw: cw.put_metric_frame_batch("NS", ("A", "S"), [1, 2], ([1.0, None], 4)),
+        lambda cw: cw.put_metric_frame("NS", ("A", "S"), 1, (1.0, None)),
+        lambda cw: cw.put_metric_data("NS", "A", None, 1),
+        lambda cw: cw.put_metric_data("NS", "A", 1.0, 1.5),
+    ], ids=["batch-time", "batch-value", "tick-value", "lone-value", "lone-time"])
+    def test_leaves_no_metric(self, cw, write):
+        with pytest.raises(MonitoringError):
+            write(cw)
+        assert cw.list_metrics("NS") == []
+        assert cw._frames == {}
+        with pytest.raises(MonitoringError, match="unknown metric NS/A"):
+            cw.get_series("NS", "A")
+
+    def test_next_write_picks_its_own_step_rows(self, cw):
+        with pytest.raises(MonitoringError):
+            cw.put_metric_frame_batch("NS", ("A", "S"), [1.5], ([1.0], 4))
+        cw.put_metric_frame_batch("NS", ("A", "S"), [1, 2], (7, [4.0, 5.0]))
+        frame = _only_frame(cw)
+        assert isinstance(frame._cells[0], cloudwatch_module._Steps)
+        assert isinstance(frame._cells[1], int)
+        assert cw.get_series("NS", "A") == ([1, 2], [7.0, 7.0])
+        assert cw.get_series("NS", "S") == ([1, 2], [4.0, 5.0])
 
 
 class TestFrameValidationWithDenseB(TestFrameValidation):
@@ -688,6 +755,30 @@ class TestLeftFold:
         cw.put_metric_frame_batch("NS", ("M",), range(1, 11), (values,))
         assert cw.get_metric_value("NS", "M", now=10, window=10, statistic="Sum") == fold
         assert cw.get_metric_statistics("NS", "M", 0, 10, 10, "Average") == [(10, fold / 10)]
+
+    def test_the_run_path_adds_no_float_with_sum(self, monkeypatch):
+        """No float is added by the builtin ``sum()`` on a fleet's or a
+        catalog scenario's run path, coordinator and costs included:
+        a compensated ``sum()`` could move a grant by a unit."""
+        from repro.analysis.scorecard import run_smoke_scenario
+        from repro.scenarios import catalog_scenario, run_scenario
+
+        plain_sum = builtins.sum
+        callers = []
+
+        def guarded(iterable, /, start=0):
+            total = plain_sum(iterable, start)
+            frame = sys._getframe(1)
+            if type(total) is float and frame.f_globals.get("__name__", "").startswith("repro"):
+                callers.append(f"{frame.f_globals['__name__']}:{frame.f_lineno}")
+            return total
+
+        monkeypatch.setattr(builtins, "sum", guarded)
+        fleet = run_smoke_scenario("fleet", duration=900)
+        card = run_scenario(catalog_scenario("step-surge-worker-crash"))
+        monkeypatch.undo()
+        assert fleet.coordinator_passes and card.total_cost
+        assert sorted(set(callers)) == []
 
 
 class TestReadMemo:

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import FleetScenarioSpec, FlowBuilder, LayerKind, sweep_fleet_scenarios
-from repro.analysis.scorecard import FleetScorecard, RunScorecard
+from repro.analysis.scorecard import FleetScorecard, RunScorecard, drift
 from repro.cloud.region import RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
@@ -298,21 +298,21 @@ class TestExactnessGuardrails:
         assert RunScorecard.from_dict(card.to_dict()).exact is False
 
     def test_mixed_exactness_comparison_raises(self):
-        fast, exact = self._card(False), self._card(True)
+        fast, exact = self._card(False).to_dict(), self._card(True).to_dict()
         with pytest.raises(ConfigurationError, match="not bit-comparable"):
-            fast.compare(exact)
+            drift(exact, fast)
         with pytest.raises(ConfigurationError, match="not bit-comparable"):
-            exact.compare(fast)
+            drift(fast, exact)
 
     def test_same_exactness_comparison_allowed(self):
-        assert self._card(False).compare(self._card(False)) == []
-        assert self._card(True).compare(self._card(True)) == []
+        assert drift(self._card(False).to_dict(), self._card(False).to_dict()) == []
+        assert drift(self._card(True).to_dict(), self._card(True).to_dict()) == []
 
     def test_fleet_mixed_exactness_comparison_raises(self):
         fast = FleetScorecard(name="f", seed=1, duration_seconds=60, exact=False)
         exact = FleetScorecard(name="f", seed=1, duration_seconds=60, exact=True)
         with pytest.raises(ConfigurationError, match="not bit-comparable"):
-            fast.compare(exact)
+            drift(exact.to_dict(), fast.to_dict())
 
     def test_legacy_cards_default_to_exact(self):
         card = self._card(True)

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.runner import SweepCase, derive_scenario_seed, run_scenarios
+from repro.analysis.runner import SweepCase, run_scenarios
 from repro.cloud.region import RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
@@ -31,6 +31,7 @@ from repro.optimization.fleet_shares import (
     FlowShareSpec,
 )
 from repro.optimization.share_analyzer import ShareConstraint
+from repro.simulation.rng import derive_scenario_seed
 from repro.workload.generators import SinusoidalRate
 
 

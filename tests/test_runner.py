@@ -6,7 +6,10 @@ and per-scenario seeds depend only on the sweep seed and the scenario
 name, never on position or worker identity.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,23 @@ class TestDerivedSeeds:
         reordered = run_scenarios_dict(list(reversed(scenarios_for(base_seed=3, count=4))))
         for name, payload in full.items():
             assert payload["sum"] == reordered[name]["sum"]
+
+    def test_import_repro_loads_no_analysis_and_no_process_pool(self):
+        """The run path derives its seeds in ``repro.simulation.rng``, so
+        ``import repro`` loads neither the analysis layer nor the
+        sweep runner's process pool."""
+        import repro
+
+        code = (
+            "import sys, repro; print(sorted(m for m in ('repro.analysis', "
+            "'multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestValidation:

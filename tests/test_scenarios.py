@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.analysis.scorecard import drift
 from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
 from repro.core.errors import ConfigurationError
 from repro.scenarios import (
@@ -281,7 +282,7 @@ class TestRunCatalog:
         path.write_text(matrix.to_json())
         clone = CatalogMatrix.from_json_file(path)
         assert clone == matrix
-        assert clone.compare(matrix) == []
+        assert drift(matrix.to_dict(), clone.to_dict()) == []
 
     def test_card_drift_is_prefixed_with_scenario_name(self, matrix):
         entries = dict(matrix.entries)
@@ -293,26 +294,31 @@ class TestRunCatalog:
             ),
         )
         drifted = dataclasses.replace(matrix, entries=entries)
-        messages = drifted.compare(matrix)
-        assert any(m.startswith("tiny-a.total_cost:") for m in messages)
+        messages = drift(matrix.to_dict(), drifted.to_dict())
+        assert any(m.startswith("scenarios.tiny-a.card.total_cost:") for m in messages)
 
     def test_verdict_drift_is_named(self, matrix):
         entries = dict(matrix.entries)
         entries["tiny-b"] = dataclasses.replace(entries["tiny-b"], slo_ok=False)
         drifted = dataclasses.replace(matrix, entries=entries)
         assert any(
-            m.startswith("tiny-b.slo_ok:") for m in drifted.compare(matrix)
+            m.startswith("scenarios.tiny-b.slo_ok:")
+            for m in drift(matrix.to_dict(), drifted.to_dict())
         )
 
     def test_missing_scenario_is_drift(self, matrix):
         entries = dict(matrix.entries)
         entries.pop("tiny-b")
         drifted = dataclasses.replace(matrix, entries=entries)
-        assert any("scenarios.tiny-b" in m for m in drifted.compare(matrix))
+        assert drift(matrix.to_dict(), drifted.to_dict()) == [
+            "scenarios.tiny-b: missing from the fresh run"
+        ]
 
     def test_variant_mismatch_is_drift(self, matrix):
         drifted = dataclasses.replace(matrix, variant="full")
-        assert any(m.startswith("variant:") for m in drifted.compare(matrix))
+        assert any(
+            m.startswith("variant:") for m in drift(matrix.to_dict(), drifted.to_dict())
+        )
 
     def test_non_matrix_json_rejected(self):
         with pytest.raises(ConfigurationError, match="not a scenario-catalog"):
